@@ -138,7 +138,12 @@ util::StatusOr<AggregateRun> TritonAggregate::Run(exec::Device& dev,
           for (uint64_t i = begin; i < begin + count; ++i) {
             uint32_t e = table.FindFirst(data[i].key, shift);
             if (e != UINT32_MAX) {
-              sums[e] += data[i].value;  // accumulate into the group
+              // Accumulate into the group with two's-complement wraparound:
+              // the checksum folds sums as uint64_t, so this matches
+              // ReferenceAggregate without signed overflow.
+              sums[e] = static_cast<int64_t>(
+                  static_cast<uint64_t>(sums[e]) +
+                  static_cast<uint64_t>(data[i].value));
             } else {
               table.Insert(data[i].key, data[i].value, shift);
             }

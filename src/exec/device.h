@@ -161,9 +161,10 @@ class KernelContext : private sim::TlbEscalationSink {
 
   /// Bulk Store: copies `count` elements from `src` into `buf` starting at
   /// element `index` and records the whole run in the sanitizer's shadow
-  /// map in one shot. The shadow RangeSet merges adjacent intervals, so
-  /// one run record is identical to `count` per-element records — this is
-  /// the fast path's bulk primitive (see util/fastpath.h).
+  /// log in one shot. Coverage is checked on the union of the logged
+  /// intervals, so one run record is identical to `count` per-element
+  /// records — this is the fast path's bulk primitive (see
+  /// util/fastpath.h).
   template <typename T>
   void StoreRun(mem::Buffer& buf, uint64_t index, const T* src,
                 uint64_t count) {

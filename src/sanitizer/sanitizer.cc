@@ -53,56 +53,6 @@ util::Status Violation::ToStatus() const {
                                           ": " + message);
 }
 
-// --- RangeSet ---
-
-void DeviceSanitizer::RangeSet::Add(uint64_t begin, uint64_t end) {
-  if (begin >= end) return;
-  // Merge with any overlapping or adjacent intervals.
-  auto it = ranges.upper_bound(begin);
-  if (it != ranges.begin()) {
-    auto prev = std::prev(it);
-    if (prev->second >= begin) {
-      begin = prev->first;
-      end = std::max(end, prev->second);
-      it = ranges.erase(prev);
-    }
-  }
-  while (it != ranges.end() && it->first <= end) {
-    end = std::max(end, it->second);
-    it = ranges.erase(it);
-  }
-  ranges.emplace(begin, end);
-}
-
-uint64_t DeviceSanitizer::RangeSet::UncoveredBy(const RangeSet& cover) const {
-  uint64_t uncovered = 0;
-  for (const auto& [begin, end] : ranges) {
-    uint64_t pos = begin;
-    // Walk the covering intervals that overlap [pos, end).
-    auto it = cover.ranges.upper_bound(pos);
-    if (it != cover.ranges.begin()) {
-      auto prev = std::prev(it);
-      if (prev->second > pos) it = prev;
-    }
-    while (pos < end) {
-      if (it == cover.ranges.end() || it->first >= end) {
-        uncovered += end - pos;
-        break;
-      }
-      if (it->first > pos) uncovered += it->first - pos;
-      pos = std::max(pos, it->second);
-      ++it;
-    }
-  }
-  return uncovered;
-}
-
-uint64_t DeviceSanitizer::RangeSet::TotalBytes() const {
-  uint64_t total = 0;
-  for (const auto& [begin, end] : ranges) total += end - begin;
-  return total;
-}
-
 // --- Liveness ---
 
 void DeviceSanitizer::OnAlloc(const mem::Buffer& buffer) {
@@ -173,11 +123,10 @@ void DeviceSanitizer::BeginLaunch(const std::string& kernel) {
 void DeviceSanitizer::EndLaunch(const sim::PerfCounters& counters) {
   // 1. Accounting completeness: every checked functional write must be
   //    covered by accounted write traffic on the same allocation.
-  for (const auto& [base, functional] : functional_writes_) {
-    auto acc = accounted_writes_.find(base);
-    static const RangeSet kEmpty;
-    const RangeSet& accounted =
-        acc != accounted_writes_.end() ? acc->second : kEmpty;
+  for (auto& [base, functional] : functional_writes_) {
+    IntervalLog& accounted = accounted_writes_[base];
+    functional.Normalize();
+    accounted.Normalize();
     uint64_t uncovered = functional.UncoveredBy(accounted);
     if (uncovered > tolerance_bytes_) {
       std::ostringstream msg;
@@ -240,13 +189,11 @@ void DeviceSanitizer::MergeBlock(DeviceSanitizer& child) {
   child.violations_.clear();
   // Interval union is order-independent, so the unordered_map iteration
   // order below cannot affect the merged state.
-  for (auto& [base, set] : child.functional_writes_) {
-    auto& dst = functional_writes_[base];
-    for (const auto& [begin, end] : set.ranges) dst.Add(begin, end);
+  for (auto& [base, log] : child.functional_writes_) {
+    functional_writes_[base].Merge(std::move(log));
   }
-  for (auto& [base, set] : child.accounted_writes_) {
-    auto& dst = accounted_writes_[base];
-    for (const auto& [begin, end] : set.ranges) dst.Add(begin, end);
+  for (auto& [base, log] : child.accounted_writes_) {
+    accounted_writes_[base].Merge(std::move(log));
   }
   child.functional_writes_.clear();
   child.accounted_writes_.clear();
@@ -400,11 +347,13 @@ void ScratchpadShadow::Load(uint64_t offset, uint64_t size, uint32_t warp) {
 void ScratchpadShadow::SyncRange(uint64_t offset, uint64_t size) {
   if (san_ == nullptr || size == 0) return;
   const uint64_t first = offset / kWordBytes;
-  const uint64_t last = (offset + size - 1) / kWordBytes;
-  for (uint64_t w = first; w <= last && w < last_writer_.size(); ++w) {
-    last_writer_[w] = -1;
-    initialized_[w] = 0;
-  }
+  const uint64_t end = std::min<uint64_t>(
+      (offset + size - 1) / kWordBytes + 1, last_writer_.size());
+  if (first >= end) return;
+  // Two fills rather than one interleaved loop: the byte-sized init state
+  // may alias the writer array, which keeps a joint loop scalar.
+  std::fill(last_writer_.begin() + first, last_writer_.begin() + end, -1);
+  std::fill(initialized_.begin() + first, initialized_.begin() + end, 0);
 }
 
 void ScratchpadShadow::Barrier() {

@@ -46,6 +46,7 @@
 
 #include "mem/allocator.h"
 #include "mem/buffer.h"
+#include "sanitizer/interval_log.h"
 #include "sim/perf_counters.h"
 #include "util/status.h"
 
@@ -203,16 +204,6 @@ class DeviceSanitizer : public mem::AllocationObserver {
  private:
   friend class ScratchpadShadow;
 
-  /// Sorted, disjoint byte intervals keyed by start address.
-  struct RangeSet {
-    std::map<uint64_t, uint64_t> ranges;  // start -> end (exclusive)
-
-    void Add(uint64_t begin, uint64_t end);
-    /// Total bytes of this set not covered by `cover`.
-    uint64_t UncoveredBy(const RangeSet& cover) const;
-    uint64_t TotalBytes() const;
-  };
-
   /// One live allocation as registered by the allocator.
   struct LiveAllocation {
     uint64_t size = 0;
@@ -240,9 +231,11 @@ class DeviceSanitizer : public mem::AllocationObserver {
   /// Open arena frames: id -> simulated base address of the frame.
   std::map<uint64_t, uint64_t> open_arenas_;
 
-  // Per-launch shadow state, keyed by allocation base address.
-  std::unordered_map<uint64_t, RangeSet> functional_writes_;
-  std::unordered_map<uint64_t, RangeSet> accounted_writes_;
+  // Per-launch shadow state, keyed by allocation base address. At launch
+  // end only allocations with functional writes are normalized and
+  // checked; the other accounted logs are dropped as they are.
+  std::unordered_map<uint64_t, IntervalLog> functional_writes_;
+  std::unordered_map<uint64_t, IntervalLog> accounted_writes_;
 
   // Launch lint expectations.
   bool expect_set_ = false;

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <memory>
 
 #include "core/triton_aggregate.h"
@@ -87,6 +88,22 @@ TEST_F(AggregateTest, SkewedGroupsStayExact) {
   TritonAggregate agg;
   auto run = agg.Run(*dev_, *rel);
   ASSERT_TRUE(run.ok());
+  EXPECT_EQ(run->groups, ref_groups);
+  EXPECT_EQ(run->checksum, ref_checksum);
+}
+
+TEST_F(AggregateTest, PayloadsNearInt64MaxWrapLikeTheReference) {
+  // Group sums overflow int64_t many times over; the aggregate wraps like
+  // the reference's uint64_t fold instead of overflowing a signed sum.
+  data::Relation rel = MakeGrouped(20000, 16, 31);
+  int64_t* values = rel.payload(0);
+  for (uint64_t i = 0; i < rel.rows(); ++i) {
+    values[i] = INT64_MAX - static_cast<int64_t>(i % 7);
+  }
+  auto [ref_groups, ref_checksum] = ReferenceAggregate(rel);
+  TritonAggregate agg;
+  auto run = agg.Run(*dev_, rel);
+  ASSERT_TRUE(run.ok()) << run.status().ToString();
   EXPECT_EQ(run->groups, ref_groups);
   EXPECT_EQ(run->checksum, ref_checksum);
 }

@@ -4,9 +4,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "data/generator.h"
@@ -16,8 +18,10 @@
 #include "partition/layout.h"
 #include "partition/prefix_sum.h"
 #include "partition/shared.h"
+#include "sanitizer/interval_log.h"
 #include "sanitizer/sanitizer.h"
 #include "sim/hw_spec.h"
+#include "util/random.h"
 
 namespace triton::sanitizer {
 namespace {
@@ -126,6 +130,254 @@ TEST_F(SanitizerTest, AccountedStoreIsClean) {
     ctx.Charge(1);
   });
   EXPECT_TRUE(dev_->sanitizer()->CheckOk().ok());
+}
+
+TEST_F(SanitizerTest, AccountedWriteBeforeStoreCountsAsCoverage) {
+  auto buf = dev_->allocator().AllocateCpu(4096);
+  ASSERT_TRUE(buf.ok());
+  dev_->Launch({.name = "early"}, [&](exec::KernelContext& ctx) {
+    // The traffic is accounted first and the store lands afterwards in
+    // the same launch; coverage is a property of the launch, not of order.
+    ctx.WriteSeq(*buf, 0, 64);
+    ctx.Store<uint64_t>(*buf, 3, 42);
+    ctx.AddTuples(1);
+    ctx.Charge(1);
+  });
+  EXPECT_TRUE(dev_->sanitizer()->CheckOk().ok());
+}
+
+TEST_F(SanitizerTest, PartiallyAccountedRunReportsStoredAndAccountedBytes) {
+  auto buf = dev_->allocator().AllocateCpu(4096);
+  ASSERT_TRUE(buf.ok());
+  const uint64_t values[4] = {1, 2, 3, 4};
+  dev_->Launch({.name = "partial"}, [&](exec::KernelContext& ctx) {
+    ctx.StoreRun(*buf, 0, values, 4);  // bytes [0, 32)
+    ctx.Store<uint64_t>(*buf, 10, 5);  // bytes [80, 88)
+    ctx.WriteSeq(*buf, 8, 16);         // covers [8, 24)
+    ctx.WriteSeq(*buf, 200, 8);        // covers nothing stored
+    ctx.AddTuples(1);
+    ctx.Charge(1);
+  });
+  Violation v = TakeSingle(ViolationCode::kUnaccountedWrite);
+  EXPECT_NE(v.message.find("24 B of functional writes"), std::string::npos)
+      << v.message;
+  EXPECT_NE(v.message.find("(40 B stored, 24 B accounted)"), std::string::npos)
+      << v.message;
+}
+
+// --- IntervalLog against a byte-bitmap oracle ---
+
+/// One flag per byte of a small address space: the obviously correct
+/// union that IntervalLog must agree with.
+class ByteOracle {
+ public:
+  explicit ByteOracle(uint64_t bytes) : set_(bytes, 0) {}
+
+  void Add(uint64_t begin, uint64_t end) {
+    if (begin >= end) return;
+    // Runs overlapping or adjacent to [begin, end) fuse with it into one.
+    const uint64_t lo = begin > 0 ? begin - 1 : 0;
+    const uint64_t hi = std::min<uint64_t>(end + 1, set_.size());
+    size_t touched = 0;
+    for (uint64_t i = lo; i < hi; ++i) {
+      touched += set_[i] && (i == lo || !set_[i - 1]);
+    }
+    runs_ = runs_ + 1 - touched;
+    for (uint64_t i = begin; i < end; ++i) set_[i] = 1;
+  }
+
+  uint64_t TotalBytes() const {
+    return static_cast<uint64_t>(std::count(set_.begin(), set_.end(), 1));
+  }
+
+  uint64_t UncoveredBy(const ByteOracle& cover) const {
+    uint64_t n = 0;
+    for (size_t i = 0; i < set_.size(); ++i) n += set_[i] && !cover.set_[i];
+    return n;
+  }
+
+  /// Maximal runs of set bytes: the entry count of a normalized log.
+  size_t Runs() const { return runs_; }
+
+ private:
+  std::vector<uint8_t> set_;
+  size_t runs_ = 0;
+};
+
+constexpr uint64_t kOracleBytes = uint64_t{1} << 15;
+
+/// Draws the next interval from the shapes kernels emit: sequential
+/// continuations, overlaps and exact duplicates of the previous interval,
+/// fresh random positions, and empty or reversed (ignored) intervals.
+std::pair<uint64_t, uint64_t> NextInterval(util::Rng& rng,
+                                           std::pair<uint64_t, uint64_t> prev) {
+  const uint64_t len = rng.NextBounded(17);
+  uint64_t begin = 0;
+  switch (rng.NextBounded(6)) {
+    case 0:  // adjacent: continue right after the previous interval
+      begin = prev.second;
+      break;
+    case 1:  // overlapping the previous interval
+      begin = prev.first + rng.NextBounded(prev.second - prev.first + 1);
+      break;
+    case 2:  // exact duplicate
+      return prev;
+    case 3:  // reversed: ignored by both the log and the oracle
+      begin = rng.NextBounded(kOracleBytes - 16);
+      return {begin + len, begin};
+    default:  // fresh position (backwards half the time)
+      begin = rng.NextBounded(kOracleBytes - 16);
+      break;
+  }
+  begin = std::min(begin, kOracleBytes - 16);
+  return {begin, begin + len};
+}
+
+/// Adds `n` drawn intervals to both `log` and `oracle`.
+void AddRandom(util::Rng& rng, int n, IntervalLog& log, ByteOracle& oracle) {
+  std::pair<uint64_t, uint64_t> iv{0, 0};
+  for (int i = 0; i < n; ++i) {
+    iv = NextInterval(rng, iv);
+    log.Add(iv.first, iv.second);
+    oracle.Add(iv.first, iv.second);
+    // Draw the next interval relative to a valid (possibly empty) one.
+    if (iv.first > iv.second) iv = {iv.second, iv.second};
+  }
+}
+
+/// Normalizes a copy of `log` (so the original's compaction schedule is
+/// untouched) and checks it against the oracle.
+void ExpectMatches(const IntervalLog& log, const ByteOracle& oracle) {
+  IntervalLog copy = log;
+  copy.Normalize();
+  EXPECT_EQ(copy.TotalBytes(), oracle.TotalBytes());
+  EXPECT_EQ(copy.entries(), oracle.Runs());
+}
+
+TEST(IntervalLogTest, CoalescesAdjacentAndIgnoresEmptyIntervals) {
+  IntervalLog log;
+  log.Add(0, 8);
+  log.Add(8, 16);   // adjacent: extends the entry
+  log.Add(4, 12);   // inside
+  log.Add(20, 20);  // empty
+  log.Add(30, 24);  // reversed
+  EXPECT_EQ(log.entries(), 1u);
+  log.Add(32, 40);
+  log.Add(16, 32);  // bridges both entries once normalized
+  log.Normalize();
+  EXPECT_EQ(log.entries(), 1u);
+  EXPECT_EQ(log.TotalBytes(), 40u);
+}
+
+TEST(IntervalLogTest, MatchesByteOracleAcrossCompaction) {
+  for (uint64_t seed : {1, 2, 3}) {
+    util::Rng rng(seed);
+    IntervalLog log;
+    ByteOracle oracle(kOracleBytes);
+    size_t max_runs = 0;
+    std::pair<uint64_t, uint64_t> iv{0, 0};
+    for (int i = 0; i < 2000; ++i) {
+      iv = NextInterval(rng, iv);
+      log.Add(iv.first, iv.second);
+      oracle.Add(iv.first, iv.second);
+      if (iv.first > iv.second) iv = {iv.second, iv.second};
+      // Memory stays O(disjoint intervals): compaction fires once the log
+      // doubles past its last normalized size.
+      max_runs = std::max(max_runs, oracle.Runs());
+      ASSERT_LE(log.entries(), 2 * std::max<size_t>(max_runs, 64))
+          << "seed " << seed << " op " << i;
+      if (i % 97 == 0) ExpectMatches(log, oracle);
+    }
+    EXPECT_GT(max_runs, 128u) << "sequence never crossed the threshold";
+    ExpectMatches(log, oracle);
+  }
+}
+
+TEST(IntervalLogTest, CompactionBoundsEntriesUnderRewrites) {
+  // Random rewrites of one small region: the union collapses to a few
+  // runs while appends keep coming, so only compaction bounds the log.
+  util::Rng rng(31);
+  IntervalLog log;
+  ByteOracle oracle(kOracleBytes);
+  size_t max_runs = 0;
+  for (int i = 0; i < 20000; ++i) {
+    const uint64_t begin = rng.NextBounded(4096);
+    const uint64_t end = begin + 1 + rng.NextBounded(16);
+    log.Add(begin, end);
+    oracle.Add(begin, end);
+    max_runs = std::max(max_runs, oracle.Runs());
+    ASSERT_LE(log.entries(), 2 * std::max<size_t>(max_runs, 64)) << "op " << i;
+  }
+  ExpectMatches(log, oracle);
+}
+
+TEST(IntervalLogTest, EmptyParentAdoptsAnUnsortedChild) {
+  IntervalLog child;
+  child.Add(100, 110);
+  child.Add(0, 10);  // backwards: the child's log is no longer sorted
+  child.Add(5, 105);
+  IntervalLog parent;
+  parent.Merge(std::move(child));
+  parent.Normalize();
+  EXPECT_EQ(parent.entries(), 1u);
+  EXPECT_EQ(parent.TotalBytes(), 110u);
+}
+
+TEST(IntervalLogTest, UncoveredByMatchesByteOracle) {
+  for (uint64_t seed : {11, 12, 13, 14}) {
+    util::Rng rng(seed);
+    IntervalLog a, c;
+    ByteOracle oa(kOracleBytes), oc(kOracleBytes);
+    AddRandom(rng, 1500, a, oa);
+    AddRandom(rng, 200 + 300 * static_cast<int>(seed % 4), c, oc);
+    a.Normalize();
+    c.Normalize();
+    EXPECT_EQ(a.UncoveredBy(c), oa.UncoveredBy(oc)) << "seed " << seed;
+    EXPECT_EQ(c.UncoveredBy(a), oc.UncoveredBy(oa)) << "seed " << seed;
+    EXPECT_EQ(a.UncoveredBy(a), 0u);
+    IntervalLog empty;
+    EXPECT_EQ(a.UncoveredBy(empty), oa.TotalBytes());
+    EXPECT_EQ(empty.UncoveredBy(a), 0u);
+  }
+}
+
+TEST(IntervalLogTest, BlockMergesMatchOracleInEitherOrder) {
+  for (uint64_t seed : {21, 22}) {
+    util::Rng rng(seed);
+    constexpr int kBlocks = 24;
+    std::vector<IntervalLog> children(kBlocks);
+    ByteOracle oracle(kOracleBytes);
+    for (IntervalLog& child : children) {
+      AddRandom(rng, 10 + static_cast<int>(rng.NextBounded(150)), child,
+                oracle);
+    }
+    // Forward order into an empty parent (the first merge adopts the
+    // child's log) and reverse order into a pre-populated one.
+    IntervalLog forward, reverse;
+    ByteOracle combined = oracle;  // children plus the reverse parent's own
+    AddRandom(rng, 40, reverse, combined);
+    for (int b = 0; b < kBlocks; ++b) {
+      IntervalLog child = children[b];
+      forward.Merge(std::move(child));
+      EXPECT_EQ(child.entries(), 0u);
+    }
+    for (int b = kBlocks - 1; b >= 0; --b) {
+      reverse.Merge(IntervalLog(children[b]));
+    }
+    ExpectMatches(forward, oracle);
+    ExpectMatches(reverse, combined);
+    forward.Normalize();
+    reverse.Normalize();
+    EXPECT_EQ(forward.UncoveredBy(reverse), 0u);
+    EXPECT_EQ(reverse.UncoveredBy(forward), combined.UncoveredBy(oracle));
+    // A covering log checked against the merged state.
+    IntervalLog cover;
+    ByteOracle ocover(kOracleBytes);
+    AddRandom(rng, 800, cover, ocover);
+    cover.Normalize();
+    EXPECT_EQ(forward.UncoveredBy(cover), oracle.UncoveredBy(ocover));
+    EXPECT_EQ(cover.UncoveredBy(forward), ocover.UncoveredBy(oracle));
+  }
 }
 
 // --- Negative: scratchpad memcheck ---
