@@ -1,16 +1,15 @@
 #include "core/triton_aggregate.h"
 
-#include <algorithm>
 #include <unordered_map>
 #include <vector>
 
+#include "core/triton_join.h"
+#include "core/triton_pipeline.h"
 #include "hash/bucket_chain_table.h"
-#include "partition/hierarchical.h"
 #include "partition/input.h"
 #include "partition/layout.h"
 #include "partition/prefix_sum.h"
 #include "partition/shared.h"
-#include "util/bits.h"
 
 namespace triton::core {
 
@@ -44,52 +43,22 @@ util::StatusOr<AggregateRun> TritonAggregate::Run(exec::Device& dev,
   const sim::HwSpec& hw = dev.hw();
   const uint32_t sms = hw.gpu.num_sms;
 
-  // Radix bits: like the join's derivation, but only one relation flows.
-  uint32_t bits1 = config_.bits1, bits2 = config_.bits2;
-  if (bits1 == 0 || bits2 == 0) {
-    uint32_t total = util::CeilLog2(util::CeilDiv(r.rows(), 1024));
-    uint32_t d2 = std::min(total, 9u);
-    uint32_t d1 = std::max(total - d2, 1u);
-    uint64_t part_bytes = (r.rows() * sizeof(partition::Tuple)) >> d1;
-    while (part_bytes * 4 > hw.gpu_mem.capacity / 2) {
-      ++d1;
-      part_bytes /= 2;
-    }
-    if (bits1 == 0) bits1 = d1;
-    if (bits2 == 0) bits2 = d2;
-  }
+  // Radix bits: the join's derivation with only one relation flowing.
+  uint32_t bits1, bits2;
+  TritonJoin::DeriveBits(hw, r.rows(), 0, &bits1, &bits2);
+  if (config_.bits1 != 0) bits1 = config_.bits1;
+  if (config_.bits2 != 0) bits2 = config_.bits2;
   partition::RadixConfig radix1{0, bits1};
   partition::RadixConfig radix2 = radix1.Next(bits2);
 
   dev.ClearTrace();
 
-  // --- Prefix sum + first pass with caching (as in the Triton join) ---
-  partition::ColumnInput input = partition::ColumnInput::Of(r);
-  partition::PrefixSumOptions ps1;
-  ps1.name = "prefix_sum1";
-  partition::PartitionLayout layout1 =
-      CpuPrefixSum(dev, input, radix1, sms, ps1);
-
-  const uint64_t state_bytes =
-      layout1.padded_tuples() * sizeof(partition::Tuple);
-  uint64_t max_part = 0;
-  for (uint32_t p = 0; p < radix1.fanout(); ++p) {
-    max_part = std::max(max_part, layout1.PartitionSize(p));
-  }
-  uint64_t reserve = std::max<uint64_t>(
-      4 * max_part * sizeof(partition::Tuple), hw.gpu_mem.capacity / 8);
-  uint64_t cache_avail = dev.allocator().gpu_free() > reserve
-                             ? dev.allocator().gpu_free() - reserve
-                             : 0;
-  cache_avail = std::min(cache_avail, config_.cache_bytes);
-  uint64_t cache_used = std::min(cache_avail, state_bytes);
-  auto state = dev.allocator().AllocateInterleaved(state_bytes, cache_used);
-  if (!state.ok()) return state.status();
-
-  partition::HierarchicalPartitioner pass1;
-  partition::PartitionOptions p1;
-  p1.name = "partition1";
-  pass1.PartitionColumns(dev, input, layout1, *state, p1);
+  // --- Pass-1 front with caching, as in the Triton join ---
+  auto front = RunFront(dev, radix1, {&r},
+                        {.sms = sms, .cache_bytes = config_.cache_bytes});
+  if (!front.ok()) return front.status();
+  const partition::PartitionLayout& layout1 = front->rels[0].layout;
+  const mem::Buffer& state = front->rels[0].state;
 
   // --- Second pass + scratchpad aggregation per partition ---
   partition::SharedPartitioner pass2;
@@ -99,7 +68,7 @@ util::StatusOr<AggregateRun> TritonAggregate::Run(exec::Device& dev,
   for (uint32_t p = 0; p < radix1.fanout(); ++p) {
     if (layout1.PartitionSize(p) == 0) continue;
     partition::SlicedRowInput rows =
-        partition::PartitionInputOf(*state, layout1, p);
+        partition::PartitionInputOf(state, layout1, p);
     partition::PrefixSumOptions ps2;
     ps2.name = "prefix_sum2";
     partition::PartitionLayout layout2 =
@@ -177,7 +146,6 @@ util::StatusOr<AggregateRun> TritonAggregate::Run(exec::Device& dev,
   run.phases = dev.trace();
   for (const auto& ph : run.phases) run.totals.Merge(ph.counters);
   run.elapsed = dev.TraceElapsed();
-  dev.allocator().Free(*state);
   return run;
 }
 

@@ -1,26 +1,11 @@
 #include "core/triton_join.h"
 
 #include <algorithm>
-#include <vector>
 
-#include "join/scratch_join.h"
-#include "partition/hierarchical.h"
-#include "partition/input.h"
-#include "partition/layout.h"
-#include "partition/prefix_sum.h"
-#include "partition/shared.h"
+#include "core/triton_pipeline.h"
 #include "util/bits.h"
-#include "util/fastpath.h"
 
 namespace triton::core {
-
-namespace {
-
-/// SM-cycles per refined partition pair for the join task scheduler kernel
-/// (calibrated against the ~9% share in the paper's Figure 15).
-constexpr double kSchedCyclesPerPair = 13000.0;
-
-}  // namespace
 
 void TritonJoin::DeriveBits(const sim::HwSpec& hw, uint64_t r_tuples,
                             uint64_t s_tuples, uint32_t* bits1,
@@ -50,86 +35,33 @@ util::StatusOr<join::JoinRun> TritonJoin::Run(exec::Device& dev,
   const sim::HwSpec& hw = dev.hw();
   const uint32_t sms = config_.sms == 0 ? hw.gpu.num_sms : config_.sms;
 
-  uint32_t bits1 = config_.bits1, bits2 = config_.bits2;
-  if (bits1 == 0 || bits2 == 0) {
-    uint32_t d1, d2;
-    DeriveBits(hw, r.rows(), s.rows(), &d1, &d2);
-    if (bits1 == 0) bits1 = d1;
-    if (bits2 == 0) bits2 = d2;
-  }
+  uint32_t bits1, bits2;
+  DeriveBits(hw, r.rows(), s.rows(), &bits1, &bits2);
+  if (config_.bits1 != 0) bits1 = config_.bits1;
+  if (config_.bits2 != 0) bits2 = config_.bits2;
   stats_.bits1 = bits1;
   stats_.bits2 = bits2;
 
   partition::RadixConfig radix1{0, bits1};
-  partition::RadixConfig radix2 = radix1.Next(bits2);
-  const uint32_t blocks = sms;
 
   dev.ClearTrace();
 
-  // --- Prefix sums over the base relations (CPU by default) ---
-  partition::ColumnInput r_in = partition::ColumnInput::Of(r);
-  partition::ColumnInput s_in = partition::ColumnInput::Of(s);
-  partition::PrefixSumOptions ps1;
-  ps1.name = "prefix_sum1";
-  ps1.sms = sms;
-  partition::PartitionLayout r_layout1 =
-      config_.gpu_prefix_sum
-          ? GpuPrefixSum(dev, r_in, radix1, blocks, ps1)
-          : CpuPrefixSum(dev, r_in, radix1, blocks, ps1);
-  partition::PartitionLayout s_layout1 =
-      config_.gpu_prefix_sum
-          ? GpuPrefixSum(dev, s_in, radix1, blocks, ps1)
-          : CpuPrefixSum(dev, s_in, radix1, blocks, ps1);
+  // --- Pass-1 front (triton_pipeline.h); the pipeline reservation holds
+  // the double-buffered pair and its refined copy ---
+  auto front = RunFront(dev, radix1, {&r, &s},
+                        {.sms = sms,
+                         .gpu_prefix_sum = config_.gpu_prefix_sum,
+                         .pass1 = config_.pass1,
+                         .cache_bytes = config_.cache_bytes,
+                         .reserve_pairs = 4});
+  if (!front.ok()) return front.status();
+  stats_.cached_fraction = front->cached_fraction;
+  stats_.spilled_bytes = front->spilled_bytes;
 
-  // --- Cache budgeting: pipeline working memory is reserved; the rest of
-  // the budget holds partitioned state in GPU memory, spread evenly over
-  // both relations via interleaved page mapping (Section 5.3) ---
-  const uint64_t r1_bytes = r_layout1.padded_tuples() * sizeof(partition::Tuple);
-  const uint64_t s1_bytes = s_layout1.padded_tuples() * sizeof(partition::Tuple);
-  uint64_t max_pair = 0;
-  for (uint32_t p = 0; p < radix1.fanout(); ++p) {
-    max_pair = std::max(max_pair, r_layout1.PartitionSize(p) +
-                                      s_layout1.PartitionSize(p));
-  }
-  const uint64_t pipeline_reserve =
-      std::max<uint64_t>(4 * max_pair * sizeof(partition::Tuple),
-                         hw.gpu_mem.capacity / 8);
-  uint64_t cache_avail = dev.allocator().gpu_free() > pipeline_reserve
-                             ? dev.allocator().gpu_free() - pipeline_reserve
-                             : 0;
-  cache_avail = std::min(cache_avail, config_.cache_bytes);
-  const uint64_t state_bytes = r1_bytes + s1_bytes;
-  const uint64_t cache_used = std::min(cache_avail, state_bytes);
-  stats_.cached_fraction =
-      state_bytes > 0 ? static_cast<double>(cache_used) / state_bytes : 0.0;
-  stats_.spilled_bytes = state_bytes - cache_used;
-
-  auto r1 = dev.allocator().AllocateInterleaved(
-      r1_bytes, static_cast<uint64_t>(stats_.cached_fraction * r1_bytes));
-  if (!r1.ok()) return r1.status();
-  auto s1 = dev.allocator().AllocateInterleaved(
-      s1_bytes, static_cast<uint64_t>(stats_.cached_fraction * s1_bytes));
-  if (!s1.ok()) return s1.status();
-
-  // --- First pass: GPU-partition both relations out-of-core ---
-  partition::HierarchicalPartitioner default_pass1;
-  partition::GpuPartitioner* pass1 =
-      config_.pass1 != nullptr ? config_.pass1 : &default_pass1;
-  partition::PartitionOptions p1;
-  p1.sms = sms;
-  p1.name = "partition1_r";
-  pass1->PartitionColumns(dev, r_in, r_layout1, *r1, p1);
-  p1.name = "partition1_s";
-  pass1->PartitionColumns(dev, s_in, s_layout1, *s1, p1);
-
-  // --- Result buffer (CPU memory: results may exceed GPU capacity) ---
-  mem::Buffer result;
-  if (config_.result_mode == join::ResultMode::kMaterialize) {
-    auto res =
-        dev.allocator().AllocateCpu(s.rows() * sizeof(partition::Tuple));
-    if (!res.ok()) return res.status();
-    result = std::move(res).value();
-  }
+  auto result = join::AllocateResult(dev, config_.result_mode, s.rows());
+  if (!result.ok()) return result.status();
+  auto staging = AllocateStaging(dev, *front, 1);
+  if (!staging.ok()) return staging.status();
 
   // --- Pipelined second pass + join over partition pairs ---
   //
@@ -140,195 +72,20 @@ util::StatusOr<join::JoinRun> TritonJoin::Run(exec::Device& dev,
   // concurrent kernels share the GPU's issue slots, so summing compute
   // across lanes at the full-SM rate models two half-GPU kernels running
   // simultaneously.
-  const uint32_t pipe_sms = sms;
-  uint64_t matches = 0, checksum = 0, result_cursor = 0;
-  double pipe_bw = 0.0;      // interconnect/TLB/CPU-memory lane
-  double pipe_comp = 0.0;    // GPU compute / on-board memory lane
-  double pipe_serial = 0.0;  // no-overlap: plain sum of kernel times
-  partition::SharedPartitioner pass2;
-
-  // When state spilled to CPU memory, the second-pass prefix sum copies the
-  // pair into this GPU staging buffer as it scans, so subsequent kernels
-  // read GPU memory instead of re-crossing the link (Section 6.2.3).
-  const bool stage_pairs = stats_.spilled_bytes > 0;
-  mem::Buffer staging;
-  if (stage_pairs) {
-    auto st = dev.allocator().AllocateGpu(
-        std::max<uint64_t>(max_pair, 1) * sizeof(partition::Tuple));
-    if (!st.ok()) return st.status();
-    staging = std::move(st).value();
-  }
-
+  const PairBody body{.radix2 = radix1.Next(bits2),
+                      .sms = sms,
+                      .scheme = config_.scheme,
+                      .staging = staging->valid() ? &*staging : nullptr,
+                      .result = result->valid() ? &*result : nullptr};
+  JoinTotals totals;
+  Lanes lanes;
   for (uint32_t p = 0; p < radix1.fanout(); ++p) {
-    uint64_t r_n = r_layout1.PartitionSize(p);
-    uint64_t s_n = s_layout1.PartitionSize(p);
-    if (r_n == 0 || s_n == 0) continue;
-    size_t trace_mark = dev.trace().size();
-
-    partition::SlicedRowInput r_rows =
-        partition::PartitionInputOf(*r1, r_layout1, p);
-    partition::SlicedRowInput s_rows =
-        partition::PartitionInputOf(*s1, s_layout1, p);
-
-    // Second-pass prefix sums run on the GPU; with spilled state they
-    // double as the copy-in of the pair (see `staging` above).
-    auto prefix_and_stage =
-        [&](const partition::SlicedRowInput& rows,
-            uint64_t stage_offset) -> partition::PartitionLayout {
-      partition::PartitionLayout layout;
-      dev.Launch(
-          {.name = "prefix_sum2", .sms = pipe_sms},
-          [&](exec::KernelContext& ctx) {
-            const uint64_t n = rows.size();
-            // The scan accounting stays on the launch context (one pass over
-            // the pair); the histogram work fans out over the executor.
-            rows.AccountRead(ctx, 0, n);
-            const uint64_t chunk = (n + blocks - 1) / blocks;
-            std::vector<std::vector<uint64_t>> histograms(
-                blocks, std::vector<uint64_t>(radix2.fanout(), 0));
-            ctx.ForEachBlock(
-                blocks, [&](exec::KernelContext& sub, uint32_t b) {
-                  uint64_t begin = static_cast<uint64_t>(b) * chunk;
-                  uint64_t end = std::min(n, begin + chunk);
-                  if (begin >= end) return;
-                  sub.SetSanitizerBlock(b);
-                  // Per-block copy: sliced inputs cache a cursor in Get().
-                  partition::SlicedRowInput block_rows = rows;
-                  partition::ComputeBlockHistogram(block_rows, radix2, begin,
-                                                   end, histograms[b]);
-                });
-            layout = partition::PartitionLayout(radix2, histograms, 8);
-            ctx.AddTuples(n);
-            ctx.Charge(static_cast<uint64_t>(
-                n * partition::kPrefixSumCyclesPerTuple));
-            if (stage_pairs) {
-              if (util::FastPathEnabled()) {
-                partition::Tuple batch[partition::kFastPathBatchTuples];
-                for (uint64_t base = 0; base < n;
-                     base += partition::kFastPathBatchTuples) {
-                  const uint64_t m = std::min<uint64_t>(
-                      n - base, partition::kFastPathBatchTuples);
-                  rows.GetBatch(base, m, batch);
-                  ctx.StoreRun(staging, stage_offset + base, batch, m);
-                }
-              } else {
-                for (uint64_t i = 0; i < n; ++i) {
-                  ctx.Store(staging, stage_offset + i, rows.Get(i));
-                }
-              }
-              ctx.WriteSeq(staging, stage_offset * sizeof(partition::Tuple),
-                           n * sizeof(partition::Tuple));
-            }
-          });
-      return layout;
-    };
-    partition::PartitionLayout r_layout2 = prefix_and_stage(r_rows, 0);
-    partition::PartitionLayout s_layout2 = prefix_and_stage(s_rows, r_n);
-
-    auto r2 = dev.allocator().AllocateGpu(r_layout2.padded_tuples() *
-                                          sizeof(partition::Tuple));
-    if (!r2.ok()) return r2.status();
-    auto s2 = dev.allocator().AllocateGpu(s_layout2.padded_tuples() *
-                                          sizeof(partition::Tuple));
-    if (!s2.ok()) return s2.status();
-
-    partition::PartitionOptions p2;
-    p2.sms = pipe_sms;
-    p2.name = "partition2";
-    if (stage_pairs) {
-      partition::RowInput r_staged(&staging, 0, r_n);
-      partition::RowInput s_staged(&staging, r_n, s_n);
-      pass2.PartitionRows(dev, r_staged, r_layout2, *r2, p2);
-      pass2.PartitionRows(dev, s_staged, s_layout2, *s2, p2);
-    } else {
-      pass2.PartitionSliced(dev, r_rows, r_layout2, *r2, p2);
-      pass2.PartitionSliced(dev, s_rows, s_layout2, *s2, p2);
-    }
-
-    // Join task scheduler: assigns refined pairs to thread blocks.
-    dev.Launch({.name = "sched", .sms = pipe_sms},
-               [&](exec::KernelContext& ctx) {
-                 ctx.Charge(static_cast<uint64_t>(kSchedCyclesPerPair *
-                                                  radix2.fanout()));
-               });
-
-    dev.Launch({.name = "join", .sms = pipe_sms},
-               [&](exec::KernelContext& ctx) {
-                 // Each refined pair is one thread block: build/probe runs
-                 // concurrently per partition, matches are staged per block
-                 // and materialized in partition order afterwards so result
-                 // contents and accounting are independent of thread count.
-                 const uint32_t fan2 = radix2.fanout();
-                 struct BlockOut {
-                   std::vector<partition::Tuple> pairs;
-                   uint64_t matches = 0;
-                   uint64_t checksum = 0;
-                 };
-                 std::vector<BlockOut> outs(fan2);
-                 ctx.ForEachBlock(
-                     fan2, [&](exec::KernelContext& sub, uint32_t q) {
-                       sub.SetSanitizerBlock(q);
-                       std::vector<std::pair<uint64_t, uint64_t>> r_sl, s_sl;
-                       r_layout2.ForEachSlice(
-                           q, [&](uint64_t b, uint64_t c) {
-                             r_sl.emplace_back(b, c);
-                           });
-                       s_layout2.ForEachSlice(
-                           q, [&](uint64_t b, uint64_t c) {
-                             s_sl.emplace_back(b, c);
-                           });
-                       join::ScratchJoiner block_joiner(
-                           config_.scheme, hw.gpu.scratchpad_bytes);
-                       BlockOut& out = outs[q];
-                       block_joiner.JoinSlicesEmit(
-                           sub, *r2, r_sl, *s2, s_sl, bits1 + bits2,
-                           [&](int64_t build_val, int64_t probe_val) {
-                             if (result.valid()) {
-                               out.pairs.push_back(
-                                   partition::Tuple{build_val, probe_val});
-                             }
-                             ++out.matches;
-                             out.checksum +=
-                                 static_cast<uint64_t>(build_val) +
-                                 static_cast<uint64_t>(probe_val);
-                           });
-                     });
-                 for (uint32_t q = 0; q < fan2; ++q) {
-                   BlockOut& out = outs[q];
-                   matches += out.matches;
-                   checksum += out.checksum;
-                   if (!out.pairs.empty()) {
-                     uint64_t at = result_cursor;
-                     if (util::FastPathEnabled()) {
-                       ctx.StoreRun(result, at, out.pairs.data(),
-                                    out.pairs.size());
-                       result_cursor += out.pairs.size();
-                     } else {
-                       for (const partition::Tuple& t : out.pairs) {
-                         ctx.Store(result, result_cursor++, t);
-                       }
-                     }
-                     ctx.WriteSeq(result, at * sizeof(partition::Tuple),
-                                  out.pairs.size() *
-                                      sizeof(partition::Tuple));
-                   }
-                 }
-               });
-
-    // Accumulate this pair's kernels into the two concurrent lanes.
-    for (size_t k = trace_mark; k < dev.trace().size(); ++k) {
-      const sim::KernelTime& t = dev.trace()[k].time;
-      pipe_bw += std::max({t.link, t.tlb, t.cpu_mem});
-      pipe_comp += std::max(t.compute, t.gpu_mem);
-      pipe_serial += t.Elapsed();
-    }
-
-    dev.allocator().Free(*r2);
-    dev.allocator().Free(*s2);
+    util::Status st = JoinPair(dev, *front, p, body, 0, &totals, &lanes);
+    if (!st.ok()) return st;
   }
 
-  run.matches = matches;
-  run.checksum = checksum;
+  run.matches = totals.matches;
+  run.checksum = totals.checksum;
   run.phases = dev.trace();
   for (const auto& ph : run.phases) run.totals.Merge(ph.counters);
 
@@ -337,12 +94,8 @@ util::StatusOr<join::JoinRun> TritonJoin::Run(exec::Device& dev,
   double t_front = run.PhaseTime("prefix_sum1") +
                    run.PhaseTime("partition1");
   double pipeline =
-      config_.overlap ? std::max(pipe_bw, pipe_comp) : pipe_serial;
+      config_.overlap ? std::max(lanes.bw, lanes.comp) : lanes.serial;
   run.elapsed = t_front + pipeline;
-
-  dev.allocator().Free(*r1);
-  dev.allocator().Free(*s1);
-  if (result.valid()) dev.allocator().Free(result);
   return run;
 }
 

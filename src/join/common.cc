@@ -2,6 +2,8 @@
 
 #include <unordered_map>
 
+#include "hash/perfect_table.h"
+
 namespace triton::join {
 
 const char* HashSchemeName(HashScheme scheme) {
@@ -14,6 +16,12 @@ const char* HashSchemeName(HashScheme scheme) {
       return "BucketChaining";
   }
   return "Unknown";
+}
+
+util::StatusOr<mem::Buffer> AllocateResult(exec::Device& dev, ResultMode mode,
+                                           uint64_t rows) {
+  if (mode != ResultMode::kMaterialize) return mem::Buffer();
+  return dev.allocator().AllocateCpu(rows * sizeof(hash::Entry));
 }
 
 double JoinRun::PhaseTime(const std::string& substr) const {

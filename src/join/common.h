@@ -32,6 +32,13 @@ enum class ResultMode {
   kAggregate,
 };
 
+/// Allocates the result buffer for up to `rows` matches when `mode`
+/// materializes them: <build-payload, probe-payload> pairs in CPU memory,
+/// since results may exceed GPU memory (Section 5.1). Returns an empty
+/// buffer when matches are only aggregated.
+util::StatusOr<mem::Buffer> AllocateResult(exec::Device& dev, ResultMode mode,
+                                           uint64_t rows);
+
 /// Outcome of one join execution.
 struct JoinRun {
   /// Number of matches found (PK/FK workloads: exactly |S|).

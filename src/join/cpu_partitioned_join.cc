@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstring>
-#include <vector>
 
 #include "join/scratch_join.h"
 #include "partition/cpu_swwc.h"
@@ -83,13 +82,8 @@ util::StatusOr<JoinRun> CpuPartitionedJoin::Run(exec::Device& dev,
       std::max<uint64_t>(max_pair, 1) * sizeof(partition::Tuple));
   if (!staging.ok()) return staging.status();
 
-  mem::Buffer result;
-  if (config_.result_mode == ResultMode::kMaterialize) {
-    auto res =
-        dev.allocator().AllocateCpu(s.rows() * sizeof(partition::Tuple));
-    if (!res.ok()) return res.status();
-    result = std::move(res).value();
-  }
+  auto result = AllocateResult(dev, config_.result_mode, s.rows());
+  if (!result.ok()) return result.status();
 
   uint64_t matches = 0, checksum = 0, result_cursor = 0;
   partition::SharedPartitioner gpu_partitioner;
@@ -129,7 +123,7 @@ util::StatusOr<JoinRun> CpuPartitionedJoin::Run(exec::Device& dev,
       // Partitions are already scratchpad-sized: join directly.
       dev.Launch({.name = "join"}, [&](exec::KernelContext& ctx) {
         joiner.JoinRange(ctx, *staging, 0, r_n, r_n, s_n, bits1,
-                         result.valid() ? &result : nullptr, &result_cursor,
+                         result->valid() ? &*result : nullptr, &result_cursor,
                          &matches, &checksum);
       });
       continue;
@@ -154,54 +148,10 @@ util::StatusOr<JoinRun> CpuPartitionedJoin::Run(exec::Device& dev,
     gpu_partitioner.PartitionRows(dev, r_rows, r_layout2, *r2, popts);
     gpu_partitioner.PartitionRows(dev, s_rows, s_layout2, *s2, popts);
 
-    // --- Join the refined pairs (one thread block per pair; matches are
-    // staged per block and materialized in partition order, so results and
-    // accounting are independent of the executor's thread count) ---
-    dev.Launch({.name = "join"}, [&](exec::KernelContext& ctx) {
-      const uint32_t fan2 = radix2.fanout();
-      struct BlockOut {
-        std::vector<partition::Tuple> pairs;
-        uint64_t matches = 0;
-        uint64_t checksum = 0;
-      };
-      std::vector<BlockOut> outs(fan2);
-      ctx.ForEachBlock(fan2, [&](exec::KernelContext& sub, uint32_t q) {
-        sub.SetSanitizerBlock(q);
-        std::vector<std::pair<uint64_t, uint64_t>> r_sl, s_sl;
-        r_layout2.ForEachSlice(
-            q, [&](uint64_t b, uint64_t c) { r_sl.emplace_back(b, c); });
-        s_layout2.ForEachSlice(
-            q, [&](uint64_t b, uint64_t c) { s_sl.emplace_back(b, c); });
-        ScratchJoiner block_joiner(config_.scheme,
-                                   dev.hw().gpu.scratchpad_bytes);
-        BlockOut& out = outs[q];
-        block_joiner.JoinSlicesEmit(
-            sub, *r2, r_sl, *s2, s_sl, bits1 + bits2,
-            [&](int64_t build_val, int64_t probe_val) {
-              if (result.valid()) {
-                out.pairs.push_back(partition::Tuple{build_val, probe_val});
-              }
-              ++out.matches;
-              out.checksum += static_cast<uint64_t>(build_val) +
-                              static_cast<uint64_t>(probe_val);
-            });
-      });
-      for (uint32_t q = 0; q < fan2; ++q) {
-        BlockOut& out = outs[q];
-        matches += out.matches;
-        checksum += out.checksum;
-        if (!out.pairs.empty()) {
-          uint64_t at = result_cursor;
-          for (const partition::Tuple& t : out.pairs) {
-            ctx.Store(result, result_cursor++, t);
-          }
-          ctx.WriteSeq(result, at * sizeof(partition::Tuple),
-                       out.pairs.size() * sizeof(partition::Tuple));
-        }
-      }
-    });
-    dev.allocator().Free(*r2);
-    dev.allocator().Free(*s2);
+    // --- Join the refined pairs ---
+    JoinRefinedPairs(dev, /*sms=*/0, config_.scheme, *r2, r_layout2, *s2,
+                     s_layout2, result->valid() ? &*result : nullptr,
+                     &result_cursor, &matches, &checksum);
   }
 
   run.matches = matches;
@@ -221,11 +171,6 @@ util::StatusOr<JoinRun> CpuPartitionedJoin::Run(exec::Device& dev,
   double t_gpu = run.PhaseTime("prefix_sum2") + run.PhaseTime("partition2") +
                  run.PhaseTime("join");
   run.elapsed = t_part_r + std::max(t_part_s, t_transfer) + t_gpu;
-
-  dev.allocator().Free(*r_part);
-  dev.allocator().Free(*s_part);
-  dev.allocator().Free(*staging);
-  if (result.valid()) dev.allocator().Free(result);
   return run;
 }
 

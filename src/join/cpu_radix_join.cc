@@ -22,6 +22,12 @@ uint32_t CpuRadixBits(const sim::CpuSpec& cpu, uint64_t r_tuples) {
   return std::clamp(bits, 6u, 20u);
 }
 
+double CpuJoinRate(const sim::CpuSpec& cpu, HashScheme scheme) {
+  double scheme_factor = scheme == HashScheme::kPerfect ? 1.12 : 1.0;
+  return static_cast<double>(cpu.cores) * cpu.join_tuples_per_core *
+         scheme_factor;
+}
+
 util::StatusOr<JoinRun> CpuRadixJoin::Run(exec::Device& dev,
                                           const data::Relation& r,
                                           const data::Relation& s) {
@@ -64,14 +70,10 @@ util::StatusOr<JoinRun> CpuRadixJoin::Run(exec::Device& dev,
   partitioner.PartitionColumns(dev, s_in, s_layout, *s_out, opts);
 
   // --- Join partitions core-locally (functional) ---
-  mem::Buffer result;
-  if (config_.result_mode == ResultMode::kMaterialize) {
-    auto res = dev.allocator().AllocateCpu(s.rows() * sizeof(hash::Entry));
-    if (!res.ok()) return res.status();
-    result = std::move(res).value();
-  }
+  auto result = AllocateResult(dev, config_.result_mode, s.rows());
+  if (!result.ok()) return result.status();
   partition::Tuple* out =
-      result.valid() ? result.as<partition::Tuple>() : nullptr;
+      result->valid() ? result->as<partition::Tuple>() : nullptr;
   const partition::Tuple* r_rows = r_out->as<partition::Tuple>();
   const partition::Tuple* s_rows = s_out->as<partition::Tuple>();
 
@@ -114,17 +116,14 @@ util::StatusOr<JoinRun> CpuRadixJoin::Run(exec::Device& dev,
   // --- Analytic join-phase time ---
   exec::KernelRecord join_rec;
   join_rec.name = "cpu_join";
-  double scheme_factor = config_.scheme == HashScheme::kPerfect ? 1.12 : 1.0;
-  double rate = static_cast<double>(cpu.cores) * cpu.join_tuples_per_core *
-                scheme_factor;
   join_rec.counters.tuples = r.rows() + s.rows();
   join_rec.counters.cpu_mem_read =
       (r.rows() + s.rows()) * sizeof(partition::Tuple);
-  if (result.valid()) {
+  if (result->valid()) {
     join_rec.counters.cpu_mem_write = matches * sizeof(partition::Tuple);
   }
-  join_rec.time.compute =
-      static_cast<double>(r.rows() + s.rows()) / rate;
+  join_rec.time.compute = static_cast<double>(r.rows() + s.rows()) /
+                          CpuJoinRate(cpu, config_.scheme);
   dev.Record(join_rec);
 
   run.matches = matches;
@@ -135,7 +134,7 @@ util::StatusOr<JoinRun> CpuRadixJoin::Run(exec::Device& dev,
 
   dev.allocator().Free(*r_out);
   dev.allocator().Free(*s_out);
-  if (result.valid()) dev.allocator().Free(result);
+  dev.allocator().Free(*result);
   return run;
 }
 

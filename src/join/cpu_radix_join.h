@@ -39,6 +39,10 @@ struct CpuRadixJoinConfig {
 /// Radix bits the CPU join needs so each partition's table fits the LLC.
 uint32_t CpuRadixBits(const sim::CpuSpec& cpu, uint64_t r_tuples);
 
+/// Chip-wide join rate (tuples/s) over cache-resident partitions: every
+/// core at its calibrated rate; perfect hashing is 12% faster.
+double CpuJoinRate(const sim::CpuSpec& cpu, HashScheme scheme);
+
 /// CPU radix-partitioned hash join; see file comment.
 class CpuRadixJoin {
  public:

@@ -74,14 +74,8 @@ util::StatusOr<JoinRun> NoPartitioningJoin::Run(exec::Device& dev,
   if (!table.ok()) return table.status();
   std::memset(table->data(), 0, table->size());
 
-  // Result buffer for materialization (general case: results go to CPU
-  // memory, Section 5.1).
-  mem::Buffer result;
-  if (config_.result_mode == ResultMode::kMaterialize) {
-    auto res = dev.allocator().AllocateCpu(s.rows() * sizeof(hash::Entry));
-    if (!res.ok()) return res.status();
-    result = std::move(res).value();
-  }
+  auto result = AllocateResult(dev, config_.result_mode, s.rows());
+  if (!result.ok()) return result.status();
 
   dev.ClearTrace();
   const bool fast = util::FastPathEnabled();
@@ -182,7 +176,7 @@ util::StatusOr<JoinRun> NoPartitioningJoin::Run(exec::Device& dev,
     ctx.Charge(static_cast<uint64_t>(s.rows() * kProbeCyclesPerTuple));
 
     hash::Entry* out =
-        result.valid() ? result.as<hash::Entry>() : nullptr;
+        result->valid() ? result->as<hash::Entry>() : nullptr;
     auto emit = [&](int64_t build_val, int64_t probe_val) {
       if (out != nullptr) out[matches] = {build_val, probe_val};
       ++matches;
@@ -282,8 +276,8 @@ util::StatusOr<JoinRun> NoPartitioningJoin::Run(exec::Device& dev,
 
     // Materialized results stream out through per-warp linear-allocator
     // buffers: sequential, coalesced writes.
-    if (result.valid() && matches > 0) {
-      ctx.WriteSeq(result, 0, matches * sizeof(hash::Entry));
+    if (result->valid() && matches > 0) {
+      ctx.WriteSeq(*result, 0, matches * sizeof(hash::Entry));
     }
   });
 
@@ -294,7 +288,7 @@ util::StatusOr<JoinRun> NoPartitioningJoin::Run(exec::Device& dev,
   run.elapsed = dev.TraceElapsed();
 
   dev.allocator().Free(*table);
-  if (result.valid()) dev.allocator().Free(result);
+  dev.allocator().Free(*result);
   return run;
 }
 

@@ -148,23 +148,6 @@ void ScratchJoiner::JoinSlices(
   }
 }
 
-void ScratchJoiner::JoinPartition(
-    exec::KernelContext& ctx, const mem::Buffer& r_rows,
-    const partition::PartitionLayout& r_layout, const mem::Buffer& s_rows,
-    const partition::PartitionLayout& s_layout, uint32_t p,
-    uint32_t radix_shift, mem::Buffer* result, uint64_t* result_cursor,
-    uint64_t* matches, uint64_t* checksum) {
-  std::vector<std::pair<uint64_t, uint64_t>> r_slices, s_slices;
-  r_layout.ForEachSlice(p, [&](uint64_t begin, uint64_t count) {
-    r_slices.emplace_back(begin, count);
-  });
-  s_layout.ForEachSlice(p, [&](uint64_t begin, uint64_t count) {
-    s_slices.emplace_back(begin, count);
-  });
-  JoinSlices(ctx, r_rows, r_slices, s_rows, s_slices, radix_shift, result,
-             result_cursor, matches, checksum);
-}
-
 void ScratchJoiner::JoinRange(exec::KernelContext& ctx,
                               const mem::Buffer& rows, uint64_t r_offset,
                               uint64_t r_count, uint64_t s_offset,
@@ -173,6 +156,62 @@ void ScratchJoiner::JoinRange(exec::KernelContext& ctx,
                               uint64_t* matches, uint64_t* checksum) {
   JoinSlices(ctx, rows, {{r_offset, r_count}}, rows, {{s_offset, s_count}},
              radix_shift, result, result_cursor, matches, checksum);
+}
+
+void JoinRefinedPairs(exec::Device& dev, uint32_t sms, HashScheme scheme,
+                      const mem::Buffer& r_rows,
+                      const partition::PartitionLayout& r_layout,
+                      const mem::Buffer& s_rows,
+                      const partition::PartitionLayout& s_layout,
+                      mem::Buffer* result, uint64_t* result_cursor,
+                      uint64_t* matches, uint64_t* checksum) {
+  const partition::RadixConfig radix = r_layout.radix();
+  const uint64_t scratchpad_bytes = dev.hw().gpu.scratchpad_bytes;
+  dev.Launch({.name = "join", .sms = sms}, [&](exec::KernelContext& ctx) {
+    struct BlockOut {
+      std::vector<partition::Tuple> pairs;
+      uint64_t matches = 0;
+      uint64_t checksum = 0;
+    };
+    std::vector<BlockOut> outs(radix.fanout());
+    ctx.ForEachBlock(radix.fanout(), [&](exec::KernelContext& sub,
+                                         uint32_t q) {
+      sub.SetSanitizerBlock(q);
+      std::vector<std::pair<uint64_t, uint64_t>> r_sl, s_sl;
+      r_layout.ForEachSlice(
+          q, [&](uint64_t b, uint64_t c) { r_sl.emplace_back(b, c); });
+      s_layout.ForEachSlice(
+          q, [&](uint64_t b, uint64_t c) { s_sl.emplace_back(b, c); });
+      ScratchJoiner joiner(scheme, scratchpad_bytes);
+      BlockOut& out = outs[q];
+      joiner.JoinSlicesEmit(
+          sub, r_rows, r_sl, s_rows, s_sl, radix.shift + radix.bits,
+          [&](int64_t build_val, int64_t probe_val) {
+            if (result != nullptr) {
+              out.pairs.push_back(partition::Tuple{build_val, probe_val});
+            }
+            ++out.matches;
+            out.checksum += static_cast<uint64_t>(build_val) +
+                            static_cast<uint64_t>(probe_val);
+          });
+    });
+    for (const BlockOut& out : outs) {
+      *matches += out.matches;
+      *checksum += out.checksum;
+      if (out.pairs.empty()) continue;
+      const uint64_t at = *result_cursor;
+      if (util::FastPathEnabled()) {
+        ctx.StoreRun(*result, at, out.pairs.data(), out.pairs.size());
+        *result_cursor += out.pairs.size();
+      } else {
+        for (const partition::Tuple& t : out.pairs) {
+          ctx.Store(*result, (*result_cursor)++, t);
+        }
+      }
+      ctx.WriteSeq(*result, at * sizeof(partition::Tuple),
+                   out.pairs.size() * sizeof(partition::Tuple));
+    }
+  });
 }
 
 }  // namespace triton::join

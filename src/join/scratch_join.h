@@ -37,19 +37,6 @@ class ScratchJoiner {
   /// `scheme` selects cost constants; the functional path is identical.
   ScratchJoiner(HashScheme scheme, uint64_t scratchpad_bytes);
 
-  /// Joins partition `p` of the two partitioned relations. Accounts reads
-  /// of both partitions on `ctx`, charges per-tuple cycles and updates
-  /// `matches`/`checksum`. When `result` is non-null, matched pairs are
-  /// appended at `*result_cursor` (in entries) and the cursor advances;
-  /// result writes are accounted as streamed output.
-  void JoinPartition(exec::KernelContext& ctx, const mem::Buffer& r_rows,
-                     const partition::PartitionLayout& r_layout,
-                     const mem::Buffer& s_rows,
-                     const partition::PartitionLayout& s_layout, uint32_t p,
-                     uint32_t radix_shift, mem::Buffer* result,
-                     uint64_t* result_cursor, uint64_t* matches,
-                     uint64_t* checksum);
-
   /// Joins two contiguous tuple ranges (offsets/counts in tuples) of one
   /// buffer: used when first-pass partitions are already scratchpad-sized.
   void JoinRange(exec::KernelContext& ctx, const mem::Buffer& rows,
@@ -97,6 +84,20 @@ class ScratchJoiner {
   std::vector<int64_t> values_;
   std::vector<uint32_t> next_;
 };
+
+/// The refined-pair `join` kernel of a two-pass GPU join, launched on
+/// `sms` SMs: one thread block per refined pair q of the layouts builds a
+/// scratchpad table over R_q and probes it with S_q. Matches add to
+/// `matches`/`checksum`; when `result` is non-null they are staged per
+/// block and written at `*result_cursor` in pair order, so results and
+/// accounting are independent of the host thread count.
+void JoinRefinedPairs(exec::Device& dev, uint32_t sms, HashScheme scheme,
+                      const mem::Buffer& r_rows,
+                      const partition::PartitionLayout& r_layout,
+                      const mem::Buffer& s_rows,
+                      const partition::PartitionLayout& s_layout,
+                      mem::Buffer* result, uint64_t* result_cursor,
+                      uint64_t* matches, uint64_t* checksum);
 
 }  // namespace triton::join
 

@@ -20,6 +20,18 @@ uint32_t CpuPartitionPasses(const sim::CpuSpec& cpu, uint32_t bits) {
   return (bits + per_pass - 1) / per_pass;
 }
 
+double CpuPartitionRate(const sim::CpuSpec& cpu, uint32_t bits,
+                        uint32_t passes) {
+  double rate = cpu.partition_bw;
+  uint32_t per_pass_bits = (bits + passes - 1) / passes;
+  if (per_pass_bits > 12) rate *= 1.0 - 0.04 * (per_pass_bits - 12);
+  return rate;
+}
+
+double CpuDmaBandwidth(const sim::HwSpec& hw) {
+  return hw.link.raw_bandwidth_per_dir * 0.85;
+}
+
 template <typename Input>
 PartitionRun CpuSwwcPartitioner::Run(exec::Device& dev, const Input& input,
                                      const PartitionLayout& layout,
@@ -70,23 +82,21 @@ PartitionRun CpuSwwcPartitioner::Run(exec::Device& dev, const Input& input,
   const uint32_t passes = CpuPartitionPasses(cpu, radix.bits);
   rec.counters.tuples = n;
   rec.counters.cpu_mem_read = in_bytes * passes;
-  rec.counters.tuples = n;
   run.flushes = util::CeilDiv(out_bytes, 128) * passes;
 
-  // Chip-level partitioning rate, mildly degraded by very high single-pass
-  // fanouts (TLB pressure on the CPU side as well).
-  double rate = cpu.partition_bw;
-  uint32_t per_pass_bits = (radix.bits + passes - 1) / passes;
-  if (per_pass_bits > 12) rate *= 1.0 - 0.04 * (per_pass_bits - 12);
-
+  double rate = CpuPartitionRate(cpu, radix.bits, passes);
   bool to_gpu = out.GpuBytes() > 0;
   if (to_gpu) {
-    // Writes cross the interconnect; the CPU-side DMA path reaches the
-    // paper's Figure 4 "CPU to GPU" plateau.
-    rate = std::min(rate, dev.hw().link.raw_bandwidth_per_dir * 0.85);
+    // Writes cross the interconnect in DMA-sized transactions, each
+    // carrying a packet header.
+    const sim::InterconnectSpec& link = dev.hw().link;
+    rate = std::min(rate, CpuDmaBandwidth(dev.hw()));
     rec.counters.link_write_payload = out_bytes;
-    rec.counters.link_write_physical = out_bytes * 272 / 256;
-    rec.counters.link_write_txns = util::CeilDiv(out_bytes, 256);
+    rec.counters.link_write_physical =
+        out_bytes * (link.max_dma_payload + link.header_bytes) /
+        link.max_dma_payload;
+    rec.counters.link_write_txns =
+        util::CeilDiv(out_bytes, link.max_dma_payload);
   } else {
     rec.counters.cpu_mem_write = out_bytes * passes;
   }

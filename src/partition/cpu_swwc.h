@@ -31,6 +31,16 @@ uint32_t CpuMaxSinglePassBits(const sim::CpuSpec& cpu);
 /// Number of passes the CPU needs for `bits` radix bits.
 uint32_t CpuPartitionPasses(const sim::CpuSpec& cpu, uint32_t bits);
 
+/// Chip-level partitioning rate (bytes/s) for `bits` radix bits over
+/// `passes` passes: the measured out-of-cache rate, mildly degraded by
+/// very high single-pass fanouts (TLB pressure on the CPU side as well).
+double CpuPartitionRate(const sim::CpuSpec& cpu, uint32_t bits,
+                        uint32_t passes);
+
+/// Rate (bytes/s) at which the CPU side moves data over the interconnect
+/// by DMA: the paper's Figure 4 "CPU to GPU" plateau.
+double CpuDmaBandwidth(const sim::HwSpec& hw);
+
 /// CPU-side SWWC partitioner; see file comment.
 class CpuSwwcPartitioner {
  public:

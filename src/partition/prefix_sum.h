@@ -23,6 +23,16 @@ namespace triton::partition {
 /// histogram increment; calibrated against the paper's time breakdown).
 inline constexpr double kPrefixSumCyclesPerTuple = 3.0;
 
+/// Bandwidth (bytes/s) of a CPU scan over `bytes`: the scan saturates
+/// memory bandwidth, but large out-of-cache scans lose some efficiency (the
+/// paper measures 129.6 GiB/s dropping to 96 GiB/s for the 2048 M tuple
+/// workload). Sizes are judged at paper scale.
+inline double CpuScanBandwidth(const sim::HwSpec& hw, uint64_t bytes) {
+  double bw = hw.cpu.scan_bw;
+  if (static_cast<double>(bytes) * hw.scale > 8.0 * util::kGiB) bw *= 0.74;
+  return bw;
+}
+
 /// Number of tuples the GPU prefix sum copies into GPU memory alongside
 /// counting when the destination pass spills (the paper's prefix sum
 /// copies data to avoid redundant transfers; modelled by callers).
@@ -82,13 +92,8 @@ PartitionLayout CpuPrefixSum(exec::Device& dev, const Input& input,
   const uint64_t key_bytes = input.size() * sizeof(data::Key);
   record.counters.cpu_mem_read = key_bytes;
   record.counters.tuples = input.size();
-  // The CPU scan saturates its memory bandwidth; large out-of-cache scans
-  // lose some efficiency (the paper measures 129.6 GiB/s dropping to
-  // 96 GiB/s for the 2048 M tuple workload).
-  double bw = dev.hw().cpu.scan_bw;
-  double paper_bytes = static_cast<double>(key_bytes) * dev.hw().scale;
-  if (paper_bytes > 8.0 * util::kGiB) bw *= 0.74;
-  record.time.cpu_mem = static_cast<double>(key_bytes) / bw;
+  record.time.cpu_mem = static_cast<double>(key_bytes) /
+                        CpuScanBandwidth(dev.hw(), key_bytes);
   dev.Record(record);
   return layout;
 }

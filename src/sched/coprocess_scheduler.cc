@@ -4,27 +4,17 @@
 #include <cstring>
 #include <vector>
 
+#include "core/triton_pipeline.h"
 #include "exec/block_executor.h"
 #include "hash/bucket_chain_table.h"
-#include "join/scratch_join.h"
-#include "partition/hierarchical.h"
-#include "partition/input.h"
-#include "partition/layout.h"
-#include "partition/prefix_sum.h"
-#include "partition/shared.h"
 #include "sched/predict.h"
 #include "util/bits.h"
-#include "util/fastpath.h"
 #include "util/logging.h"
 #include "util/random.h"
 
 namespace triton::sched {
 
 namespace {
-
-/// SM-cycles per refined partition pair for the join task scheduler kernel
-/// (same calibration as core::TritonJoin).
-constexpr double kSchedCyclesPerPair = 13000.0;
 
 /// A pass-1 partition pair: the scheduler's morsel.
 struct PairDesc {
@@ -101,81 +91,31 @@ util::StatusOr<join::JoinRun> CoProcessScheduler::Run(
   const sim::HwSpec& hw = dev.hw();
   const uint32_t sms = config_.sms == 0 ? hw.gpu.num_sms : config_.sms;
 
-  uint32_t bits1 = config_.bits1, bits2 = config_.bits2;
-  if (bits1 == 0 || bits2 == 0) {
-    uint32_t d1, d2;
-    DeriveBits(hw, r.rows(), s.rows(), &d1, &d2);
-    if (bits1 == 0) bits1 = d1;
-    if (bits2 == 0) bits2 = d2;
-  }
+  uint32_t bits1, bits2;
+  DeriveBits(hw, r.rows(), s.rows(), &bits1, &bits2);
+  if (config_.bits1 != 0) bits1 = config_.bits1;
+  if (config_.bits2 != 0) bits2 = config_.bits2;
   stats_.bits1 = bits1;
   stats_.bits2 = bits2;
 
   partition::RadixConfig radix1{0, bits1};
-  partition::RadixConfig radix2 = radix1.Next(bits2);
-  const uint32_t blocks = sms;
   const uint32_t depth = std::max(config_.staging_depth, 1u);
 
   dev.ClearTrace();
 
-  // --- Shared front: prefix sums + out-of-core pass-1 partitioning of
-  // both relations, exactly the Triton join's (the build side crosses the
-  // link once, whatever the split) ---
-  partition::ColumnInput r_in = partition::ColumnInput::Of(r);
-  partition::ColumnInput s_in = partition::ColumnInput::Of(s);
-  partition::PrefixSumOptions ps1;
-  ps1.name = "prefix_sum1";
-  ps1.sms = sms;
-  partition::PartitionLayout r_layout1 =
-      CpuPrefixSum(dev, r_in, radix1, blocks, ps1);
-  partition::PartitionLayout s_layout1 =
-      CpuPrefixSum(dev, s_in, radix1, blocks, ps1);
+  // --- Shared front, exactly the Triton join's (the build side crosses
+  // the link once, whatever the split). The pipeline reservation holds
+  // `depth` staging slots plus the refined pair's double buffer ---
+  auto front = core::RunFront(dev, radix1, {&r, &s},
+                              {.sms = sms, .reserve_pairs = depth + 2});
+  if (!front.ok()) return front.status();
+  stats_.cached_fraction = front->cached_fraction;
+  stats_.spilled_bytes = front->spilled_bytes;
+  const partition::PartitionLayout& r_layout1 = front->rels[0].layout;
+  const partition::PartitionLayout& s_layout1 = front->rels[1].layout;
 
-  const uint64_t r1_bytes =
-      r_layout1.padded_tuples() * sizeof(partition::Tuple);
-  const uint64_t s1_bytes =
-      s_layout1.padded_tuples() * sizeof(partition::Tuple);
-  uint64_t max_pair = 0;
-  for (uint32_t p = 0; p < radix1.fanout(); ++p) {
-    max_pair = std::max(max_pair, r_layout1.PartitionSize(p) +
-                                      s_layout1.PartitionSize(p));
-  }
-  // Pipeline reservation: `depth` staging slots plus the refined pair's
-  // double buffer (TritonJoin reserves 4x max_pair at its depth).
-  const uint64_t pipeline_reserve = std::max<uint64_t>(
-      (depth + 2) * max_pair * sizeof(partition::Tuple),
-      hw.gpu_mem.capacity / 8);
-  uint64_t cache_avail = dev.allocator().gpu_free() > pipeline_reserve
-                             ? dev.allocator().gpu_free() - pipeline_reserve
-                             : 0;
-  const uint64_t state_bytes = r1_bytes + s1_bytes;
-  const uint64_t cache_used = std::min(cache_avail, state_bytes);
-  stats_.cached_fraction =
-      state_bytes > 0 ? static_cast<double>(cache_used) / state_bytes : 0.0;
-  stats_.spilled_bytes = state_bytes - cache_used;
-
-  auto r1 = dev.allocator().AllocateInterleaved(
-      r1_bytes, static_cast<uint64_t>(stats_.cached_fraction * r1_bytes));
-  if (!r1.ok()) return r1.status();
-  auto s1 = dev.allocator().AllocateInterleaved(
-      s1_bytes, static_cast<uint64_t>(stats_.cached_fraction * s1_bytes));
-  if (!s1.ok()) return s1.status();
-
-  partition::HierarchicalPartitioner pass1;
-  partition::PartitionOptions p1;
-  p1.sms = sms;
-  p1.name = "partition1_r";
-  pass1.PartitionColumns(dev, r_in, r_layout1, *r1, p1);
-  p1.name = "partition1_s";
-  pass1.PartitionColumns(dev, s_in, s_layout1, *s1, p1);
-
-  mem::Buffer result;
-  if (config_.result_mode == join::ResultMode::kMaterialize) {
-    auto res =
-        dev.allocator().AllocateCpu(s.rows() * sizeof(partition::Tuple));
-    if (!res.ok()) return res.status();
-    result = std::move(res).value();
-  }
+  auto result = join::AllocateResult(dev, config_.result_mode, s.rows());
+  if (!result.ok()) return result.status();
 
   // --- Morsels: the non-empty pass-1 pairs, in pair-index order ---
   std::vector<PairDesc> pairs;
@@ -221,179 +161,28 @@ util::StatusOr<join::JoinRun> CoProcessScheduler::Run(
   // --- Bounded staging queue through the interconnect: `depth` GPU-side
   // slots, reused round-robin; slot lifetime is enforced by the pipeline
   // time model (BoundedPipelineSeconds) ---
-  const bool stage_pairs = stats_.spilled_bytes > 0;
-  mem::Buffer staging;
-  if (stage_pairs) {
-    auto st = dev.allocator().AllocateGpu(
-        static_cast<uint64_t>(depth) * std::max<uint64_t>(max_pair, 1) *
-        sizeof(partition::Tuple));
-    if (!st.ok()) return st.status();
-    staging = std::move(st).value();
-  }
+  auto staging = core::AllocateStaging(dev, *front, depth);
+  if (!staging.ok()) return staging.status();
+  const core::PairBody gpu_body{
+      .radix2 = radix1.Next(bits2),
+      .sms = sms,
+      .scheme = config_.scheme,
+      .staging = staging->valid() ? &*staging : nullptr,
+      .result = result->valid() ? &*result : nullptr};
 
-  uint64_t matches = 0, checksum = 0, result_cursor = 0;
+  core::JoinTotals totals;
   std::vector<double> gpu_bw, gpu_comp;  // per-GPU-pair pipeline lanes
-  uint32_t gpu_seq = 0;
   uint64_t cpu_tuples_total = 0, assigned_tuples = 0;
-  partition::SharedPartitioner pass2;
-
-  // GPU side of one morsel: Triton's refine + join pair body, staging the
-  // pair into its bounded-queue slot when pass-1 state spilled.
-  auto run_gpu_pair = [&](const PairDesc& pd,
-                          uint64_t slot_base) -> util::Status {
-    partition::SlicedRowInput r_rows =
-        partition::PartitionInputOf(*r1, r_layout1, pd.p);
-    partition::SlicedRowInput s_rows =
-        partition::PartitionInputOf(*s1, s_layout1, pd.p);
-
-    auto prefix_and_stage =
-        [&](const partition::SlicedRowInput& rows,
-            uint64_t stage_offset) -> partition::PartitionLayout {
-      partition::PartitionLayout layout;
-      dev.Launch(
-          {.name = "prefix_sum2", .sms = sms},
-          [&](exec::KernelContext& ctx) {
-            const uint64_t n = rows.size();
-            rows.AccountRead(ctx, 0, n);
-            const uint64_t chunk = (n + blocks - 1) / blocks;
-            std::vector<std::vector<uint64_t>> histograms(
-                blocks, std::vector<uint64_t>(radix2.fanout(), 0));
-            ctx.ForEachBlock(
-                blocks, [&](exec::KernelContext& sub, uint32_t b) {
-                  uint64_t begin = static_cast<uint64_t>(b) * chunk;
-                  uint64_t end = std::min(n, begin + chunk);
-                  if (begin >= end) return;
-                  sub.SetSanitizerBlock(b);
-                  partition::SlicedRowInput block_rows = rows;
-                  partition::ComputeBlockHistogram(block_rows, radix2, begin,
-                                                   end, histograms[b]);
-                });
-            layout = partition::PartitionLayout(radix2, histograms, 8);
-            ctx.AddTuples(n);
-            ctx.Charge(static_cast<uint64_t>(
-                n * partition::kPrefixSumCyclesPerTuple));
-            if (stage_pairs) {
-              if (util::FastPathEnabled()) {
-                partition::Tuple batch[partition::kFastPathBatchTuples];
-                for (uint64_t base = 0; base < n;
-                     base += partition::kFastPathBatchTuples) {
-                  const uint64_t m = std::min<uint64_t>(
-                      n - base, partition::kFastPathBatchTuples);
-                  rows.GetBatch(base, m, batch);
-                  ctx.StoreRun(staging, stage_offset + base, batch, m);
-                }
-              } else {
-                for (uint64_t i = 0; i < n; ++i) {
-                  ctx.Store(staging, stage_offset + i, rows.Get(i));
-                }
-              }
-              ctx.WriteSeq(staging, stage_offset * sizeof(partition::Tuple),
-                           n * sizeof(partition::Tuple));
-            }
-          });
-      return layout;
-    };
-    partition::PartitionLayout r_layout2 = prefix_and_stage(r_rows, slot_base);
-    partition::PartitionLayout s_layout2 =
-        prefix_and_stage(s_rows, slot_base + pd.r_n);
-
-    auto r2 = dev.allocator().AllocateGpu(r_layout2.padded_tuples() *
-                                          sizeof(partition::Tuple));
-    if (!r2.ok()) return r2.status();
-    auto s2 = dev.allocator().AllocateGpu(s_layout2.padded_tuples() *
-                                          sizeof(partition::Tuple));
-    if (!s2.ok()) return s2.status();
-
-    partition::PartitionOptions p2;
-    p2.sms = sms;
-    p2.name = "partition2";
-    if (stage_pairs) {
-      partition::RowInput r_staged(&staging, slot_base, pd.r_n);
-      partition::RowInput s_staged(&staging, slot_base + pd.r_n, pd.s_n);
-      pass2.PartitionRows(dev, r_staged, r_layout2, *r2, p2);
-      pass2.PartitionRows(dev, s_staged, s_layout2, *s2, p2);
-    } else {
-      pass2.PartitionSliced(dev, r_rows, r_layout2, *r2, p2);
-      pass2.PartitionSliced(dev, s_rows, s_layout2, *s2, p2);
-    }
-
-    dev.Launch({.name = "sched", .sms = sms},
-               [&](exec::KernelContext& ctx) {
-                 ctx.Charge(static_cast<uint64_t>(kSchedCyclesPerPair *
-                                                  radix2.fanout()));
-               });
-
-    dev.Launch({.name = "join", .sms = sms},
-               [&](exec::KernelContext& ctx) {
-                 const uint32_t fan2 = radix2.fanout();
-                 struct BlockOut {
-                   std::vector<partition::Tuple> pairs;
-                   uint64_t matches = 0;
-                   uint64_t checksum = 0;
-                 };
-                 std::vector<BlockOut> outs(fan2);
-                 ctx.ForEachBlock(
-                     fan2, [&](exec::KernelContext& sub, uint32_t q) {
-                       sub.SetSanitizerBlock(q);
-                       std::vector<std::pair<uint64_t, uint64_t>> r_sl, s_sl;
-                       r_layout2.ForEachSlice(
-                           q, [&](uint64_t b, uint64_t c) {
-                             r_sl.emplace_back(b, c);
-                           });
-                       s_layout2.ForEachSlice(
-                           q, [&](uint64_t b, uint64_t c) {
-                             s_sl.emplace_back(b, c);
-                           });
-                       join::ScratchJoiner block_joiner(
-                           config_.scheme, hw.gpu.scratchpad_bytes);
-                       BlockOut& out = outs[q];
-                       block_joiner.JoinSlicesEmit(
-                           sub, *r2, r_sl, *s2, s_sl, bits1 + bits2,
-                           [&](int64_t build_val, int64_t probe_val) {
-                             if (result.valid()) {
-                               out.pairs.push_back(
-                                   partition::Tuple{build_val, probe_val});
-                             }
-                             ++out.matches;
-                             out.checksum +=
-                                 static_cast<uint64_t>(build_val) +
-                                 static_cast<uint64_t>(probe_val);
-                           });
-                     });
-                 for (uint32_t q = 0; q < fan2; ++q) {
-                   BlockOut& out = outs[q];
-                   matches += out.matches;
-                   checksum += out.checksum;
-                   if (!out.pairs.empty()) {
-                     uint64_t at = result_cursor;
-                     if (util::FastPathEnabled()) {
-                       ctx.StoreRun(result, at, out.pairs.data(),
-                                    out.pairs.size());
-                       result_cursor += out.pairs.size();
-                     } else {
-                       for (const partition::Tuple& t : out.pairs) {
-                         ctx.Store(result, result_cursor++, t);
-                       }
-                     }
-                     ctx.WriteSeq(result, at * sizeof(partition::Tuple),
-                                  out.pairs.size() *
-                                      sizeof(partition::Tuple));
-                   }
-                 }
-               });
-
-    dev.allocator().Free(*r2);
-    dev.allocator().Free(*s2);
-    return util::Status::OK();
-  };
 
   // CPU side of one morsel, functional half: join the pair in place from
   // the pass-1 state with a bucket-chaining table over R_i. Runs on the
   // BlockExecutor pool (one block per pair); outcomes land in per-pair
   // slots and are reduced in pair order afterwards.
-  const partition::Tuple* r1_rows = r1->as<partition::Tuple>();
-  const partition::Tuple* s1_rows = s1->as<partition::Tuple>();
-  const bool materialize = result.valid();
+  const partition::Tuple* r1_rows =
+      front->rels[0].state.as<partition::Tuple>();
+  const partition::Tuple* s1_rows =
+      front->rels[1].state.as<partition::Tuple>();
+  const bool materialize = result->valid();
   auto cpu_join_pair = [&](const PairDesc& pd, PairOutcome* out) {
     // Keep chains short for pairs much larger than the scratchpad table:
     // the CPU's LLC-resident table is not bucket-limited the way the
@@ -503,38 +292,34 @@ util::StatusOr<join::JoinRun> CoProcessScheduler::Run(
         rec.time.cpu_mem = cost.read_seconds + cost.partition_seconds;
         rec.time.compute = cost.join_seconds;
         if (materialize && !out.rows.empty()) {
-          std::memcpy(result.as<partition::Tuple>() + result_cursor,
+          std::memcpy(result->as<partition::Tuple>() + totals.result_cursor,
                       out.rows.data(),
                       out.rows.size() * sizeof(partition::Tuple));
-          result_cursor += out.rows.size();
+          totals.result_cursor += out.rows.size();
           rec.counters.cpu_mem_write +=
               out.rows.size() * sizeof(partition::Tuple);
         }
         dev.Record(rec);
-        matches += out.matches;
-        checksum += out.checksum;
+        totals.matches += out.matches;
+        totals.checksum += out.checksum;
         const double pair_seconds = cost.Seconds();
         stats_.cpu_seconds += pair_seconds;
         wave.cpu_seconds += pair_seconds;
         ++wave.cpu_pairs;
         ++stats_.cpu_pairs;
       } else {
-        const size_t mark = dev.trace().size();
+        // GPU side: Triton's pair body, staging the pair into its
+        // bounded-queue slot when pass-1 state spilled.
         const uint64_t slot_base =
-            stage_pairs ? (gpu_seq % depth) * max_pair : 0;
-        util::Status st = run_gpu_pair(pd, slot_base);
+            (stats_.gpu_pairs % depth) * front->max_pair;
+        core::Lanes lanes;
+        util::Status st = core::JoinPair(dev, *front, pd.p, gpu_body,
+                                         slot_base, &totals, &lanes);
         if (!st.ok()) return st;
-        double bw = 0.0, comp = 0.0;
-        for (size_t k = mark; k < dev.trace().size(); ++k) {
-          const sim::KernelTime& t = dev.trace()[k].time;
-          bw += std::max({t.link, t.tlb, t.cpu_mem});
-          comp += std::max(t.compute, t.gpu_mem);
-        }
-        gpu_bw.push_back(bw);
-        gpu_comp.push_back(comp);
-        wave.gpu_seconds += std::max(bw, comp);
+        gpu_bw.push_back(lanes.bw);
+        gpu_comp.push_back(lanes.comp);
+        wave.gpu_seconds += std::max(lanes.bw, lanes.comp);
         ++stats_.gpu_pairs;
-        ++gpu_seq;
       }
     }
 
@@ -557,8 +342,8 @@ util::StatusOr<join::JoinRun> CoProcessScheduler::Run(
     done = wave_end;
   }
 
-  run.matches = matches;
-  run.checksum = checksum;
+  run.matches = totals.matches;
+  run.checksum = totals.checksum;
   run.phases = dev.trace();
   for (const auto& ph : run.phases) run.totals.Merge(ph.counters);
 
@@ -576,11 +361,6 @@ util::StatusOr<join::JoinRun> CoProcessScheduler::Run(
           : 0.0;
   run.elapsed = stats_.front_seconds +
                 std::max(stats_.cpu_seconds, stats_.gpu_pipeline_seconds);
-
-  dev.allocator().Free(*r1);
-  dev.allocator().Free(*s1);
-  if (staging.valid()) dev.allocator().Free(staging);
-  if (result.valid()) dev.allocator().Free(result);
   return run;
 }
 

@@ -1,21 +1,19 @@
 // Heterogeneous CPU+GPU co-processing scheduler.
 //
 // Splits one join across both processors at partition-pair granularity.
-// The GPU runs the shared front of the Triton join unchanged — CPU prefix
-// sums, then the out-of-core pass-1 partitioning of both relations with
-// interleaved GPU-memory caching — so the build side crosses the
-// interconnect exactly once regardless of the split. Each pass-1 pair
-// (R_i, S_i) is then a morsel dispatched to one of the two backends:
+// The GPU runs the Triton join's own front (core::RunFront in
+// core/triton_pipeline.h: CPU prefix sums, then the out-of-core pass-1
+// partitioning of both relations with interleaved GPU-memory caching), so
+// the build side crosses the interconnect exactly once regardless of the
+// split. Each pass-1 pair (R_i, S_i) is then a morsel dispatched to one of
+// the two backends:
 //
-//   GPU pair   Triton's refine + join pipeline (second-pass prefix sum,
-//              shared-memory refinement, task scheduler, scratchpad join),
-//              with the interconnect stage modeled as a *bounded staging
-//              queue*: at most `staging_depth` pairs may be resident in the
-//              GPU-side staging buffer, so the copy-in of pair k+D stalls
-//              until the compute of pair k drains its slot. CPU-side
-//              partitioned state therefore streams over the link
-//              overlapped against the probe of the previous pairs, exactly
-//              the paper's software pipeline but with finite buffering.
+//   GPU pair   Triton's pair body (core::JoinPair), with the interconnect
+//              stage modeled as a *bounded staging queue*: at most
+//              `staging_depth` pairs may be resident in the GPU-side
+//              staging buffer, so the copy-in of pair k+D stalls until the
+//              compute of pair k drains its slot — the paper's software
+//              pipeline with finite buffering.
 //   CPU pair   joined in place by the CPU: the spilled fraction of the
 //              pair is already CPU-resident (free ride of the spill!), the
 //              GPU-cached fraction streams back over the link concurrently
@@ -28,9 +26,8 @@
 // it between morsel waves from the observed per-morsel modeled seconds.
 // Everything — results, PerfCounters, the adaptive trajectory — is
 // bit-identical at any --threads: pairs are assigned in pair-index order,
-// all block-parallel work reduces in block/pair order (the PR 2/PR 4
-// contract), and the adaptive feedback consumes only deterministic modeled
-// times plus a seeded dither.
+// all block-parallel work reduces in block/pair order, and the adaptive
+// feedback consumes only deterministic modeled times plus a seeded dither.
 //
 // Modeled elapsed time composes as
 //     T = T_front + max(sum of CPU pair seconds, GPU bounded pipeline)

@@ -3,34 +3,18 @@
 #include <algorithm>
 
 #include "core/triton_join.h"
+#include "core/triton_pipeline.h"
 #include "join/cpu_radix_join.h"
+#include "join/scratch_join.h"
 #include "partition/cpu_swwc.h"
 #include "partition/input.h"
 #include "partition/partitioner.h"
 #include "partition/prefix_sum.h"
 #include "util/bits.h"
-#include "util/units.h"
 
 namespace triton::sched {
 
 namespace {
-
-/// Chip-level SWWC partitioning rate for a pass plan of `bits` radix bits
-/// (mirrors partition::CpuSwwcPartitioner's degradation term).
-double CpuPartitionRate(const sim::CpuSpec& cpu, uint32_t bits,
-                        uint32_t passes) {
-  double rate = cpu.partition_bw;
-  uint32_t per_pass_bits = (bits + passes - 1) / passes;
-  if (per_pass_bits > 12) rate *= 1.0 - 0.04 * (per_pass_bits - 12);
-  return rate;
-}
-
-/// Per-core cache-resident join rate for the whole chip.
-double CpuJoinRate(const sim::CpuSpec& cpu, join::HashScheme scheme) {
-  double scheme_factor = scheme == join::HashScheme::kPerfect ? 1.12 : 1.0;
-  return static_cast<double>(cpu.cores) * cpu.join_tuples_per_core *
-         scheme_factor;
-}
 
 /// Link-read physical bytes for `payload` streamed by SM loads: 128-byte
 /// transactions each carrying a 16-byte header.
@@ -57,14 +41,14 @@ double PredictCpuRadixSeconds(const sim::HwSpec& hw, uint64_t r_tuples,
       static_cast<double>(r_tuples) * hw.scale);
   const uint32_t bits = join::CpuRadixBits(cpu, paper_r);
   const uint32_t passes = partition::CpuPartitionPasses(cpu, bits);
-  const double rate = CpuPartitionRate(cpu, bits, passes);
+  const double rate = partition::CpuPartitionRate(cpu, bits, passes);
 
   // Both relations stream through the partitioner `passes` times.
   const double in_bytes = static_cast<double>(r_tuples + s_tuples) *
                           sizeof(partition::Tuple);
   const double t_partition = in_bytes * passes / rate;
   const double t_join =
-      static_cast<double>(r_tuples + s_tuples) / CpuJoinRate(cpu, scheme);
+      static_cast<double>(r_tuples + s_tuples) / join::CpuJoinRate(cpu, scheme);
   return t_partition + t_join;
 }
 
@@ -82,10 +66,9 @@ TritonPrediction PredictTritonPhases(const sim::HwSpec& hw, uint64_t r_tuples,
 
   // --- Prefix sums: CPU key-column scans (one per relation) ---
   for (uint64_t rel : {r_tuples, s_tuples}) {
-    const double key_bytes = static_cast<double>(rel) * sizeof(data::Key);
-    double bw = hw.cpu.scan_bw;
-    if (key_bytes * hw.scale > 8.0 * util::kGiB) bw *= 0.74;
-    pred.front_seconds += key_bytes / bw;
+    const uint64_t key_bytes = rel * sizeof(data::Key);
+    pred.front_seconds += static_cast<double>(key_bytes) /
+                          partition::CpuScanBandwidth(hw, key_bytes);
   }
 
   // --- Cache split: mirror the join's pipeline reservation on an idle
@@ -137,9 +120,12 @@ TritonPrediction PredictTritonPhases(const sim::HwSpec& hw, uint64_t r_tuples,
   comp_lane += std::max(n * partition::kPartitionCyclesPerTuple / issue,
                         2.0 * in_bytes / hw.gpu_mem.bandwidth);
   // sched: task-scheduler cost per refined pair, for every pass-1 pair.
-  comp_lane += 13000.0 * fanout2 * fanout1 / issue;
+  comp_lane += core::kSchedCyclesPerPair * fanout2 * fanout1 / issue;
   // join: build + probe over the refined pairs.
-  comp_lane += std::max((6.0 * r_tuples + 5.0 * s_tuples) / issue,
+  const join::ScratchJoinCosts join_costs;
+  comp_lane += std::max((join_costs.build_cycles * r_tuples +
+                         join_costs.probe_cycles * s_tuples) /
+                            issue,
                         in_bytes / hw.gpu_mem.bandwidth);
 
   pred.pipeline_seconds = std::max(bw_lane, comp_lane);
@@ -165,8 +151,7 @@ CpuPairCost PredictCpuPairCost(const sim::HwSpec& hw, uint64_t pair_r_tuples,
   // spilled fraction is already CPU-resident and scans at memory bandwidth.
   const double gpu_resident = pair_bytes * cached_fraction;
   const double cpu_resident = pair_bytes - gpu_resident;
-  cost.link_seconds =
-      gpu_resident / (hw.link.raw_bandwidth_per_dir * 0.85);
+  cost.link_seconds = gpu_resident / partition::CpuDmaBandwidth(hw);
   cost.read_seconds = cpu_resident / cpu.scan_bw;
 
   // Sub-partition the pair until its hash table is LLC-resident, judged at
@@ -181,12 +166,12 @@ CpuPairCost PredictCpuPairCost(const sim::HwSpec& hw, uint64_t pair_r_tuples,
     cost.extra_passes = partition::CpuPartitionPasses(cpu, extra_bits);
     cost.partition_seconds =
         pair_bytes * cost.extra_passes /
-        CpuPartitionRate(cpu, extra_bits, cost.extra_passes);
+        partition::CpuPartitionRate(cpu, extra_bits, cost.extra_passes);
   }
 
   cost.join_seconds =
       static_cast<double>(pair_r_tuples + pair_s_tuples) /
-      CpuJoinRate(cpu, scheme);
+      join::CpuJoinRate(cpu, scheme);
   return cost;
 }
 

@@ -1,15 +1,18 @@
 // Cost-model predictors anchoring the co-processing split decision.
 //
 // The scheduler needs modeled-seconds estimates for both backends *before*
-// running anything: the CPU radix join's analytic phases mirror
-// join::CpuRadixJoin exactly (its cost is a closed formula), while the
-// Triton join prediction rebuilds the per-phase roofline terms the
-// sim::CostModel would produce from the kernels' counters — streamed link
-// traffic with packet-header overhead, the interleaved cache split between
-// GPU-resident and spilled state, issue-slot totals of the partition and
-// join kernels — without executing them. Both predictors are pinned to the
-// real engines by the calibration tests in tests/sched_test.cc so split
-// decisions cannot drift silently as kernels evolve.
+// running anything. The predictors define no cost rule of their own: every
+// rate and constant an engine also uses (partition::CpuPartitionRate,
+// join::CpuJoinRate, partition::CpuScanBandwidth, partition::
+// CpuDmaBandwidth, core::kSchedCyclesPerPair, join::ScratchJoinCosts) is
+// called from the engine's definition. The CPU radix join's cost is a
+// closed formula, so its prediction equals the engine's. The Triton join
+// prediction rebuilds the per-phase roofline terms the sim::CostModel
+// would produce from the kernels' counters — streamed link traffic with
+// packet-header overhead, the interleaved cache split between GPU-resident
+// and spilled state, issue-slot totals of the partition and join kernels —
+// without executing them. Both predictors are pinned to the real engines
+// by the calibration tests in tests/sched_test.cc.
 
 #ifndef TRITON_SCHED_PREDICT_H_
 #define TRITON_SCHED_PREDICT_H_
@@ -23,10 +26,9 @@
 namespace triton::sched {
 
 /// Predicted modeled seconds for a full CPU-only radix join of
-/// `r_tuples` x `s_tuples` on this machine. Mirrors join::CpuRadixJoin's
-/// analytic records term by term (partition both relations at the chip's
-/// SWWC partitioning rate, join at the per-core cache-resident rate), so
-/// the prediction tracks the measured run within ~1%.
+/// `r_tuples` x `s_tuples` on this machine: both relations partitioned at
+/// partition::CpuPartitionRate, then joined at join::CpuJoinRate. Equals
+/// join::CpuRadixJoin's modeled time (up to floating-point summation order).
 double PredictCpuRadixSeconds(const sim::HwSpec& hw, uint64_t r_tuples,
                               uint64_t s_tuples,
                               join::HashScheme scheme =

@@ -118,5 +118,58 @@ TEST_F(AggregateTest, ExplicitBitsRespectedAndExact) {
   EXPECT_EQ(run->checksum, ref_checksum);
 }
 
+TEST_F(AggregateTest, ModeledOutputIsPinned) {
+  // No bench baseline covers the aggregate's modeled output, so its
+  // elapsed time and merged counters are pinned here: in core, with the
+  // partitioned state partly cached (interleaved), and fully spilled.
+  struct Pin {
+    uint64_t cache_bytes;
+    double elapsed;
+    sim::PerfCounters totals;
+  };
+  const Pin pins[] = {
+      {UINT64_MAX, 0x1.88f94b65a8f4ep-15,
+       {.gpu_mem_read = 6400000, .gpu_mem_write = 4800000,
+        .gpu_mem_random_write = 3200000, .link_read_payload = 1600000,
+        .link_read_physical = 1802880, .link_read_txns = 12640,
+        .cpu_mem_read = 800000, .gpu_tlb_lookups = 41604,
+        .gpu_tlb_misses = 744, .iommu_requests = 4, .iommu_walks = 4,
+        .issue_slots = 2963832, .tuples = 500000}},
+      {1000000, 0x1.1de7e564f5a1cp-13,
+       {.gpu_mem_read = 8883168, .gpu_mem_write = 7662448,
+        .gpu_mem_random_write = 4462448, .link_read_payload = 7116832,
+        .link_read_physical = 8013440, .link_write_payload = 1937552,
+        .link_write_physical = 2181984, .link_read_txns = 55970,
+        .link_write_txns = 15180, .cpu_mem_read = 1600000,
+        .gpu_tlb_lookups = 82256, .gpu_tlb_misses = 1161, .l3_hits = 5,
+        .iommu_requests = 110, .iommu_walks = 12, .issue_slots = 5926360,
+        .tuples = 1000000}},
+      {0, 0x1.6c2c2f1b9603fp-13,
+       {.gpu_mem_read = 6400000, .gpu_mem_write = 6400000,
+        .gpu_mem_random_write = 3200000, .link_read_payload = 9600000,
+        .link_read_physical = 10810368, .link_write_payload = 3200000,
+        .link_write_physical = 3603776, .link_read_txns = 75534,
+        .link_write_txns = 25071, .cpu_mem_read = 1600000,
+        .gpu_tlb_lookups = 82250, .gpu_tlb_misses = 1161, .l3_hits = 10,
+        .iommu_requests = 179, .iommu_walks = 13, .issue_slots = 5926360,
+        .tuples = 1000000}},
+  };
+  for (const Pin& pin : pins) {
+    const bool in_core = pin.cache_bytes == UINT64_MAX;
+    exec::Device dev(hw_);
+    auto rel = data::Relation::AllocateCpu(dev.allocator(),
+                                           in_core ? 100000 : 200000);
+    ASSERT_TRUE(rel.ok());
+    data::FillForeignKeys(*rel, in_core ? 3000 : 20000, in_core ? 5 : 7);
+    data::FillPayloads(*rel, in_core ? 6 : 8);
+    TritonAggregate agg({.cache_bytes = pin.cache_bytes});
+    auto run = agg.Run(dev, *rel);
+    ASSERT_TRUE(run.ok()) << run.status().ToString();
+    EXPECT_EQ(run->elapsed, pin.elapsed) << pin.cache_bytes;
+    EXPECT_TRUE(run->totals == pin.totals)
+        << pin.cache_bytes << ": " << run->totals.ToString();
+  }
+}
+
 }  // namespace
 }  // namespace triton::core

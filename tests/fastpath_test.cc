@@ -16,12 +16,14 @@
 #include "data/generator.h"
 #include "exec/block_executor.h"
 #include "exec/device.h"
+#include "join/cpu_partitioned_join.h"
 #include "join/cpu_radix_join.h"
 #include "partition/hierarchical.h"
 #include "partition/input.h"
 #include "partition/prefix_sum.h"
 #include "partition/shared.h"
 #include "sanitizer/sanitizer.h"
+#include "sched/coprocess_scheduler.h"
 #include "sim/hw_spec.h"
 #include "util/bits.h"
 #include "util/fastpath.h"
@@ -114,7 +116,7 @@ class FastPathTest : public ::testing::Test {
     return o;
   }
 
-  /// Runs a full join (Triton or CPU radix) and snapshots its result.
+  /// Runs a full join and snapshots its result.
   template <typename JoinFn>
   Outcome RunJoin(JoinFn&& join, bool fast, uint32_t threads) {
     util::SetFastPathEnabled(fast);
@@ -198,6 +200,50 @@ TEST_F(FastPathTest, CpuRadixJoinBitIdentical) {
             fast, threads);
       },
       "CpuRadixJoin");
+}
+
+TEST_F(FastPathTest, TritonJoinUncachedBitIdentical) {
+  // No GPU cache: every pair spills, so the second-pass prefix sum also
+  // stages the pair into GPU memory.
+  ExpectModeAndThreadInvariant(
+      [&](bool fast, uint32_t threads) {
+        return RunJoin(
+            [](exec::Device& dev, const data::Relation& r,
+               const data::Relation& s) {
+              return core::TritonJoin({.cache_bytes = 0}).Run(dev, r, s);
+            },
+            fast, threads);
+      },
+      "TritonJoin uncached");
+}
+
+TEST_F(FastPathTest, CoProcessSchedulerMidSplitBitIdentical) {
+  ExpectModeAndThreadInvariant(
+      [&](bool fast, uint32_t threads) {
+        return RunJoin(
+            [](exec::Device& dev, const data::Relation& r,
+               const data::Relation& s) {
+              return sched::CoProcessScheduler({.split_ratio = 0.5})
+                  .Run(dev, r, s);
+            },
+            fast, threads);
+      },
+      "CoProcessScheduler");
+}
+
+TEST_F(FastPathTest, CpuPartitionedJoinMaterializedBitIdentical) {
+  ExpectModeAndThreadInvariant(
+      [&](bool fast, uint32_t threads) {
+        return RunJoin(
+            [](exec::Device& dev, const data::Relation& r,
+               const data::Relation& s) {
+              return join::CpuPartitionedJoin(
+                         {.result_mode = join::ResultMode::kMaterialize})
+                  .Run(dev, r, s);
+            },
+            fast, threads);
+      },
+      "CpuPartitionedJoin");
 }
 
 // Negative case: a kernel whose accounted flush overruns its allocation

@@ -394,5 +394,24 @@ TEST_F(PartitionTest, CpuToGpuDestinationIsLinkCapped) {
   EXPECT_NEAR(to_gpu.Elapsed() / to_cpu.Elapsed(), 1.0, 0.25);
 }
 
+TEST_F(PartitionTest, CpuToGpuLinkBytesFollowTheLinkSpec) {
+  // The CPU's DMA writes carry the link's own packet header: 24 bytes per
+  // 256-byte transaction on PCIe 3.0, against 16 on NVLink.
+  hw_ = sim::HwSpec::Ac922Pcie3().Scaled(64);
+  dev_ = std::make_unique<exec::Device>(hw_);
+  const uint64_t n = util::kMiB / sizeof(Tuple);
+  auto wl = MakeWorkload(n);
+  ColumnInput input = ColumnInput::Of(wl.r);
+  PartitionLayout layout = CpuPrefixSum(*dev_, input, RadixConfig{0, 4}, 4);
+  auto out =
+      dev_->allocator().AllocateGpu(layout.padded_tuples() * sizeof(Tuple));
+  CHECK_OK(out.status());
+  CpuSwwcPartitioner cpu;
+  auto run = cpu.PartitionColumns(*dev_, input, layout, *out, {});
+  EXPECT_EQ(run.record.counters.link_write_payload, util::kMiB);
+  EXPECT_EQ(run.record.counters.link_write_physical, 1146880u);
+  EXPECT_EQ(run.record.counters.link_write_txns, 4096u);
+}
+
 }  // namespace
 }  // namespace triton::partition

@@ -261,13 +261,26 @@ TEST(BoundedPipelineTest, DeepQueueConvergesToLaneMax) {
 // --- Cost-model calibration: predictions vs counters-derived runs ---
 
 TEST_F(CoProcessTest, CpuPredictorTracksCpuRadixJoin) {
-  exec::Device dev(hw_);
-  auto wl = MakeWorkload(dev, 400000, 400000);
-  join::CpuRadixJoin cpu({.result_mode = join::ResultMode::kAggregate});
-  auto run = cpu.Run(dev, wl.r, wl.s);
-  ASSERT_TRUE(run.ok());
-  double pred = PredictCpuRadixSeconds(hw_, 400000, 400000);
-  EXPECT_NEAR(pred, run->elapsed, 0.02 * run->elapsed);
+  // The predictor calls the engine's own rate functions, so it equals the
+  // engine's modeled time for |S| = |R| and |S| != |R| under both schemes.
+  struct Shape {
+    uint64_t r, s;
+  };
+  for (Shape shape : {Shape{400000, 400000}, Shape{100000, 300007}}) {
+    for (join::HashScheme scheme :
+         {join::HashScheme::kBucketChaining, join::HashScheme::kPerfect}) {
+      exec::Device dev(hw_);
+      auto wl = MakeWorkload(dev, shape.r, shape.s);
+      join::CpuRadixJoin cpu(
+          {.scheme = scheme, .result_mode = join::ResultMode::kAggregate});
+      auto run = cpu.Run(dev, wl.r, wl.s);
+      ASSERT_TRUE(run.ok());
+      EXPECT_DOUBLE_EQ(PredictCpuRadixSeconds(hw_, shape.r, shape.s, scheme),
+                       run->elapsed)
+          << shape.r << " x " << shape.s << " scheme "
+          << static_cast<int>(scheme);
+    }
+  }
 }
 
 TEST_F(CoProcessTest, TritonPredictorTracksTritonJoin) {
