@@ -9,8 +9,8 @@
 //   * Modeled quantities (simulated latencies, transaction counts,
 //     checksums, PerfCounters) go through bench::Reporter into
 //     BENCH_micro.json. They are pure functions of the inputs, so the
-//     report is byte-identical across reruns, --threads settings and
-//     TRITON_FASTPATH modes; CI diffs it against a committed baseline.
+//     report is byte-identical across reruns and --threads settings; CI
+//     diffs it against a committed baseline.
 //
 //   * Host ns/op goes to a stdout table only (never into the JSON) — the
 //     CI microbench job uploads the log as an artifact so host-side
@@ -330,8 +330,9 @@ int Main(int argc, char** argv) {
 
   // --- Allocator allocate/free cycle ---
   // The modeled value is the simulated base address of a probe allocation
-  // after the churn — deterministic whether or not the host-side block
-  // pool (fast path) is active.
+  // after the churn. Simulated addresses come from the allocator's bump
+  // pointer, so it is the same whether or not the host-side block pool is
+  // compiled in (ASan and TSan builds leave it out).
   {
     exec::Device dev(env.hw());
     const uint64_t bytes = 1 << 20;

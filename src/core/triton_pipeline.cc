@@ -8,7 +8,6 @@
 #include "partition/input.h"
 #include "partition/prefix_sum.h"
 #include "partition/shared.h"
-#include "util/fastpath.h"
 
 namespace triton::core {
 
@@ -137,7 +136,7 @@ util::Status JoinPair(exec::Device& dev, const Front& front, uint32_t p,
             uint64_t end = std::min(n, begin + chunk);
             if (begin >= end) return;
             sub.SetSanitizerBlock(b);
-            // Per-block copy: sliced inputs cache a cursor in Get().
+            // Per-block copy: sliced inputs cache a seek cursor.
             partition::SlicedRowInput block_rows = rows;
             partition::ComputeBlockHistogram(block_rows, radix2, begin, end,
                                              histograms[b]);
@@ -147,19 +146,12 @@ util::Status JoinPair(exec::Device& dev, const Front& front, uint32_t p,
           ctx.Charge(
               static_cast<uint64_t>(n * partition::kPrefixSumCyclesPerTuple));
           if (staging == nullptr) return;
-          if (util::FastPathEnabled()) {
-            partition::Tuple batch[partition::kFastPathBatchTuples];
-            for (uint64_t base = 0; base < n;
-                 base += partition::kFastPathBatchTuples) {
-              const uint64_t m = std::min<uint64_t>(
-                  n - base, partition::kFastPathBatchTuples);
-              rows.GetBatch(base, m, batch);
-              ctx.StoreRun(*staging, stage_at + base, batch, m);
-            }
-          } else {
-            for (uint64_t i = 0; i < n; ++i) {
-              ctx.Store(*staging, stage_at + i, rows.Get(i));
-            }
+          partition::Tuple batch[partition::kBatchTuples];
+          for (uint64_t base = 0; base < n; base += partition::kBatchTuples) {
+            const uint64_t m =
+                std::min<uint64_t>(n - base, partition::kBatchTuples);
+            rows.GetBatch(base, m, batch);
+            ctx.StoreRun(*staging, stage_at + base, batch, m);
           }
           ctx.WriteSeq(*staging, stage_at * sizeof(partition::Tuple),
                        n * sizeof(partition::Tuple));

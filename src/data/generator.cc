@@ -6,7 +6,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "util/fastpath.h"
 #include "util/logging.h"
 #include "util/random.h"
 
@@ -14,10 +13,10 @@ namespace triton::data {
 
 namespace {
 
-/// Content cache for the most recently generated workload (fast path
-/// only). Benches rebuild the identical workload once per series at every
-/// sweep point, and the fill loops — a Fisher–Yates shuffle plus per-tuple
-/// RNG draws over hundreds of MiB — dominate host time for small kernels.
+/// Content cache for the most recently generated workload. Benches rebuild
+/// the identical workload once per series at every sweep point, and the
+/// fill loops — a Fisher–Yates shuffle plus per-tuple RNG draws over
+/// hundreds of MiB — dominate host time for small kernels.
 /// A hit replays the exact bytes the fills would have produced into the
 /// freshly allocated buffers, so relation contents (and every modeled
 /// quantity derived from them) are bit-identical. Bounded so paper-scale
@@ -140,8 +139,7 @@ util::StatusOr<Workload> GenerateWorkload(mem::Allocator& alloc,
   const uint64_t workload_bytes =
       (config.r_tuples + config.s_tuples) *
       (sizeof(Key) + config.payload_cols * sizeof(Value));
-  const bool cacheable = util::FastPathEnabled() &&
-                         workload_bytes <= kMaxCachedWorkloadBytes;
+  const bool cacheable = workload_bytes <= kMaxCachedWorkloadBytes;
   bool hit = false;
   if (cacheable) {
     WorkloadCache& cache = Cache();

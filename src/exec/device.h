@@ -163,8 +163,8 @@ class KernelContext : private sim::TlbEscalationSink {
   /// element `index` and records the whole run in the sanitizer's shadow
   /// log in one shot. Coverage is checked on the union of the logged
   /// intervals, so one run record is identical to `count` per-element
-  /// records — this is the fast path's bulk primitive (see
-  /// util/fastpath.h).
+  /// records. The partitioners' flushes, the staging copy-in and the join
+  /// result writes all store through it.
   template <typename T>
   void StoreRun(mem::Buffer& buf, uint64_t index, const T* src,
                 uint64_t count) {
@@ -176,14 +176,6 @@ class KernelContext : private sim::TlbEscalationSink {
     if (san_ != nullptr) {
       san_->RecordFunctionalWrite(buf.base_addr() + offset, size);
     }
-  }
-
-  /// Loads element `index` of `buf` viewed as a T array (bounds-checked).
-  template <typename T>
-  T Load(const mem::Buffer& buf, uint64_t index) const {
-    const uint64_t offset = index * sizeof(T);
-    DCHECK_LE(offset + sizeof(T), buf.size());
-    return *reinterpret_cast<const T*>(buf.data() + offset);
   }
 
   /// The device's sanitizer, or null when checking is disabled. Kernels

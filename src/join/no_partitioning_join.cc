@@ -7,7 +7,6 @@
 #include "hash/linear_table.h"
 #include "hash/perfect_table.h"
 #include "util/bits.h"
-#include "util/fastpath.h"
 #include "util/logging.h"
 
 namespace triton::join {
@@ -21,11 +20,11 @@ namespace {
 constexpr double kBuildCyclesPerTuple = 68.0;
 constexpr double kProbeCyclesPerTuple = 28.0;
 
-/// Distance (in tuples) the fast path prefetches hash-table lines ahead of
-/// the current tuple. The table spans hundreds of MiB, so every slot touch
-/// is a host DRAM miss; prefetching restores memory-level parallelism the
-/// per-tuple accounting calls otherwise serialize. Prefetches only warm
-/// host caches — the modeled access sequence is byte-identical.
+/// Distance (in tuples) the build and probe loops prefetch hash-table lines
+/// ahead of the current tuple. The table spans hundreds of MiB, so every
+/// slot touch is a host DRAM miss; prefetching restores memory-level
+/// parallelism the per-tuple accounting calls otherwise serialize.
+/// Prefetches only warm host caches, never change the modeled accesses.
 constexpr uint64_t kPrefetchDist = 24;
 
 /// Chained-table node for the bucket-chaining variant.
@@ -78,7 +77,6 @@ util::StatusOr<JoinRun> NoPartitioningJoin::Run(exec::Device& dev,
   if (!result.ok()) return result.status();
 
   dev.ClearTrace();
-  const bool fast = util::FastPathEnabled();
   const data::Key* r_keys = r.keys();
   const data::Value* r_vals = r.payload(0);
   const data::Key* s_keys = s.keys();
@@ -98,7 +96,7 @@ util::StatusOr<JoinRun> NoPartitioningJoin::Run(exec::Device& dev,
         hash::Entry* slots = table->as<hash::Entry>();
         const uint64_t n = r.rows();
         for (uint64_t i = 0; i < n; ++i) {
-          if (fast && i + kPrefetchDist < n) {
+          if (i + kPrefetchDist < n) {
             __builtin_prefetch(
                 &slots[static_cast<uint64_t>(r_keys[i + kPrefetchDist] - 1)],
                 1);
@@ -116,7 +114,7 @@ util::StatusOr<JoinRun> NoPartitioningJoin::Run(exec::Device& dev,
         hash::Entry* slots = table->as<hash::Entry>();
         const uint64_t n = r.rows();
         for (uint64_t i = 0; i < n; ++i) {
-          if (fast && i + kPrefetchDist < n) {
+          if (i + kPrefetchDist < n) {
             __builtin_prefetch(&slots[t.SlotOf(r_keys[i + kPrefetchDist])],
                                1);
           }
@@ -140,7 +138,7 @@ util::StatusOr<JoinRun> NoPartitioningJoin::Run(exec::Device& dev,
         uint32_t head_bits = util::FloorLog2(num_heads);
         const uint64_t n = r.rows();
         for (uint64_t i = 0; i < n; ++i) {
-          if (fast && i + kPrefetchDist < n) {
+          if (i + kPrefetchDist < n) {
             __builtin_prefetch(
                 &heads[hash::HashBits(
                     hash::MultiplyShift(
@@ -190,7 +188,7 @@ util::StatusOr<JoinRun> NoPartitioningJoin::Run(exec::Device& dev,
         const uint64_t n = s.rows();
         const uint64_t r_rows = r.rows();
         for (uint64_t j = 0; j < n; ++j) {
-          if (fast && j + kPrefetchDist < n) {
+          if (j + kPrefetchDist < n) {
             data::Key pk = s_keys[j + kPrefetchDist];
             if (pk >= 1 && static_cast<uint64_t>(pk) <= r_rows) {
               __builtin_prefetch(&slots[static_cast<uint64_t>(pk - 1)]);
@@ -211,7 +209,7 @@ util::StatusOr<JoinRun> NoPartitioningJoin::Run(exec::Device& dev,
         const hash::Entry* slots = table->as<hash::Entry>();
         const uint64_t n = s.rows();
         for (uint64_t j = 0; j < n; ++j) {
-          if (fast && j + kPrefetchDist < n) {
+          if (j + kPrefetchDist < n) {
             __builtin_prefetch(&slots[t.SlotOf(s_keys[j + kPrefetchDist])]);
           }
           uint64_t slot = t.SlotOf(s_keys[j]);
@@ -240,21 +238,19 @@ util::StatusOr<JoinRun> NoPartitioningJoin::Run(exec::Device& dev,
         // the first chain node.
         constexpr uint64_t kNodeDist = 8;
         for (uint64_t j = 0; j < n; ++j) {
-          if (fast) {
-            if (j + kPrefetchDist < n) {
-              __builtin_prefetch(&heads[hash::HashBits(
-                  hash::MultiplyShift(
-                      static_cast<uint64_t>(s_keys[j + kPrefetchDist])),
-                  0, head_bits)]);
-            }
-            if (j + kNodeDist < n) {
-              uint64_t hb = hash::HashBits(
-                  hash::MultiplyShift(
-                      static_cast<uint64_t>(s_keys[j + kNodeDist])),
-                  0, head_bits);
-              uint64_t c = heads[hb];
-              if (c != 0) __builtin_prefetch(&nodes[c - 1]);
-            }
+          if (j + kPrefetchDist < n) {
+            __builtin_prefetch(&heads[hash::HashBits(
+                hash::MultiplyShift(
+                    static_cast<uint64_t>(s_keys[j + kPrefetchDist])),
+                0, head_bits)]);
+          }
+          if (j + kNodeDist < n) {
+            uint64_t hb = hash::HashBits(
+                hash::MultiplyShift(
+                    static_cast<uint64_t>(s_keys[j + kNodeDist])),
+                0, head_bits);
+            uint64_t c = heads[hb];
+            if (c != 0) __builtin_prefetch(&nodes[c - 1]);
           }
           uint64_t b = hash::HashBits(
               hash::MultiplyShift(static_cast<uint64_t>(s_keys[j])), 0,

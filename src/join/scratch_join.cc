@@ -4,7 +4,6 @@
 #include <vector>
 
 #include "hash/bucket_chain_table.h"
-#include "util/fastpath.h"
 #include "util/logging.h"
 
 namespace triton::join {
@@ -109,13 +108,11 @@ void ScratchJoiner::JoinSlices(
     uint32_t radix_shift, mem::Buffer* result, uint64_t* result_cursor,
     uint64_t* matches, uint64_t* checksum) {
   const uint64_t first_matches = *matches;
-  // Fast path: stage matches in a chunk and store each chunk in one bulk
-  // write. Store order — and therefore the shadow write ranges — is
-  // identical to the per-match path.
-  const bool fast = util::FastPathEnabled() && result != nullptr;
+  // Matches are staged in a chunk, and each full chunk is stored in one
+  // bulk write at the result cursor.
   constexpr uint64_t kChunkTuples = 4096;
   std::vector<partition::Tuple> chunk;
-  if (fast) chunk.reserve(kChunkTuples);
+  if (result != nullptr) chunk.reserve(kChunkTuples);
   auto drain_chunk = [&] {
     if (chunk.empty()) return;
     ctx.StoreRun(*result, *result_cursor, chunk.data(), chunk.size());
@@ -124,19 +121,15 @@ void ScratchJoiner::JoinSlices(
   };
   JoinSlicesEmit(ctx, r_rows, r_slices, s_rows, s_slices, radix_shift,
                  [&](int64_t build_val, int64_t probe_val) {
-                   if (fast) {
+                   if (result != nullptr) {
                      chunk.push_back(partition::Tuple{build_val, probe_val});
                      if (chunk.size() == kChunkTuples) drain_chunk();
-                   } else if (result != nullptr) {
-                     ctx.Store(*result, *result_cursor,
-                               partition::Tuple{build_val, probe_val});
-                     ++*result_cursor;
                    }
                    ++*matches;
                    *checksum += static_cast<uint64_t>(build_val) +
                                 static_cast<uint64_t>(probe_val);
                  });
-  if (fast) drain_chunk();
+  drain_chunk();
 
   // Materialized matches stream out through coalesced linear-allocator
   // writes.
@@ -200,14 +193,8 @@ void JoinRefinedPairs(exec::Device& dev, uint32_t sms, HashScheme scheme,
       *checksum += out.checksum;
       if (out.pairs.empty()) continue;
       const uint64_t at = *result_cursor;
-      if (util::FastPathEnabled()) {
-        ctx.StoreRun(*result, at, out.pairs.data(), out.pairs.size());
-        *result_cursor += out.pairs.size();
-      } else {
-        for (const partition::Tuple& t : out.pairs) {
-          ctx.Store(*result, (*result_cursor)++, t);
-        }
-      }
+      ctx.StoreRun(*result, at, out.pairs.data(), out.pairs.size());
+      *result_cursor += out.pairs.size();
       ctx.WriteSeq(*result, at * sizeof(partition::Tuple),
                    out.pairs.size() * sizeof(partition::Tuple));
     }

@@ -11,7 +11,6 @@
 #include <vector>
 
 #include "util/bits.h"
-#include "util/fastpath.h"
 #include "util/logging.h"
 #include "util/units.h"
 
@@ -82,8 +81,7 @@ class HostBlockPool {
     if (it == live_.end()) return false;
     auto [bytes, align] = it->second;
     live_.erase(it);
-    if (!util::FastPathEnabled() ||
-        pooled_bytes_ + bytes > kMaxPooledBytes) {
+    if (pooled_bytes_ + bytes > kMaxPooledBytes) {
       std::free(p);
       return true;
     }

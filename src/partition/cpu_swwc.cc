@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "util/bits.h"
-#include "util/fastpath.h"
 
 namespace triton::partition {
 
@@ -53,22 +52,14 @@ PartitionRun CpuSwwcPartitioner::Run(exec::Device& dev, const Input& input,
     uint64_t begin = static_cast<uint64_t>(b) * chunk;
     uint64_t end = std::min(n, begin + chunk);
     for (uint32_t p = 0; p < fanout; ++p) cursors[p] = layout.SliceBegin(p, b);
-    if (util::FastPathEnabled()) {
-      Tuple batch[kFastPathBatchTuples];
-      uint32_t pidx[kFastPathBatchTuples];
-      for (uint64_t base = begin; base < end; base += kFastPathBatchTuples) {
-        const uint64_t m =
-            std::min<uint64_t>(end - base, kFastPathBatchTuples);
-        input.GetBatch(base, m, batch);
-        radix.PartitionsOf(batch, m, pidx);
-        for (uint64_t j = 0; j < m; ++j) {
-          out_rows[cursors[pidx[j]]++] = batch[j];
-        }
-      }
-    } else {
-      for (uint64_t i = begin; i < end; ++i) {
-        Tuple t = input.Get(i);
-        out_rows[cursors[radix.PartitionOf(t.key)]++] = t;
+    Tuple batch[kBatchTuples];
+    uint32_t pidx[kBatchTuples];
+    for (uint64_t base = begin; base < end; base += kBatchTuples) {
+      const uint64_t m = std::min<uint64_t>(end - base, kBatchTuples);
+      input.GetBatch(base, m, batch);
+      radix.PartitionsOf(batch, m, pidx);
+      for (uint64_t j = 0; j < m; ++j) {
+        out_rows[cursors[pidx[j]]++] = batch[j];
       }
     }
   }

@@ -6,7 +6,6 @@
 #include "partition/shared.h"
 #include "sanitizer/sanitizer.h"
 #include "util/bits.h"
-#include "util/fastpath.h"
 
 namespace triton::partition {
 
@@ -106,21 +105,10 @@ PartitionRun HierarchicalPartitioner::Run(exec::Device& dev,
           shadow.AcquireLock(fanout + p, warp);
           shadow.NoteFlush(fanout + p, warp);
           uint64_t at = st.cursors[p];
-          if (util::FastPathEnabled()) {
-            // Bulk copy-out; Load is a bounds-checked read, so copying
-            // straight from the staging storage is functionally identical.
-            ctx.StoreRun(out, at,
-                         l2_storage->as<Tuple>() + l2_base +
-                             static_cast<uint64_t>(p) * l2_cap,
-                         count);
-          } else {
-            for (uint32_t i = 0; i < count; ++i) {
-              ctx.Store(out, at + i,
-                        ctx.Load<Tuple>(
-                            *l2_storage,
-                            l2_base + static_cast<uint64_t>(p) * l2_cap + i));
-            }
-          }
+          ctx.StoreRun(out, at,
+                       l2_storage->as<Tuple>() + l2_base +
+                           static_cast<uint64_t>(p) * l2_cap,
+                       count);
           // Reading the staged tuples back out of GPU memory.
           ctx.ReadNoTlb(*l2_storage,
                         (l2_base + static_cast<uint64_t>(p) * l2_cap) *
@@ -147,15 +135,8 @@ PartitionRun HierarchicalPartitioner::Run(exec::Device& dev,
           if (!have_l2) {
             // Degraded mode: flush L1 straight to the output.
             uint64_t at = st.cursors[p];
-            if (util::FastPathEnabled()) {
-              ctx.StoreRun(out, at, &l1[static_cast<uint64_t>(p) * l1_cap],
-                           count);
-            } else {
-              for (uint32_t i = 0; i < count; ++i) {
-                ctx.Store(out, at + i,
-                          l1[static_cast<uint64_t>(p) * l1_cap + i]);
-              }
-            }
+            ctx.StoreRun(out, at, &l1[static_cast<uint64_t>(p) * l1_cap],
+                         count);
             internal::AccountFlush(ctx, *st.tlb, out, at, count, p, warp);
             ctx.Charge(static_cast<uint64_t>(kFlushCycles));
             st.cursors[p] = at + count;
@@ -163,19 +144,10 @@ PartitionRun HierarchicalPartitioner::Run(exec::Device& dev,
           } else {
             if (l2_fill[p] + count > l2_cap) flush_l2(p, l2_fill[p], warp);
             shadow.AcquireLock(fanout + p, warp);
-            if (util::FastPathEnabled()) {
-              ctx.StoreRun(*l2_storage,
-                           l2_base + static_cast<uint64_t>(p) * l2_cap +
-                               l2_fill[p],
-                           &l1[static_cast<uint64_t>(p) * l1_cap], count);
-            } else {
-              for (uint32_t i = 0; i < count; ++i) {
-                ctx.Store(*l2_storage,
-                          l2_base + static_cast<uint64_t>(p) * l2_cap +
-                              l2_fill[p] + i,
-                          l1[static_cast<uint64_t>(p) * l1_cap + i]);
-              }
-            }
+            ctx.StoreRun(*l2_storage,
+                         l2_base + static_cast<uint64_t>(p) * l2_cap +
+                             l2_fill[p],
+                         &l1[static_cast<uint64_t>(p) * l1_cap], count);
             ctx.WriteNoTlb(*l2_storage,
                            (l2_base + static_cast<uint64_t>(p) * l2_cap +
                             l2_fill[p]) *
@@ -191,45 +163,27 @@ PartitionRun HierarchicalPartitioner::Run(exec::Device& dev,
           shadow.ReleaseLock(p, warp);
         };
 
-        if (util::FastPathEnabled()) {
-          // Batched fill; see SharedPartitioner for the positional-identity
-          // argument (flush triggers and warp ids match the per-tuple
-          // path exactly).
-          const uint32_t ws = ctx.warp_size();
-          const bool shadow_on = ctx.sanitizer() != nullptr;
-          Tuple batch[kFastPathBatchTuples];
-          uint32_t pidx[kFastPathBatchTuples];
-          for (uint64_t base = begin; base < end;
-               base += kFastPathBatchTuples) {
-            const uint64_t m =
-                std::min<uint64_t>(end - base, kFastPathBatchTuples);
-            in.GetBatch(base, m, batch);
-            radix.PartitionsOf(batch, m, pidx);
-            for (uint64_t j = 0; j < m; ++j) {
-              const uint32_t p = pidx[j];
-              if (l1_fill[p] == l1_cap) {
-                evict_l1(p, l1_cap, internal::SimWarpOf(base + j - begin, ws));
-              }
-              if (shadow_on) {
-                shadow.Store(
-                    (static_cast<uint64_t>(p) * l1_cap + l1_fill[p]) *
-                        sizeof(Tuple),
-                    sizeof(Tuple), internal::SimWarpOf(base + j - begin, ws));
-              }
-              l1[static_cast<uint64_t>(p) * l1_cap + l1_fill[p]++] = batch[j];
+        // Fill phase, tile by tile as in SharedPartitioner.
+        const uint32_t ws = ctx.warp_size();
+        const bool shadow_on = ctx.sanitizer() != nullptr;
+        Tuple batch[kBatchTuples];
+        uint32_t pidx[kBatchTuples];
+        for (uint64_t base = begin; base < end; base += kBatchTuples) {
+          const uint64_t m = std::min<uint64_t>(end - base, kBatchTuples);
+          in.GetBatch(base, m, batch);
+          radix.PartitionsOf(batch, m, pidx);
+          for (uint64_t j = 0; j < m; ++j) {
+            const uint32_t p = pidx[j];
+            if (l1_fill[p] == l1_cap) {
+              evict_l1(p, l1_cap, internal::SimWarpOf(base + j - begin, ws));
             }
-          }
-        } else {
-          for (uint64_t i = begin; i < end; ++i) {
-            Tuple t = in.Get(i);
-            uint32_t p = radix.PartitionOf(t.key);
-            const uint32_t warp = internal::SimWarpOf(i - begin,
-                                                      ctx.warp_size());
-            if (l1_fill[p] == l1_cap) evict_l1(p, l1_cap, warp);
-            shadow.Store((static_cast<uint64_t>(p) * l1_cap + l1_fill[p]) *
-                             sizeof(Tuple),
-                         sizeof(Tuple), warp);
-            l1[static_cast<uint64_t>(p) * l1_cap + l1_fill[p]++] = t;
+            if (shadow_on) {
+              shadow.Store((static_cast<uint64_t>(p) * l1_cap + l1_fill[p]) *
+                               sizeof(Tuple),
+                           sizeof(Tuple),
+                           internal::SimWarpOf(base + j - begin, ws));
+            }
+            l1[static_cast<uint64_t>(p) * l1_cap + l1_fill[p]++] = batch[j];
           }
         }
         // Drain both levels at end of input (leader warp 0).

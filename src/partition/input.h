@@ -2,8 +2,9 @@
 //
 // Pass 1 reads base relations in column layout (separate key and payload
 // arrays); later passes read the 16-byte row-format tuples produced by the
-// previous pass. Both expose the same Get(i) -> Entry interface so the
-// partitioning kernels are written once, templated over the view.
+// previous pass. Every view exposes the same bulk GetBatch/KeysBatch
+// interface, so the partitioning kernels are written once, templated over
+// the view, and fetch tuples a tile of kBatchTuples at a time.
 
 #ifndef TRITON_PARTITION_INPUT_H_
 #define TRITON_PARTITION_INPUT_H_
@@ -24,12 +25,12 @@ namespace triton::partition {
 /// 16-byte <key, value> tuple flowing through the partitioning pipeline.
 using Tuple = hash::Entry;
 
-/// Tuples fetched per fast-path batch (see util/fastpath.h): large enough
-/// to amortize per-batch overhead and let the partition-index loop
-/// vectorize, small enough that batch + index arrays stay in L1 (256
-/// tuples = 4 KiB of tuples + 1 KiB of indices) like a warp-per-thread
-/// register tile would on the real GPU.
-inline constexpr uint32_t kFastPathBatchTuples = 256;
+/// Tuples fetched per batch by the partitioning loops: large enough to
+/// amortize per-batch overhead and let the partition-index loop vectorize,
+/// small enough that batch + index arrays stay in L1 (256 tuples = 4 KiB
+/// of tuples + 1 KiB of indices) like a warp-per-thread register tile
+/// would on the real GPU.
+inline constexpr uint32_t kBatchTuples = 256;
 
 /// Columnar view over a base relation range (pass-1 input).
 class ColumnInput {
@@ -51,17 +52,8 @@ class ColumnInput {
 
   uint64_t size() const { return num_tuples_; }
 
-  Tuple Get(uint64_t i) const {
-    Tuple t;
-    t.key = keys_->as<data::Key>()[offset_ + i];
-    t.value = values_ != nullptr
-                  ? values_->as<data::Value>()[offset_ + i]
-                  : static_cast<data::Value>(offset_ + i);  // row id
-    return t;
-  }
-
-  /// Bulk Get: fetches tuples [i, i + n) into `out` (fast-path batching;
-  /// element j equals Get(i + j) exactly).
+  /// Fetches tuples [i, i + n) into `out`. Without a payload column the
+  /// value is the tuple's row id.
   void GetBatch(uint64_t i, uint64_t n, Tuple* out) const {
     const data::Key* k = keys_->as<data::Key>() + offset_ + i;
     if (values_ != nullptr) {
@@ -125,8 +117,6 @@ class RowInput {
 
   uint64_t size() const { return num_tuples_; }
 
-  Tuple Get(uint64_t i) const { return rows_->as<Tuple>()[offset_ + i]; }
-
   void GetBatch(uint64_t i, uint64_t n, Tuple* out) const {
     std::memcpy(out, rows_->as<Tuple>() + offset_ + i, n * sizeof(Tuple));
   }
@@ -176,16 +166,8 @@ class SlicedRowInput {
 
   uint64_t size() const { return starts_.back(); }
 
-  Tuple Get(uint64_t i) const {
-    // Accesses are overwhelmingly sequential; cache the current slice.
-    Seek(i);
-    const auto& [begin, count] = slices_[cursor_];
-    (void)count;
-    return rows_->as<Tuple>()[begin + (i - starts_[cursor_])];
-  }
-
-  /// Bulk Get across slice boundaries: each contiguous sub-run within one
-  /// slice is a memcpy; element j equals Get(i + j) exactly.
+  /// Fetches flat tuples [i, i + n) across slice boundaries: each
+  /// contiguous sub-run within one slice is a memcpy.
   void GetBatch(uint64_t i, uint64_t n, Tuple* out) const {
     const Tuple* rows = rows_->as<Tuple>();
     uint64_t done = 0;
@@ -236,7 +218,8 @@ class SlicedRowInput {
   uint64_t BytesPerTuple() const { return sizeof(Tuple); }
 
  private:
-  /// Points cursor_ at the slice containing flat index `i`.
+  /// Points cursor_ at the slice containing flat index `i`. Batches are
+  /// overwhelmingly sequential, so the current slice is cached.
   void Seek(uint64_t i) const {
     if (i < starts_[cursor_] || i >= starts_[cursor_ + 1]) {
       auto it = std::upper_bound(starts_.begin(), starts_.end(), i);

@@ -17,7 +17,6 @@
 
 #include "partition/input.h"
 #include "partition/radix.h"
-#include "util/fastpath.h"
 #include "util/logging.h"
 
 namespace triton::partition {
@@ -107,27 +106,20 @@ inline SlicedRowInput PartitionInputOf(const mem::Buffer& rows,
 /// Computes one block's histogram over input tuples [begin, end) into the
 /// preallocated, zeroed `histogram` (fanout entries). The building block of
 /// ComputeHistograms that the GPU prefix-sum kernels run per thread block.
+/// Fetches a key tile, computes its partition indices in one vectorizable
+/// pass, then counts.
 template <typename Input>
 void ComputeBlockHistogram(const Input& input, RadixConfig radix,
                            uint64_t begin, uint64_t end,
                            std::vector<uint64_t>& histogram) {
   DCHECK_EQ(histogram.size(), radix.fanout());
-  if (util::FastPathEnabled()) {
-    // Batched: fetch a key tile, compute all partition indices in one
-    // vectorizable pass, then count. Same values in the same order as the
-    // per-tuple loop below, so the histogram is bit-identical.
-    data::Key keys[kFastPathBatchTuples];
-    uint32_t pidx[kFastPathBatchTuples];
-    for (uint64_t base = begin; base < end; base += kFastPathBatchTuples) {
-      const uint64_t m = std::min<uint64_t>(end - base, kFastPathBatchTuples);
-      input.KeysBatch(base, m, keys);
-      radix.PartitionsOf(keys, m, pidx);
-      for (uint64_t j = 0; j < m; ++j) ++histogram[pidx[j]];
-    }
-    return;
-  }
-  for (uint64_t i = begin; i < end; ++i) {
-    ++histogram[radix.PartitionOf(input.Get(i).key)];
+  data::Key keys[kBatchTuples];
+  uint32_t pidx[kBatchTuples];
+  for (uint64_t base = begin; base < end; base += kBatchTuples) {
+    const uint64_t m = std::min<uint64_t>(end - base, kBatchTuples);
+    input.KeysBatch(base, m, keys);
+    radix.PartitionsOf(keys, m, pidx);
+    for (uint64_t j = 0; j < m; ++j) ++histogram[pidx[j]];
   }
 }
 

@@ -4,7 +4,6 @@
 #include <vector>
 
 #include "sanitizer/sanitizer.h"
-#include "util/fastpath.h"
 
 namespace triton::partition {
 
@@ -44,45 +43,32 @@ PartitionRun LinearPartitioner::Run(exec::Device& dev, const Input& input,
             static_cast<uint64_t>(batch_tuples) * sizeof(Tuple),
             ctx.scratchpad_bytes());
         uint64_t flushes = 0;
-        // Fast path: fetch and hash each scratchpad batch once into these
-        // per-block staging arrays, reusing the indices for the count and
-        // scatter loops (the per-tuple path hashes twice). Values and
-        // order are identical either way.
-        const bool fast = util::FastPathEnabled();
+        // Each scratchpad batch is fetched and hashed once into these
+        // per-block staging arrays; the indices feed both the count and
+        // the scatter loop.
         const bool shadow_on = ctx.sanitizer() != nullptr;
-        Tuple* staged = nullptr;
-        uint32_t* pidx = nullptr;
-        if (fast) {
-          staged = internal::BlockScratch<
-                       Tuple, internal::kScratchLinearStaged>(batch_tuples)
-                       .data();
-          pidx = internal::BlockScratch<
-                     uint32_t, internal::kScratchLinearPidx>(batch_tuples)
-                     .data();
-        }
+        Tuple* staged =
+            internal::BlockScratch<Tuple, internal::kScratchLinearStaged>(
+                batch_tuples)
+                .data();
+        uint32_t* pidx =
+            internal::BlockScratch<uint32_t, internal::kScratchLinearPidx>(
+                batch_tuples)
+                .data();
         for (uint64_t base = begin; base < end; base += batch_tuples) {
-          uint64_t batch_end = std::min(end, base + batch_tuples);
-          const uint64_t m = batch_end - base;
+          const uint64_t m = std::min(end, base + batch_tuples) - base;
           // Sort the batch by partition inside the scratchpad (functional
           // equivalent: per-partition run counting; the reorder itself is
           // scratchpad-local and charged via the cycle constant). Each
           // tuple is staged once into the arena by its owning warp.
           std::fill_n(counts.begin(), fanout, 0u);
-          if (fast) {
-            in.GetBatch(base, m, staged);
-            radix.PartitionsOf(staged, m, pidx);
-            for (uint64_t i = 0; i < m; ++i) {
-              ++counts[pidx[i]];
-              if (shadow_on) {
-                shadow.Store(i * sizeof(Tuple), sizeof(Tuple),
-                             internal::SimWarpOf(i, ctx.warp_size()));
-              }
-            }
-          } else {
-            for (uint64_t i = base; i < batch_end; ++i) {
-              ++counts[radix.PartitionOf(in.Get(i).key)];
-              shadow.Store((i - base) * sizeof(Tuple), sizeof(Tuple),
-                           internal::SimWarpOf(i - base, ctx.warp_size()));
+          in.GetBatch(base, m, staged);
+          radix.PartitionsOf(staged, m, pidx);
+          for (uint64_t i = 0; i < m; ++i) {
+            ++counts[pidx[i]];
+            if (shadow_on) {
+              shadow.Store(i * sizeof(Tuple), sizeof(Tuple),
+                           internal::SimWarpOf(i, ctx.warp_size()));
             }
           }
           // Flush each partition's run to its cursor. Run lengths are
@@ -98,15 +84,8 @@ PartitionRun LinearPartitioner::Run(exec::Device& dev, const Input& input,
           // block-wide synchronization point, after which the arena is
           // reusable for the next batch.
           shadow.Load(0, m * sizeof(Tuple), /*warp=*/0);
-          if (fast) {
-            for (uint64_t i = 0; i < m; ++i) {
-              ctx.Store(out, st.cursors[pidx[i]]++, staged[i]);
-            }
-          } else {
-            for (uint64_t i = base; i < batch_end; ++i) {
-              Tuple t = in.Get(i);
-              ctx.Store(out, st.cursors[radix.PartitionOf(t.key)]++, t);
-            }
+          for (uint64_t i = 0; i < m; ++i) {
+            ctx.Store(out, st.cursors[pidx[i]]++, staged[i]);
           }
           shadow.SyncRange(0,
                            static_cast<uint64_t>(batch_tuples) *

@@ -39,7 +39,7 @@ struct RadixConfig {
 
   /// Partition indices for a batch of keys. The loop body is a multiply,
   /// a shift and a mask per element with no cross-iteration dependency, so
-  /// -O2 autovectorizes it — the fast path's "SIMD" radix inner loop.
+  /// -O2 autovectorizes it: the partitioners' "SIMD" radix inner loop.
   void PartitionsOf(const data::Key* keys, uint64_t n, uint32_t* out) const {
     const uint32_t s = shift;
     const uint32_t b = bits;

@@ -4,7 +4,6 @@
 #include <vector>
 
 #include "sanitizer/sanitizer.h"
-#include "util/fastpath.h"
 
 namespace triton::partition {
 
@@ -65,15 +64,8 @@ PartitionRun SharedPartitioner::Run(exec::Device& dev, const Input& input,
           shadow.Load(buf_off, static_cast<uint64_t>(count) * sizeof(Tuple),
                       warp);
           uint64_t at = st.cursors[p];
-          if (util::FastPathEnabled()) {
-            ctx.StoreRun(out, at, &buffers[static_cast<uint64_t>(p) * cap],
-                         count);
-          } else {
-            for (uint32_t i = 0; i < count; ++i) {
-              ctx.Store(out, at + i,
-                        buffers[static_cast<uint64_t>(p) * cap + i]);
-            }
-          }
+          ctx.StoreRun(out, at, &buffers[static_cast<uint64_t>(p) * cap],
+                       count);
           internal::AccountFlush(ctx, *st.tlb, out, at, count, p, warp);
           ctx.Charge(static_cast<uint64_t>(kFlushCycles));
           st.cursors[p] = at + count;
@@ -85,48 +77,31 @@ PartitionRun SharedPartitioner::Run(exec::Device& dev, const Input& input,
 
         // Fill phase: every thread hashes its tuple and acquires a buffer
         // slot; a thread hitting a full buffer triggers the flush phase for
-        // that buffer (Figure 8's steps, warp-synchronous).
-        if (util::FastPathEnabled()) {
-          // Batched fill: fetch a tuple tile, compute all partition
-          // indices in one vectorizable pass, then place. Flush trigger
-          // points and warp provenance are positional, so they match the
-          // per-tuple path exactly; the per-tuple shadow stores only
-          // matter (and only run) when the sanitizer is on.
-          const uint32_t ws = ctx.warp_size();
-          const bool shadow_on = ctx.sanitizer() != nullptr;
-          Tuple batch[kFastPathBatchTuples];
-          uint32_t pidx[kFastPathBatchTuples];
-          for (uint64_t base = begin; base < end;
-               base += kFastPathBatchTuples) {
-            const uint64_t m =
-                std::min<uint64_t>(end - base, kFastPathBatchTuples);
-            in.GetBatch(base, m, batch);
-            radix.PartitionsOf(batch, m, pidx);
-            for (uint64_t j = 0; j < m; ++j) {
-              const uint32_t p = pidx[j];
-              if (fill[p] == cap) {
-                flush(p, cap, internal::SimWarpOf(base + j - begin, ws));
-              }
-              if (shadow_on) {
-                shadow.Store((static_cast<uint64_t>(p) * cap + fill[p]) *
-                                 sizeof(Tuple),
-                             sizeof(Tuple),
-                             internal::SimWarpOf(base + j - begin, ws));
-              }
-              buffers[static_cast<uint64_t>(p) * cap + fill[p]++] = batch[j];
+        // that buffer (Figure 8's steps, warp-synchronous). Tuples arrive
+        // a tile at a time with their partition indices computed in one
+        // vectorizable pass; flush triggers and warp provenance depend only
+        // on a tuple's position in the block's chunk. The per-tuple shadow
+        // stores run only when the sanitizer is on.
+        const uint32_t ws = ctx.warp_size();
+        const bool shadow_on = ctx.sanitizer() != nullptr;
+        Tuple batch[kBatchTuples];
+        uint32_t pidx[kBatchTuples];
+        for (uint64_t base = begin; base < end; base += kBatchTuples) {
+          const uint64_t m = std::min<uint64_t>(end - base, kBatchTuples);
+          in.GetBatch(base, m, batch);
+          radix.PartitionsOf(batch, m, pidx);
+          for (uint64_t j = 0; j < m; ++j) {
+            const uint32_t p = pidx[j];
+            if (fill[p] == cap) {
+              flush(p, cap, internal::SimWarpOf(base + j - begin, ws));
             }
-          }
-        } else {
-          for (uint64_t i = begin; i < end; ++i) {
-            Tuple t = in.Get(i);
-            uint32_t p = radix.PartitionOf(t.key);
-            const uint32_t warp = internal::SimWarpOf(i - begin,
-                                                      ctx.warp_size());
-            if (fill[p] == cap) flush(p, cap, warp);
-            shadow.Store((static_cast<uint64_t>(p) * cap + fill[p]) *
-                             sizeof(Tuple),
-                         sizeof(Tuple), warp);
-            buffers[static_cast<uint64_t>(p) * cap + fill[p]++] = t;
+            if (shadow_on) {
+              shadow.Store((static_cast<uint64_t>(p) * cap + fill[p]) *
+                               sizeof(Tuple),
+                           sizeof(Tuple),
+                           internal::SimWarpOf(base + j - begin, ws));
+            }
+            buffers[static_cast<uint64_t>(p) * cap + fill[p]++] = batch[j];
           }
         }
         // End of input: the leader warp drains the partially filled buffers.

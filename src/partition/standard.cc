@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "util/fastpath.h"
-
 namespace triton::partition {
 
 template <typename Input>
@@ -35,28 +33,18 @@ PartitionRun StandardPartitioner::Run(exec::Device& dev, const Input& input,
         touched.clear();
         touched.reserve(warp);
         uint64_t writes = 0;
-        const bool fast = util::FastPathEnabled();
-        // Fast path: fetch and hash each warp's tuples once, then reuse the
-        // indices for both the run-count and scatter loops (the per-tuple
-        // path below computes them twice). Values and order are identical.
+        // Each warp's tuples are fetched and hashed once; the indices feed
+        // both the run-count and the scatter loop.
         Tuple batch[64];
         uint32_t pidx[64];
         CHECK_LE(warp, 64u);
         for (uint64_t i = begin; i < end; i += warp) {
-          uint64_t batch_end = std::min(end, i + warp);
+          const uint64_t m = std::min(end, i + warp) - i;
           const uint32_t sim_warp = internal::SimWarpOf(i - begin, warp);
-          if (fast) {
-            const uint64_t m = batch_end - i;
-            in.GetBatch(i, m, batch);
-            radix.PartitionsOf(batch, m, pidx);
-            for (uint64_t j = 0; j < m; ++j) {
-              if (run_count[pidx[j]]++ == 0) touched.push_back(pidx[j]);
-            }
-          } else {
-            for (uint64_t j = i; j < batch_end; ++j) {
-              uint32_t p = radix.PartitionOf(in.Get(j).key);
-              if (run_count[p]++ == 0) touched.push_back(p);
-            }
+          in.GetBatch(i, m, batch);
+          radix.PartitionsOf(batch, m, pidx);
+          for (uint64_t j = 0; j < m; ++j) {
+            if (run_count[pidx[j]]++ == 0) touched.push_back(pidx[j]);
           }
           for (uint32_t p : touched) {
             uint64_t at = st.cursors[p];
@@ -66,16 +54,8 @@ PartitionRun StandardPartitioner::Run(exec::Device& dev, const Input& input,
             run_count[p] = 0;
           }
           touched.clear();
-          if (fast) {
-            const uint64_t m = batch_end - i;
-            for (uint64_t j = 0; j < m; ++j) {
-              ctx.Store(out, st.cursors[pidx[j]]++, batch[j]);
-            }
-          } else {
-            for (uint64_t j = i; j < batch_end; ++j) {
-              Tuple t = in.Get(j);
-              ctx.Store(out, st.cursors[radix.PartitionOf(t.key)]++, t);
-            }
+          for (uint64_t j = 0; j < m; ++j) {
+            ctx.Store(out, st.cursors[pidx[j]]++, batch[j]);
           }
         }
         return writes;

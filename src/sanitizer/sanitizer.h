@@ -12,10 +12,10 @@
 // and per scratchpad arena and checks, at Device::Launch granularity:
 //
 //   1. Accounting completeness — functional writes performed through the
-//      checked-access API (KernelContext::Store<T>/Load<T>) must be covered
-//      by accounted traffic within a tolerance, and accounted regions must
-//      lie inside live allocations (catches out-of-bounds flushes such as a
-//      cursor overrunning a partition extent).
+//      checked-access API (KernelContext::Store<T>/StoreRun<T>) must be
+//      covered by accounted traffic within a tolerance, and accounted
+//      regions must lie inside live allocations (catches out-of-bounds
+//      flushes such as a cursor overrunning a partition extent).
 //   2. Scratchpad memcheck — bounds and use-before-init on the per-block
 //      arena (catches SwwcBufferTuples sizing bugs at extreme fanouts).
 //   3. Warp racecheck — two lanes of different warps writing the same

@@ -266,6 +266,34 @@ TEST_F(ParallelIdentityTest, HierarchicalPartitionerIsThreadCountInvariant) {
   }
 }
 
+// One block per SM, as TritonJoin launches pass 1: far more blocks than
+// worker threads, so every worker runs many blocks.
+TEST_F(ParallelIdentityTest,
+       SharedPartitionerAtOneBlockPerSmIsThreadCountInvariant) {
+  partition::SharedPartitioner shared;
+  const uint32_t blocks = hw_.gpu.num_sms;
+  ASSERT_GT(blocks, 8u);
+  PartResult serial = RunPartition(shared, 1, 96 * 1024, 6, blocks);
+  for (uint32_t threads : {2u, 8u}) {
+    PartResult par = RunPartition(shared, threads, 96 * 1024, 6, blocks);
+    ExpectPartResultEq(serial, par);
+  }
+}
+
+// The block count Hierarchical recommends for this GPU at fanout 128.
+TEST_F(ParallelIdentityTest,
+       HierarchicalPartitionerAtRecommendedBlocksIsThreadCountInvariant) {
+  partition::HierarchicalPartitioner hier;
+  const uint32_t blocks = partition::HierarchicalRecommendedBlocks(
+      {}, hw_, exec::Device(hw_).allocator().gpu_free(), /*fanout=*/128);
+  ASSERT_GT(blocks, 8u);
+  PartResult serial = RunPartition(hier, 1, 96 * 1024, 7, blocks);
+  for (uint32_t threads : {2u, 8u}) {
+    PartResult par = RunPartition(hier, threads, 96 * 1024, 7, blocks);
+    ExpectPartResultEq(serial, par);
+  }
+}
+
 TEST_F(ParallelIdentityTest, GpuPrefixSumIsThreadCountInvariant) {
   auto run_once = [&](uint32_t threads) {
     ThreadsGuard guard(threads);
@@ -323,6 +351,31 @@ TEST_F(ParallelIdentityTest, CpuPartitionedJoinIsThreadCountInvariant) {
   JoinResult serial = RunJoin(1, 80000, make);
   for (uint32_t threads : {2u, 8u}) {
     JoinResult par = RunJoin(threads, 80000, make);
+    ExpectJoinResultEq(serial, par);
+  }
+}
+
+// No GPU cache: every pair spills, so the second-pass prefix sum also
+// copies the pair into GPU staging memory.
+TEST_F(ParallelIdentityTest, UncachedTritonJoinIsThreadCountInvariant) {
+  auto make = [] { return core::TritonJoin({.cache_bytes = 0}); };
+  JoinResult serial = RunJoin(1, 64 * 1024, make);
+  for (uint32_t threads : {2u, 8u}) {
+    JoinResult par = RunJoin(threads, 64 * 1024, make);
+    ExpectJoinResultEq(serial, par);
+  }
+}
+
+// Materialized results go through the shared join kernel's bulk stores.
+TEST_F(ParallelIdentityTest,
+       MaterializingCpuPartitionedJoinIsThreadCountInvariant) {
+  auto make = [] {
+    return join::CpuPartitionedJoin(
+        {.result_mode = join::ResultMode::kMaterialize});
+  };
+  JoinResult serial = RunJoin(1, 64 * 1024, make);
+  for (uint32_t threads : {2u, 8u}) {
+    JoinResult par = RunJoin(threads, 64 * 1024, make);
     ExpectJoinResultEq(serial, par);
   }
 }
@@ -393,16 +446,23 @@ TEST_F(ParallelSanitizerTest, OobFlushKeepsProvenanceAtEightThreads) {
   ThreadsGuard guard(8);
   auto buf = dev_->allocator().AllocateCpu(1000);
   ASSERT_TRUE(buf.ok());
+  const uint64_t words[2] = {7, 11};
   dev_->Launch({.name = "part1"}, [&](exec::KernelContext& ctx) {
     ctx.ForEachBlock(16, [&](exec::KernelContext& sub, uint32_t b) {
       sub.SetSanitizerBlock(b);
       if (b != 12) return;
       sub.SetSanitizerFlushSite(/*warp=*/3, /*partition=*/907);
+      // An in-bounds bulk store mid-run, accounted by the second flush,
+      // must not mask or duplicate the overrun report.
+      sub.StoreRun(*buf, 0, words, 2);
       sub.WriteNoTlb(*buf, buf->size() - 8, 48, /*random=*/true);
+      sub.WriteNoTlb(*buf, 0, sizeof(words), /*random=*/true);
       sub.AddTuples(1);
       sub.Charge(1);
     });
   });
+  EXPECT_EQ(buf->as<uint64_t>()[0], 7u);
+  EXPECT_EQ(buf->as<uint64_t>()[1], 11u);
   Violation v = TakeSingle(ViolationCode::kAccountedOutOfBounds);
   EXPECT_EQ(v.block, 12u);
   EXPECT_EQ(v.warp, 3u);
@@ -413,6 +473,61 @@ TEST_F(ParallelSanitizerTest, OobFlushKeepsProvenanceAtEightThreads) {
   EXPECT_NE(v.message.find("flush wrote 40 B past extent"),
             std::string::npos)
       << v.message;
+}
+
+// Every block bulk-stores two words into its own slot and accounts them;
+// block 12 also overruns the extent. The stored words and the report must
+// not depend on how the blocks are spread over worker threads.
+TEST_F(ParallelSanitizerTest, OobFlushReportIsThreadCountInvariant) {
+  constexpr uint32_t kBlocks = 16;
+  auto run = [&](uint32_t threads) {
+    ThreadsGuard guard(threads);
+    exec::Device dev(hw_, /*sanitize=*/true);
+    auto buf = dev.allocator().AllocateCpu(kBlocks * 2 * sizeof(uint64_t));
+    CHECK_OK(buf.status());
+    dev.Launch({.name = "part1"}, [&](exec::KernelContext& ctx) {
+      ctx.ForEachBlock(kBlocks, [&](exec::KernelContext& sub, uint32_t b) {
+        sub.SetSanitizerBlock(b);
+        sub.SetSanitizerFlushSite(/*warp=*/b % 4, /*partition=*/100 + b);
+        const uint64_t words[2] = {b, 7 * uint64_t{b} + 1};
+        sub.StoreRun(*buf, 2 * b, words, 2);
+        if (b == 12) {
+          sub.WriteNoTlb(*buf, buf->size() - 8, 48, /*random=*/true);
+        }
+        sub.WriteNoTlb(*buf, 2 * b * sizeof(uint64_t), sizeof(words),
+                       /*random=*/true);
+        sub.AddTuples(1);
+        sub.Charge(1);
+      });
+    });
+    const uint64_t* stored = buf->as<uint64_t>();
+    return std::make_pair(
+        std::vector<uint64_t>(stored, stored + 2 * kBlocks),
+        dev.sanitizer()->TakeViolations());
+  };
+  const auto [words1, vs1] = run(1);
+  for (uint32_t b = 0; b < kBlocks; ++b) {
+    EXPECT_EQ(words1[2 * b], b);
+    EXPECT_EQ(words1[2 * b + 1], 7 * uint64_t{b} + 1);
+  }
+  ASSERT_EQ(vs1.size(), 1u);
+  EXPECT_EQ(vs1[0].code, ViolationCode::kAccountedOutOfBounds);
+  EXPECT_EQ(vs1[0].block, 12u);
+  EXPECT_NE(vs1[0].message.find("partition 112"), std::string::npos)
+      << vs1[0].message;
+  EXPECT_NE(vs1[0].message.find("flush wrote 40 B past extent"),
+            std::string::npos)
+      << vs1[0].message;
+  for (uint32_t threads : {2u, 8u}) {
+    const auto [words, vs] = run(threads);
+    EXPECT_EQ(words, words1) << "threads " << threads;
+    ASSERT_EQ(vs.size(), 1u) << "threads " << threads;
+    EXPECT_EQ(vs[0].code, vs1[0].code);
+    EXPECT_EQ(vs[0].block, vs1[0].block);
+    EXPECT_EQ(vs[0].warp, vs1[0].warp);
+    EXPECT_EQ(vs[0].partition, vs1[0].partition);
+    EXPECT_EQ(vs[0].message, vs1[0].message);
+  }
 }
 
 TEST_F(ParallelSanitizerTest, ViolationsMergeInBlockOrderAtEightThreads) {

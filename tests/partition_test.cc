@@ -1,7 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <map>
+#include <cstring>
 #include <memory>
 #include <vector>
 
@@ -15,6 +15,7 @@
 #include "partition/prefix_sum.h"
 #include "partition/shared.h"
 #include "partition/standard.h"
+#include "sanitizer/sanitizer.h"
 #include "sim/hw_spec.h"
 #include "util/units.h"
 
@@ -40,41 +41,51 @@ class PartitionTest : public ::testing::Test {
     return std::move(wl).value();
   }
 
-  /// Verifies every tuple of `input` appears in its correct partition of
-  /// the output, and that slice sizes are exact.
+  /// Exact-scatter oracle: compares every slice of `out` byte for byte
+  /// with a reference stable scatter of `input`. Block b owns the
+  /// contiguous chunk [b * ceil(n / B), (b + 1) * ceil(n / B)) of the
+  /// input, and its tuples of partition p land at SliceBegin(p, b) onward
+  /// in input order. Padding between slices is outside the contract.
   template <typename Input>
   void VerifyPartitioned(const Input& input, const PartitionLayout& layout,
                          const mem::Buffer& out) {
-    const Tuple* rows = out.as<Tuple>();
-    // 1. Every output slot holds a tuple of the right partition.
+    const uint64_t n = input.size();
+    std::vector<Tuple> in(n);
+    input.GetBatch(0, n, in.data());
+    const uint32_t fanout = layout.fanout();
+    const uint32_t blocks = layout.num_blocks();
+    const uint64_t chunk = (n + blocks - 1) / blocks;
+    std::vector<Tuple> expected(layout.padded_tuples());
+    std::vector<uint64_t> cursor(fanout);
     uint64_t total = 0;
-    for (uint32_t p = 0; p < layout.fanout(); ++p) {
-      layout.ForEachSlice(p, [&](uint64_t begin, uint64_t count) {
-        for (uint64_t i = begin; i < begin + count; ++i) {
-          ASSERT_EQ(layout.radix().PartitionOf(rows[i].key), p)
-              << "tuple at " << i << " in wrong partition";
-        }
-        total += count;
-      });
+    for (uint32_t b = 0; b < blocks; ++b) {
+      for (uint32_t p = 0; p < fanout; ++p) {
+        cursor[p] = layout.SliceBegin(p, b);
+      }
+      const uint64_t begin = std::min(n, b * chunk);
+      const uint64_t end = std::min(n, begin + chunk);
+      for (uint64_t i = begin; i < end; ++i) {
+        const uint32_t p = layout.radix().PartitionOf(in[i].key);
+        ASSERT_LT(cursor[p], layout.SliceBegin(p, b) + layout.SliceSize(p, b))
+            << "slice (" << p << ", " << b << ") overflows";
+        expected[cursor[p]++] = in[i];
+      }
+      for (uint32_t p = 0; p < fanout; ++p) {
+        ASSERT_EQ(cursor[p], layout.SliceBegin(p, b) + layout.SliceSize(p, b))
+            << "slice (" << p << ", " << b << ") is short";
+        total += layout.SliceSize(p, b);
+      }
     }
-    ASSERT_EQ(total, input.size());
-
-    // 2. The output is a permutation of the input (multiset equality over
-    //    key+value).
-    std::map<std::pair<int64_t, int64_t>, int64_t> counts;
-    for (uint64_t i = 0; i < input.size(); ++i) {
-      Tuple t = input.Get(i);
-      ++counts[{t.key, t.value}];
-    }
-    for (uint32_t p = 0; p < layout.fanout(); ++p) {
-      layout.ForEachSlice(p, [&](uint64_t begin, uint64_t count) {
-        for (uint64_t i = begin; i < begin + count; ++i) {
-          --counts[{rows[i].key, rows[i].value}];
-        }
-      });
-    }
-    for (const auto& [kv, c] : counts) {
-      ASSERT_EQ(c, 0) << "key " << kv.first;
+    ASSERT_EQ(total, n);
+    const Tuple* rows = out.as<Tuple>();
+    for (uint32_t p = 0; p < fanout; ++p) {
+      for (uint32_t b = 0; b < blocks; ++b) {
+        const uint64_t at = layout.SliceBegin(p, b);
+        ASSERT_EQ(std::memcmp(rows + at, expected.data() + at,
+                              layout.SliceSize(p, b) * sizeof(Tuple)),
+                  0)
+            << "slice (" << p << ", " << b << ") differs from the reference";
+      }
     }
   }
 
@@ -247,17 +258,18 @@ TEST_F(PartitionTest, TwoPassPartitioningRefinesPartitions) {
       dev_->allocator().AllocateCpu(layout1.padded_tuples() * sizeof(Tuple));
   CHECK_OK(out1.status());
   shared.PartitionColumns(*dev_, input, layout1, *out1, {});
+  VerifyPartitioned(input, layout1, *out1);
 
-  // Second pass over partition 2's slices.
+  // Second pass over partition 2, once per slice (RowInput) and once over
+  // the whole partition read through its slices (SlicedRowInput).
   RadixConfig pass2 = pass1.Next(4);
-  uint32_t p = 2;
-  layout1.ForEachSlice(p, [&](uint64_t begin, uint64_t count) {
-    RowInput rows(&*out1, begin, count);
+  const uint32_t p = 2;
+  auto refine = [&](const auto& rows, auto partition_fn) {
     PartitionLayout layout2 = GpuPrefixSum(*dev_, rows, pass2, 2);
     auto out2 = dev_->allocator().AllocateCpu(layout2.padded_tuples() *
                                               sizeof(Tuple));
     CHECK_OK(out2.status());
-    shared.PartitionRows(*dev_, rows, layout2, *out2, {});
+    (shared.*partition_fn)(*dev_, rows, layout2, *out2, {});
     VerifyPartitioned(rows, layout2, *out2);
     // All tuples in the sub-partitions still belong to first-pass
     // partition p.
@@ -270,7 +282,49 @@ TEST_F(PartitionTest, TwoPassPartitioningRefinesPartitions) {
         }
       });
     }
+  };
+  layout1.ForEachSlice(p, [&](uint64_t begin, uint64_t count) {
+    refine(RowInput(&*out1, begin, count), &SharedPartitioner::PartitionRows);
   });
+  refine(PartitionInputOf(*out1, layout1, p),
+         &SharedPartitioner::PartitionSliced);
+}
+
+// With GPU memory exhausted, Hierarchical cannot allocate its L2 buffers
+// in GPU memory and evicts each full L1 buffer straight to the output.
+TEST_F(PartitionTest, HierarchicalWithoutGpuMemoryFlushesL1Directly) {
+  exec::Device dev(hw_, /*sanitize=*/true);
+  data::WorkloadConfig cfg;
+  cfg.r_tuples = 20000;
+  cfg.s_tuples = 1;
+  auto wl = data::GenerateWorkload(dev.allocator(), cfg);
+  CHECK_OK(wl.status());
+  ColumnInput input = ColumnInput::Of(wl->r);
+  PartitionLayout layout = GpuPrefixSum(dev, input, RadixConfig{0, 6}, 4);
+  auto out =
+      dev.allocator().AllocateCpu(layout.padded_tuples() * sizeof(Tuple));
+  CHECK_OK(out.status());
+  HierarchicalPartitioner hier;
+
+  // Control: with GPU memory free, evictions stage through L2.
+  PartitionRun staged = hier.PartitionColumns(dev, input, layout, *out, {});
+  VerifyPartitioned(input, layout, *out);
+  EXPECT_GT(staged.record.counters.gpu_mem_write, 0u);
+
+  auto hog = dev.allocator().AllocateGpu(dev.allocator().gpu_free());
+  CHECK_OK(hog.status());
+  ASSERT_EQ(dev.allocator().gpu_free(), 0u);
+  std::memset(out->data(), 0, out->size());  // drop the control's output
+  PartitionRun direct = hier.PartitionColumns(dev, input, layout, *out, {});
+  VerifyPartitioned(input, layout, *out);
+  EXPECT_EQ(direct.record.counters.gpu_mem_write, 0u);
+  // Same L1 capacity and fill order as Shared, so the same flushes.
+  SharedPartitioner shared;
+  EXPECT_EQ(direct.flushes,
+            shared.PartitionColumns(dev, input, layout, *out, {}).flushes);
+  std::vector<sanitizer::Violation> vs = dev.sanitizer()->TakeViolations();
+  EXPECT_TRUE(vs.empty()) << vs.size() << " violation(s), first: "
+                          << vs.front().message;
 }
 
 // --- Design-goal properties (Table 1) ---

@@ -190,12 +190,13 @@ TEST(ServeDeterminismTest, EightTenantsBitIdenticalAcrossThreadCounts) {
 // --- Functional sanity of the mixed trace ---
 
 TEST(ServeServiceTest, JoinOutcomesMatchProbeSideCardinality) {
-  ServiceRun run = RunService(MixedConfig(), MixedTrace(2), 2);
+  const std::vector<Request> trace = MixedTrace(2);
+  ServiceRun run = RunService(MixedConfig(), trace, 2);
   for (const RequestOutcome& out : run.outcomes) {
     ASSERT_TRUE(out.status.ok()) << out.status.ToString();
     if (out.kind == RequestKind::kJoin) {
       // PK/FK join: every probe tuple matches exactly once.
-      const Request& req = MixedTrace(2)[out.id - 1];
+      const Request& req = trace[out.id - 1];
       EXPECT_EQ(out.matches, req.s_tuples);
     }
     EXPECT_GT(out.matches, 0u);
