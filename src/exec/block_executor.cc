@@ -1,7 +1,7 @@
 #include "exec/block_executor.h"
 
+#include <algorithm>
 #include <cstdlib>
-#include <utility>
 
 #include "util/logging.h"
 
@@ -61,21 +61,29 @@ void BlockExecutor::StopWorkers() {
   workers_.clear();
 }
 
-std::pair<uint32_t, std::exception_ptr> BlockExecutor::DrainBatch(
-    const std::function<void(uint32_t)>& fn, uint32_t num_blocks) {
-  uint32_t done = 0;
-  std::exception_ptr error;
-  while (true) {
-    uint32_t b = next_block_.fetch_add(1, std::memory_order_relaxed);
-    if (b >= num_blocks) break;
-    try {
-      fn(b);
-    } catch (...) {
-      if (error == nullptr) error = std::current_exception();
-    }
-    ++done;
+void BlockExecutor::RunBlock(const std::function<void(uint32_t)>& fn,
+                             uint32_t b) {
+  try {
+    fn(b);
+  } catch (...) {
+    errors_[b] = std::current_exception();
   }
-  return {done, error};
+  done_[b].store(1, std::memory_order_release);
+}
+
+void BlockExecutor::DrainBatch(const std::function<void(uint32_t)>& fn,
+                               uint32_t num_blocks, Order order) {
+  if (order == Order::kSequential) {
+    // The whole batch is one claim: whoever wins it runs every block.
+    if (next_block_.fetch_add(1, std::memory_order_relaxed) != 0) return;
+    for (uint32_t b = 0; b < num_blocks; ++b) RunBlock(fn, b);
+    return;
+  }
+  while (true) {
+    const uint32_t b = next_block_.fetch_add(1, std::memory_order_relaxed);
+    if (b >= num_blocks) return;
+    RunBlock(fn, b);
+  }
 }
 
 void BlockExecutor::WorkerLoop() {
@@ -89,51 +97,89 @@ void BlockExecutor::WorkerLoop() {
     if (batch_fn_ == nullptr) continue;  // batch already fully reduced
     const std::function<void(uint32_t)>* fn = batch_fn_;
     const uint32_t num_blocks = batch_blocks_;
+    const Order order = batch_order_;
     ++active_workers_;
     lock.unlock();
-    auto [done, error] = DrainBatch(*fn, num_blocks);
+    DrainBatch(*fn, num_blocks, order);
     lock.lock();
-    --active_workers_;
-    blocks_done_ += done;
-    if (error != nullptr && first_error_ == nullptr) first_error_ = error;
-    if (active_workers_ == 0 && blocks_done_ == batch_blocks_) {
-      done_cv_.notify_all();
-    }
+    if (--active_workers_ == 0) done_cv_.notify_all();
   }
 }
 
 void BlockExecutor::Run(uint32_t num_blocks,
-                        const std::function<void(uint32_t)>& fn) {
+                        const std::function<void(uint32_t)>& fn,
+                        const std::function<void(uint32_t)>& reduce,
+                        Order order) {
   if (num_blocks == 0) return;
   if (threads_ == 1 || num_blocks == 1 || workers_.empty()) {
-    for (uint32_t b = 0; b < num_blocks; ++b) fn(b);
+    std::exception_ptr error;
+    for (uint32_t b = 0; b < num_blocks; ++b) {
+      try {
+        fn(b);
+      } catch (...) {
+        if (error == nullptr) error = std::current_exception();
+      }
+      if (reduce) reduce(b);
+    }
+    if (error != nullptr) std::rethrow_exception(error);
     return;
   }
   {
     std::lock_guard<std::mutex> lock(mu_);
     CHECK(batch_fn_ == nullptr) << "BlockExecutor::Run is not reentrant";
+    if (capacity_ < num_blocks) {
+      capacity_ = std::max(num_blocks, 2 * capacity_);
+      done_ = std::make_unique<std::atomic<uint8_t>[]>(capacity_);
+      errors_.resize(capacity_);
+    }
+    for (uint32_t b = 0; b < num_blocks; ++b) {
+      done_[b].store(0, std::memory_order_relaxed);
+      errors_[b] = nullptr;
+    }
     batch_fn_ = &fn;
     batch_blocks_ = num_blocks;
-    blocks_done_ = 0;
-    first_error_ = nullptr;
+    batch_order_ = order;
     next_block_.store(0, std::memory_order_relaxed);
     ++batch_id_;
   }
   work_cv_.notify_all();
-  auto [done, error] = DrainBatch(fn, num_blocks);
-  std::exception_ptr batch_error;
+
+  // Reduce block `next` as soon as it is done; otherwise help run blocks
+  // (any-order batches only), and once none are left to claim, wait.
+  std::exception_ptr error;
+  bool reducing = static_cast<bool>(reduce);
+  bool claiming = order == Order::kAny;
+  for (uint32_t next = 0; next < num_blocks;) {
+    if (done_[next].load(std::memory_order_acquire) != 0) {
+      if (error == nullptr) error = errors_[next];
+      if (reducing) {
+        try {
+          reduce(next);
+        } catch (...) {
+          if (error == nullptr) error = std::current_exception();
+          reducing = false;
+        }
+      }
+      ++next;
+      continue;
+    }
+    if (claiming) {
+      const uint32_t b = next_block_.fetch_add(1, std::memory_order_relaxed);
+      if (b < num_blocks) {
+        RunBlock(fn, b);
+        continue;
+      }
+      claiming = false;
+    }
+    std::this_thread::yield();
+  }
   {
     std::unique_lock<std::mutex> lock(mu_);
-    blocks_done_ += done;
-    if (error != nullptr && first_error_ == nullptr) first_error_ = error;
-    done_cv_.wait(lock, [&] {
-      return blocks_done_ == batch_blocks_ && active_workers_ == 0;
-    });
+    done_cv_.wait(lock, [&] { return active_workers_ == 0; });
     batch_fn_ = nullptr;
     batch_blocks_ = 0;
-    batch_error = std::exchange(first_error_, nullptr);
   }
-  if (batch_error != nullptr) std::rethrow_exception(batch_error);
+  if (error != nullptr) std::rethrow_exception(error);
 }
 
 }  // namespace triton::exec

@@ -142,6 +142,18 @@ void KernelContext::ReplayDeferredLog() {
 void KernelContext::ForEachBlock(
     uint32_t num_blocks,
     const std::function<void(KernelContext&, uint32_t)>& body) {
+  RunBlocks(num_blocks, /*in_order=*/false, body);
+}
+
+void KernelContext::ForEachBlockInOrder(
+    uint32_t num_blocks,
+    const std::function<void(KernelContext&, uint32_t)>& body) {
+  RunBlocks(num_blocks, /*in_order=*/true, body);
+}
+
+void KernelContext::RunBlocks(
+    uint32_t num_blocks, bool in_order,
+    const std::function<void(KernelContext&, uint32_t)>& body) {
   CHECK(!defer_tlb_) << "ForEachBlock cannot nest inside a block";
   // Sub-context arena: one frame per ForEachBlock, recycled across
   // launches. This mirrors the mem::Allocator BeginArena/EndArena frame
@@ -152,7 +164,7 @@ void KernelContext::ForEachBlock(
   // host contexts is invisible to the model. Thread-local so concurrent
   // launches on different devices never share a frame; contexts are fully
   // reinitialized (ResetForBlock) before each use and drop their sanitizer
-  // forks at frame close so nothing outlives the device.
+  // forks when reduced so nothing outlives the device.
   //
   // Worker threads must reach the *launching* thread's frame, so the
   // dispatch lambda goes through an explicit pointer — a thread_local name
@@ -174,23 +186,26 @@ void KernelContext::ForEachBlock(
     }
   }
   const std::unique_ptr<KernelContext>* subs = arena.data();
+  // Deterministic reduction, on this thread while later blocks run: replay
+  // each block's shared-TLB log and merge its counter shard and sanitizer
+  // state, strictly in block order. This is the only place shared TLB
+  // state advances for these blocks, and the replay order equals the
+  // serial execution order, so every counter and latency is bit-identical
+  // to a single-threaded run.
   BlockExecutor::Global().Run(
-      num_blocks, [subs, &body](uint32_t b) { body(*subs[b], b); });
-  // Deterministic reduction: replay each block's shared-TLB log and merge
-  // its counter shard and sanitizer state, strictly in block order. This is
-  // the only place shared TLB state advances for these blocks, and the
-  // replay order equals the serial execution order, so every counter and
-  // latency is bit-identical to a single-threaded run.
-  for (uint32_t b = 0; b < num_blocks; ++b) {
-    KernelContext& sub = *arena[b];
-    sub.ReplayDeferredLog();
-    counters_.Merge(sub.counters_);
-    random_latency_sum_ += sub.random_latency_sum_;
-    random_accesses_ += sub.random_accesses_;
-    if (san_ != nullptr) san_->MergeBlock(*sub.san_fork_);
-    sub.san_fork_.reset();
-    sub.san_ = nullptr;
-  }
+      num_blocks, [subs, &body](uint32_t b) { body(*subs[b], b); },
+      [this, subs](uint32_t b) {
+        KernelContext& sub = *subs[b];
+        sub.ReplayDeferredLog();
+        counters_.Merge(sub.counters_);
+        random_latency_sum_ += sub.random_latency_sum_;
+        random_accesses_ += sub.random_accesses_;
+        if (san_ != nullptr) san_->MergeBlock(*sub.san_fork_);
+        sub.san_fork_.reset();
+        sub.san_ = nullptr;
+      },
+      in_order ? BlockExecutor::Order::kSequential
+               : BlockExecutor::Order::kAny);
 }
 
 void KernelContext::ReadSeq(const mem::Buffer& buf, uint64_t offset,
@@ -273,7 +288,7 @@ void KernelContext::Flush(const mem::Buffer& buf, uint64_t offset,
   // straddles a range boundary needs both translations, which the plain
   // WriteRand path (one replay at the start address) under-counts. Inside
   // ForEachBlock the replay is deferred to the block-ordered reduction, so
-  // a flush never mutates shared TLB state mid-kernel.
+  // a block never touches the shared TLB itself.
   SharedTlbRun(addr, size, loc, /*with_latency=*/true);
 }
 

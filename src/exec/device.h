@@ -9,16 +9,20 @@
 // launch), runs the kernel, evaluates the cost model, and appends a
 // KernelRecord to the device trace used by the time-breakdown figures.
 //
-// Execution model: kernels decompose into independent thread blocks and run
-// them through KernelContext::ForEachBlock, which executes blocks on the
+// Execution model: kernels decompose into thread blocks and run them
+// through KernelContext::ForEachBlock, which executes blocks on the
 // process-wide exec::BlockExecutor worker pool. Each block receives a
 // private sub-context that shards the counters, defers every shared-TLB
-// access into a replay log, and forks the sanitizer's shadow state; at the
-// end of ForEachBlock the logs are replayed through the shared
-// sim::TlbSimulator and all shards merged *in block order*, so results,
-// counters and violation provenance are bit-identical for any thread count
-// (the serial path uses the same code). Shared device state (TLB,
-// allocator, trace) must never be mutated while blocks are in flight.
+// access into a replay log, and forks the sanitizer's shadow state. The
+// launching thread reduces the blocks strictly in block order — replays
+// each log through the shared sim::TlbSimulator and merges each shard —
+// as soon as a block and all blocks before it have finished, while later
+// blocks still run. Blocks never touch the shared TLB or sanitizer; one
+// reducing thread advances them, in block order, so results, counters and
+// violation provenance are bit-identical for any thread count (one thread
+// reduces each block right after it runs). Kernels whose functional
+// result depends on block order use ForEachBlockInOrder instead. The
+// allocator and the trace must not be used inside a block.
 
 #ifndef TRITON_EXEC_DEVICE_H_
 #define TRITON_EXEC_DEVICE_H_
@@ -81,15 +85,27 @@ class KernelContext : private sim::TlbEscalationSink {
   // --- Parallel block execution ---
 
   /// Runs body(sub, b) for every block b in [0, num_blocks) on the global
-  /// exec::BlockExecutor. Each block gets a private sub-context (sharded
-  /// counters, deferred shared-TLB log, forked sanitizer state); when all
-  /// blocks finish, the shards are reduced into this context strictly in
-  /// block order, which makes counters and sanitizer provenance
-  /// bit-identical to serial execution for any thread count. The body must
-  /// route all accounting through its sub-context and must not touch the
-  /// Device's allocator, trace, or shared TLB.
+  /// exec::BlockExecutor, in any order on any thread. Each block gets a
+  /// private sub-context (sharded counters, deferred shared-TLB log, forked
+  /// sanitizer state). The calling thread reduces the shards into this
+  /// context strictly in block order, each as soon as its block and all
+  /// blocks before it have finished, while later blocks still run; so
+  /// counters and sanitizer provenance are bit-identical to serial
+  /// execution for any thread count. The body must route all accounting
+  /// through its sub-context and must not touch the Device's allocator,
+  /// trace, shared TLB or sanitizer.
   void ForEachBlock(uint32_t num_blocks,
                     const std::function<void(KernelContext&, uint32_t)>& body);
+
+  /// ForEachBlock for kernels whose functional result depends on block
+  /// order (a hash-table build whose insertion order decides the layout):
+  /// the blocks run one after another in ascending order on one pool
+  /// thread — each sees the previous one's writes — while the calling
+  /// thread reduces the finished ones. With one thread each block is
+  /// reduced right after it runs.
+  void ForEachBlockInOrder(
+      uint32_t num_blocks,
+      const std::function<void(KernelContext&, uint32_t)>& body);
 
   /// Escalation target for block-local TLBs (sim::BlockTlb): inside a
   /// ForEachBlock sub-context this logs the miss for ordered replay at
@@ -276,6 +292,10 @@ class KernelContext : private sim::TlbEscalationSink {
   /// Replays this sub-context's deferred log through the shared device TLB
   /// (called by the parent during the block-ordered reduction).
   void ReplayDeferredLog();
+
+  /// Shared body of ForEachBlock / ForEachBlockInOrder.
+  void RunBlocks(uint32_t num_blocks, bool in_order,
+                 const std::function<void(KernelContext&, uint32_t)>& body);
 
   Device* device_;
   KernelConfig config_;

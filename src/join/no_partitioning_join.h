@@ -9,6 +9,22 @@
 // performance cliff: with linear probing the 50% load factor doubles the
 // table size, blowing the TLB range and collapsing throughput by 400x
 // versus perfect hashing (Section 6.2.2).
+//
+// Execution: both phases run as thread blocks over contiguous input
+// chunks, in waves. The probe uses KernelContext::ForEachBlock: blocks run
+// in any order, stage their matches, and are appended in block order. The
+// build uses ForEachBlockInOrder, because insertion order decides the
+// linear-probing layout and the chain order. Either way the launching
+// thread replays each finished block's TLB accesses in input order while
+// later blocks run, so every counter equals a serial run's.
+//
+// Input contract: probe keys may take any value. Build keys must be
+// unique and lie in 1..|R| for kPerfect, and be unique and nonzero for
+// kLinearProbing (key 0 marks an empty slot); a violation is refused with
+// InvalidArgument naming the first offending row. kBucketChaining accepts
+// any build keys, but a materialized result is limited to |S| rows: more
+// matches than that (repeated build keys) are refused with
+// ResourceExhausted.
 
 #ifndef TRITON_JOIN_NO_PARTITIONING_JOIN_H_
 #define TRITON_JOIN_NO_PARTITIONING_JOIN_H_
@@ -40,8 +56,9 @@ class NoPartitioningJoin {
   explicit NoPartitioningJoin(NoPartitioningJoinConfig config = {})
       : config_(config) {}
 
-  /// Joins r (build, primary keys) with s (probe). Returns match count,
-  /// checksum and simulated timing.
+  /// Joins r (build) with s (probe). Returns match count, checksum and
+  /// simulated timing, or refuses input outside the contract in the file
+  /// comment.
   util::StatusOr<JoinRun> Run(exec::Device& dev, const data::Relation& r,
                               const data::Relation& s);
 

@@ -117,9 +117,9 @@ struct TranslationRunResult {
 /// sim::BlockTlb models the per-SM L1 and shared-slice levels itself and
 /// hands full misses to a sink. During serial execution the sink is the
 /// Device's TlbSimulator directly; under parallel block execution it is a
-/// per-block deferring sink (exec::KernelContext) that logs the escalation
-/// and replays it through the shared TlbSimulator in block order at launch
-/// end — shared TLB state must never be mutated while blocks are in flight.
+/// per-block deferring sink (exec::KernelContext) that logs the escalation.
+/// Blocks never touch the shared TlbSimulator: the one reducing thread
+/// replays their logs through it, in block order.
 class TlbEscalationSink {
  public:
   virtual ~TlbEscalationSink() = default;
@@ -168,13 +168,6 @@ class TlbSimulator : public TlbEscalationSink {
   void FlushAll();
 
   const TlbSpec& spec() const { return spec_; }
-
-  /// Total lookups across all levels: advances only when shared TLB state
-  /// is touched, so tests can assert the replay-at-reduction contract
-  /// (no shared mutation while blocks are in flight).
-  uint64_t TotalLookups() const {
-    return l2_.lookups() + l3_.lookups() + iommu_iotlb_.lookups();
-  }
 
  private:
   TlbSpec spec_;

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <memory>
+#include <vector>
 
 #include "data/generator.h"
 #include "exec/device.h"
@@ -10,6 +12,7 @@
 #include "join/no_partitioning_join.h"
 #include "join/scratch_join.h"
 #include "sim/hw_spec.h"
+#include "util/status.h"
 #include "util/units.h"
 
 namespace triton::join {
@@ -122,6 +125,125 @@ TEST_F(JoinTest, NpjAggregateSkipsResultTraffic) {
   ASSERT_TRUE(a.ok());
   EXPECT_EQ(m->checksum, a->checksum);
   EXPECT_GT(m->totals.link_write_payload, a->totals.link_write_payload);
+}
+
+// --- NPJ input contract ---
+
+/// A relation holding `keys`, payload 3 * row + 1.
+data::Relation MakeRelation(mem::Allocator& alloc,
+                            const std::vector<data::Key>& keys) {
+  auto rel = data::Relation::AllocateCpu(alloc, keys.size());
+  CHECK_OK(rel.status());
+  for (uint64_t i = 0; i < keys.size(); ++i) {
+    rel->keys()[i] = keys[i];
+    rel->payload(0)[i] = static_cast<data::Value>(3 * i + 1);
+  }
+  return std::move(rel).value();
+}
+
+TEST_F(JoinTest, NpjBucketChainingRefusesResultPastProbeRows) {
+  // R = S = 1024 tuples of key 7: 2^20 matches, far more than the
+  // |S|-row result buffer holds.
+  const std::vector<data::Key> sevens(1024, 7);
+  data::Relation r = MakeRelation(dev_->allocator(), sevens);
+  data::Relation s = MakeRelation(dev_->allocator(), sevens);
+  NoPartitioningJoin mat({.scheme = HashScheme::kBucketChaining,
+                          .result_mode = ResultMode::kMaterialize});
+  auto m = mat.Run(*dev_, r, s);
+  ASSERT_FALSE(m.ok());
+  EXPECT_EQ(m.status().code(), util::StatusCode::kResourceExhausted)
+      << m.status().ToString();
+  // Aggregating the same input is exact.
+  NoPartitioningJoin agg({.scheme = HashScheme::kBucketChaining,
+                          .result_mode = ResultMode::kAggregate});
+  auto a = agg.Run(*dev_, r, s);
+  ASSERT_TRUE(a.ok()) << a.status().ToString();
+  EXPECT_EQ(a->matches, 1024u * 1024u);
+  EXPECT_EQ(a->checksum, ReferenceChecksum(r, s));
+}
+
+TEST_F(JoinTest, NpjPerfectRefusesBuildKeyOutsideOneToR) {
+  const uint64_t n = 5000;
+  std::vector<data::Key> dense(n);
+  for (uint64_t i = 0; i < n; ++i) dense[i] = static_cast<data::Key>(i + 1);
+  data::Relation s = MakeRelation(dev_->allocator(), dense);
+  for (data::Key bad : {data::Key{0}, data::Key{-3},
+                        static_cast<data::Key>(n + 1),
+                        std::numeric_limits<data::Key>::max()}) {
+    std::vector<data::Key> keys = dense;
+    keys[n / 2] = bad;
+    data::Relation r = MakeRelation(dev_->allocator(), keys);
+    for (ResultMode mode : {ResultMode::kMaterialize, ResultMode::kAggregate}) {
+      NoPartitioningJoin npj(
+          {.scheme = HashScheme::kPerfect, .result_mode = mode});
+      auto run = npj.Run(*dev_, r, s);
+      ASSERT_FALSE(run.ok()) << "build key " << bad;
+      EXPECT_EQ(run.status().code(), util::StatusCode::kInvalidArgument)
+          << run.status().ToString();
+    }
+  }
+}
+
+class NpjUniqueKeySchemeTest
+    : public JoinTest,
+      public ::testing::WithParamInterface<HashScheme> {};
+
+TEST_P(NpjUniqueKeySchemeTest, RefusesRepeatedBuildKeys) {
+  // R holds 1..512 twice: every probe key matches two build tuples, so
+  // the reference answer is 1024 matches. A perfect slot keeps one of
+  // them and a linear probe stops at the first.
+  std::vector<data::Key> r_keys, s_keys;
+  for (data::Key k = 1; k <= 512; ++k) s_keys.push_back(k);
+  r_keys = s_keys;
+  r_keys.insert(r_keys.end(), s_keys.begin(), s_keys.end());
+  data::Relation r = MakeRelation(dev_->allocator(), r_keys);
+  data::Relation s = MakeRelation(dev_->allocator(), s_keys);
+  for (ResultMode mode : {ResultMode::kMaterialize, ResultMode::kAggregate}) {
+    NoPartitioningJoin npj({.scheme = GetParam(), .result_mode = mode});
+    auto run = npj.Run(*dev_, r, s);
+    ASSERT_FALSE(run.ok());
+    EXPECT_EQ(run.status().code(), util::StatusCode::kInvalidArgument)
+        << run.status().ToString();
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Schemes, NpjUniqueKeySchemeTest,
+                         ::testing::Values(HashScheme::kPerfect,
+                                           HashScheme::kLinearProbing),
+                         [](const auto& info) {
+                           return HashSchemeName(info.param);
+                         });
+
+TEST_F(JoinTest, NpjBucketChainingJoinsRepeatedBuildKeys) {
+  std::vector<data::Key> r_keys, s_keys;
+  for (data::Key k = 1; k <= 512; ++k) s_keys.push_back(k);
+  r_keys = s_keys;
+  r_keys.insert(r_keys.end(), s_keys.begin(), s_keys.end());
+  data::Relation r = MakeRelation(dev_->allocator(), r_keys);
+  data::Relation s = MakeRelation(dev_->allocator(), s_keys);
+  NoPartitioningJoin npj({.scheme = HashScheme::kBucketChaining,
+                          .result_mode = ResultMode::kAggregate});
+  auto run = npj.Run(*dev_, r, s);
+  ASSERT_TRUE(run.ok()) << run.status().ToString();
+  EXPECT_EQ(run->matches, 1024u);
+  EXPECT_EQ(run->checksum, ReferenceChecksum(r, s));
+}
+
+TEST_F(JoinTest, NpjLinearProbingKeyZero) {
+  // Key 0 marks an empty linear-probing slot: a probe for it must not
+  // match one, and a build key 0 is refused.
+  std::vector<data::Key> keys = {1, 2, 3, 4};
+  data::Relation r = MakeRelation(dev_->allocator(), keys);
+  data::Relation s = MakeRelation(dev_->allocator(), {0, 2, 0, 5});
+  NoPartitioningJoin npj({.scheme = HashScheme::kLinearProbing});
+  auto run = npj.Run(*dev_, r, s);
+  ASSERT_TRUE(run.ok()) << run.status().ToString();
+  EXPECT_EQ(run->matches, 1u);
+  EXPECT_EQ(run->checksum, ReferenceChecksum(r, s));
+  auto refused = npj.Run(*dev_, s, r);
+  ASSERT_FALSE(refused.ok());
+  EXPECT_EQ(refused.status().code(), util::StatusCode::kInvalidArgument)
+      << refused.status().ToString();
 }
 
 // --- Scratch joiner ---

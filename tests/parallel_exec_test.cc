@@ -7,18 +7,26 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <memory>
 #include <stdexcept>
+#include <string>
+#include <thread>
+#include <tuple>
 #include <vector>
 
 #include "core/triton_join.h"
 #include "data/generator.h"
 #include "exec/block_executor.h"
 #include "exec/device.h"
+#include "hash/perfect_table.h"
 #include "join/common.h"
 #include "join/cpu_partitioned_join.h"
+#include "join/no_partitioning_join.h"
 #include "join/scratch_join.h"
+#include "mem/allocator.h"
 #include "partition/hierarchical.h"
 #include "partition/input.h"
 #include "partition/layout.h"
@@ -26,6 +34,8 @@
 #include "partition/shared.h"
 #include "sanitizer/sanitizer.h"
 #include "sim/hw_spec.h"
+#include "sim/perf_counters.h"
+#include "sim/tlb.h"
 
 namespace triton {
 namespace {
@@ -111,35 +121,164 @@ TEST(BlockExecutorTest, ExceptionPropagatesAndPoolStaysUsable) {
   EXPECT_EQ(total.load(), 20);
 }
 
-// --- Shared-TLB replay-at-reduction contract ---
+// --- Block-ordered reduction contract ---
+//
+// Blocks never touch the shared TLB or sanitizer; the launching thread
+// reduces them in block order while later blocks run.
 
-// The shared device TLB must never be touched while blocks are in flight
-// (a mid-kernel mutation would make counters depend on block scheduling);
-// every deferred access replays in block order at the reduction step.
-TEST(TlbReplayContractTest, SharedTlbUntouchedWhileBlocksRun) {
-  ThreadsGuard guard(8);
-  sim::HwSpec hw = sim::HwSpec::Ac922NvLink().Scaled(64);
-  exec::Device dev(hw);
-  auto buf = dev.allocator().AllocateCpu(1 << 20);
-  ASSERT_TRUE(buf.ok());
-  uint64_t before = 0;
-  std::vector<uint64_t> seen_in_block(8, 0);
-  dev.Launch({.name = "replay_contract"}, [&](exec::KernelContext& ctx) {
-    before = dev.tlb().TotalLookups();
-    ctx.ForEachBlock(8, [&](exec::KernelContext& sub, uint32_t b) {
-      // A random access through the public API would hit the shared TLB
-      // immediately on a serial context; a sub-context must defer it.
-      sub.ReadRand(*buf, static_cast<uint64_t>(b) * 4096, 16);
-      seen_in_block[b] = dev.tlb().TotalLookups();
-    });
-    // Reduction has replayed the deferred accesses by the time
-    // ForEachBlock returns.
-    EXPECT_GT(dev.tlb().TotalLookups(), before);
-  });
-  for (uint32_t b = 0; b < 8; ++b) {
-    EXPECT_EQ(seen_in_block[b], before) << "block " << b
-                                        << " saw a mid-kernel TLB mutation";
+// 16 blocks of random accesses over a 16 MiB CPU buffer on a GPU whose L2
+// TLB holds 256 ranges of 8 KiB: hits and misses depend on replay order,
+// and the launch's counters must equal a standalone TlbSimulator fed the
+// same addresses in block order, in either mode and at any thread count.
+TEST(BlockReductionContractTest, ReplayMatchesStandaloneTlbInBlockOrder) {
+  constexpr uint32_t kBlocks = 16;
+  constexpr uint32_t kAccessesPerBlock = 500;
+  const sim::HwSpec hw = sim::HwSpec::Ac922NvLink().Scaled(4096);
+  const uint64_t buf_bytes = 16ull << 20;
+  ASSERT_GT(buf_bytes / hw.tlb.l2_entry_range,
+            hw.tlb.l2_coverage / hw.tlb.l2_entry_range);
+  auto offset_of = [&](uint32_t b, uint32_t i) {
+    uint64_t x = (uint64_t{b} << 32 | i) * 0x9e3779b97f4a7c15ULL;
+    x ^= x >> 29;
+    return (x % (buf_bytes / 16)) * 16;
+  };
+
+  auto expected_in = [&](const std::vector<uint32_t>& block_order,
+                         uint64_t base) {
+    sim::TlbSimulator tlb(hw.tlb);
+    sim::PerfCounters c;
+    for (uint32_t b : block_order) {
+      for (uint32_t i = 0; i < kAccessesPerBlock; ++i) {
+        tlb.Access(base + offset_of(b, i), sim::PageLocation::kCpuMem, &c);
+      }
+    }
+    return c;
+  };
+
+  for (bool in_order : {false, true}) {
+    for (uint32_t threads : {1u, 2u, 8u}) {
+      SCOPED_TRACE(testing::Message()
+                   << (in_order ? "in order" : "any order") << ", threads "
+                   << threads);
+      ThreadsGuard guard(threads);
+      exec::Device dev(hw, /*sanitize=*/true);
+      auto buf = dev.allocator().AllocateCpu(buf_bytes);
+      ASSERT_TRUE(buf.ok());
+      auto body = [&](exec::KernelContext& sub, uint32_t b) {
+        for (uint32_t i = 0; i < kAccessesPerBlock; ++i) {
+          sub.ReadRand(*buf, offset_of(b, i), 16);
+        }
+      };
+      exec::KernelRecord rec =
+          dev.Launch({.name = "replay"}, [&](exec::KernelContext& ctx) {
+            if (in_order) {
+              ctx.ForEachBlockInOrder(kBlocks, body);
+            } else {
+              ctx.ForEachBlock(kBlocks, body);
+            }
+          });
+      std::vector<uint32_t> order(kBlocks);
+      for (uint32_t b = 0; b < kBlocks; ++b) order[b] = b;
+      const sim::PerfCounters want = expected_in(order, buf->base_addr());
+      EXPECT_EQ(rec.counters.gpu_tlb_lookups, want.gpu_tlb_lookups);
+      EXPECT_EQ(rec.counters.gpu_tlb_misses, want.gpu_tlb_misses);
+      EXPECT_EQ(rec.counters.l3_hits, want.l3_hits);
+      EXPECT_EQ(rec.counters.iommu_requests, want.iommu_requests);
+      EXPECT_EQ(rec.counters.iommu_walks, want.iommu_walks);
+      // The order matters: the same accesses replayed in reverse block
+      // order give different counters.
+      std::reverse(order.begin(), order.end());
+      const sim::PerfCounters reversed =
+          expected_in(order, buf->base_addr());
+      EXPECT_NE(reversed.gpu_tlb_misses + reversed.l3_hits,
+                want.gpu_tlb_misses + want.l3_hits);
+      EXPECT_TRUE(dev.sanitizer()->CheckOk().ok());
+    }
   }
+}
+
+// In-order blocks run strictly one after another: each one checks and
+// bumps a plain counter, which TSan would report if two blocks overlapped
+// or a block missed the previous one's write. Each block sleeps, so idle
+// workers would claim blocks if the order were not enforced.
+TEST(BlockReductionContractTest, InOrderBlocksRunOneAfterAnother) {
+  ThreadsGuard guard(8);
+  exec::Device dev(sim::HwSpec::Ac922NvLink().Scaled(64));
+  constexpr uint32_t kBlocks = 200;
+  uint32_t next = 0;
+  std::vector<uint32_t> seen(kBlocks, kBlocks);
+  dev.Launch({.name = "in_order"}, [&](exec::KernelContext& ctx) {
+    ctx.ForEachBlockInOrder(kBlocks, [&](exec::KernelContext&, uint32_t b) {
+      seen[b] = next;
+      std::this_thread::sleep_for(std::chrono::microseconds(20));
+      ++next;
+    });
+  });
+  EXPECT_EQ(next, kBlocks);
+  for (uint32_t b = 0; b < kBlocks; ++b) EXPECT_EQ(seen[b], b);
+}
+
+// A throwing block, in either mode, is rethrown only after every block ran
+// and was reduced; with two throwing blocks the lower block's exception
+// wins; the pool then runs the next batch.
+void ExpectRethrowAfterDrain(uint32_t threads) {
+  SCOPED_TRACE(testing::Message() << "threads " << threads);
+  ThreadsGuard guard(threads);
+  constexpr uint32_t kBlocks = 50;
+  for (auto order : {exec::BlockExecutor::Order::kAny,
+                     exec::BlockExecutor::Order::kSequential}) {
+    std::atomic<uint32_t> ran{0};
+    std::vector<uint32_t> reduced;
+    try {
+      exec::BlockExecutor::Global().Run(
+          kBlocks,
+          [&](uint32_t b) {
+            ++ran;
+            if (b == 12 || b == 37) {
+              throw std::runtime_error("block " + std::to_string(b));
+            }
+          },
+          [&](uint32_t b) { reduced.push_back(b); }, order);
+      ADD_FAILURE() << "no exception";
+    } catch (const std::runtime_error& e) {
+      EXPECT_STREQ(e.what(), "block 12");
+    }
+    EXPECT_EQ(ran.load(), kBlocks);
+    ASSERT_EQ(reduced.size(), kBlocks);
+    for (uint32_t b = 0; b < kBlocks; ++b) EXPECT_EQ(reduced[b], b);
+    std::atomic<uint32_t> total{0};
+    exec::BlockExecutor::Global().Run(
+        20, [&](uint32_t) { ++total; }, {}, order);
+    EXPECT_EQ(total.load(), 20u);
+  }
+  // The same through a kernel's block loops.
+  exec::Device dev(sim::HwSpec::Ac922NvLink().Scaled(64), /*sanitize=*/false);
+  auto throws_at_5 = [](exec::KernelContext&, uint32_t b) {
+    if (b == 5) throw std::runtime_error("block 5");
+  };
+  for (bool in_order : {false, true}) {
+    EXPECT_THROW(dev.Launch({.name = "throws"},
+                            [&](exec::KernelContext& ctx) {
+                              if (in_order) {
+                                ctx.ForEachBlockInOrder(kBlocks, throws_at_5);
+                              } else {
+                                ctx.ForEachBlock(kBlocks, throws_at_5);
+                              }
+                            }),
+                 std::runtime_error);
+    uint32_t blocks_run = 0;
+    dev.Launch({.name = "next"}, [&](exec::KernelContext& ctx) {
+      ctx.ForEachBlockInOrder(kBlocks, [&](exec::KernelContext&, uint32_t) {
+        ++blocks_run;
+      });
+    });
+    EXPECT_EQ(blocks_run, kBlocks);
+  }
+}
+
+TEST(BlockReductionContractTest, ThrowingBlockRethrowsAfterPoolDrains) {
+  ExpectRethrowAfterDrain(1);
+  ExpectRethrowAfterDrain(8);
 }
 
 // --- Bit-identity scenarios ---
@@ -419,6 +558,164 @@ TEST_F(ParallelIdentityTest, JoinSlicesEmitMatchesJoinSlices) {
   EXPECT_EQ(emit_matches, direct_matches);
   EXPECT_EQ(emit_checksum, direct_checksum);
 }
+
+// --- No-partitioning join ---
+
+/// Forwards every allocator callback to the device's sanitizer and keeps a
+/// copy of the last freed buffer of `capture_bytes` bytes: the join frees
+/// its result buffer before returning, so this is how a test reads the
+/// materialized rows.
+class ResultCapture : public mem::AllocationObserver {
+ public:
+  ResultCapture(sanitizer::DeviceSanitizer* san, uint64_t capture_bytes)
+      : san_(san), capture_bytes_(capture_bytes) {}
+
+  void OnAlloc(const mem::Buffer& buffer) override {
+    if (san_ != nullptr) san_->OnAlloc(buffer);
+  }
+  void OnFree(const mem::Buffer& buffer) override {
+    if (buffer.size() == capture_bytes_) {
+      const auto* rows = buffer.as<hash::Entry>();
+      captured_.assign(rows, rows + capture_bytes_ / sizeof(hash::Entry));
+    }
+    if (san_ != nullptr) san_->OnFree(buffer);
+  }
+  void OnArenaBegin(uint64_t id, uint64_t base_addr) override {
+    if (san_ != nullptr) san_->OnArenaBegin(id, base_addr);
+  }
+  void OnArenaEnd(uint64_t id) override {
+    if (san_ != nullptr) san_->OnArenaEnd(id);
+  }
+  void OnArenaViolation(uint64_t id, const std::string& message) override {
+    if (san_ != nullptr) san_->OnArenaViolation(id, message);
+  }
+
+  const std::vector<hash::Entry>& captured() const { return captured_; }
+
+ private:
+  sanitizer::DeviceSanitizer* san_;
+  uint64_t capture_bytes_;
+  std::vector<hash::Entry> captured_;
+};
+
+/// (scheme, result mode, table spilled past GPU memory).
+using NpjCase = std::tuple<join::HashScheme, join::ResultMode, bool>;
+
+class NpjIdentityTest : public ::testing::TestWithParam<NpjCase> {
+ protected:
+  // |R| != |S|, so the result buffer is the only freed buffer of
+  // |S| x 16 bytes. Both sides exceed one wave of probe and build blocks.
+  static constexpr uint64_t kR = 270000;
+  static constexpr uint64_t kS = 300000;
+
+  struct NpjResult {
+    uint64_t matches = 0;
+    uint64_t checksum = 0;
+    std::vector<hash::Entry> rows;
+    sim::PerfCounters totals;
+    std::vector<exec::KernelRecord> phases;
+    double elapsed = 0.0;
+  };
+
+  NpjResult Run(uint32_t threads) {
+    const auto [scheme, mode, spilled] = GetParam();
+    // Spilled: 4 MiB of GPU memory and a 256-entry L2 TLB of 8 KiB ranges,
+    // so every table spills and its spilled part spans far more ranges
+    // than the TLB holds: hits and misses depend on replay order.
+    const sim::HwSpec hw =
+        sim::HwSpec::Ac922NvLink().Scaled(spilled ? 4096 : 64);
+    ThreadsGuard guard(threads);
+    exec::Device dev(hw, /*sanitize=*/true);
+    ResultCapture capture(dev.sanitizer(), kS * sizeof(hash::Entry));
+    dev.allocator().set_observer(&capture);
+    data::WorkloadConfig cfg;
+    cfg.r_tuples = kR;
+    cfg.s_tuples = kS;
+    auto wl = data::GenerateWorkload(dev.allocator(), cfg);
+    CHECK_OK(wl.status());
+    join::NoPartitioningJoin npj({.scheme = scheme, .result_mode = mode});
+    auto run = npj.Run(dev, wl->r, wl->s);
+    CHECK_OK(run.status());
+    if (spilled) {
+      EXPECT_GT(run->totals.link_read_txns, 0u) << "table did not spill";
+    }
+    NpjResult res;
+    res.matches = run->matches;
+    res.checksum = run->checksum;
+    res.totals = run->totals;
+    res.phases = run->phases;
+    res.elapsed = run->elapsed;
+    if (mode == join::ResultMode::kMaterialize) {
+      res.rows = capture.captured();
+      // PK/FK: row j pairs probe tuple j with the build tuple of its key.
+      std::vector<data::Value> payload_of(kR + 1);
+      for (uint64_t i = 0; i < kR; ++i) {
+        payload_of[wl->r.keys()[i]] = wl->r.payload(0)[i];
+      }
+      EXPECT_EQ(res.rows.size(), kS);
+      uint64_t wrong = 0;
+      for (uint64_t j = 0; j < std::min<uint64_t>(kS, res.rows.size()); ++j) {
+        wrong += res.rows[j].key != payload_of[wl->s.keys()[j]] ||
+                 res.rows[j].value != wl->s.payload(0)[j];
+      }
+      EXPECT_EQ(wrong, 0u) << "rows out of probe order at threads " << threads;
+    }
+    EXPECT_EQ(res.matches, kS);
+    std::vector<Violation> vs = dev.sanitizer()->TakeViolations();
+    EXPECT_TRUE(vs.empty()) << vs.size() << " violation(s) at threads "
+                            << threads << ", first: " << vs.front().message;
+    dev.allocator().set_observer(dev.sanitizer());
+    return res;
+  }
+};
+
+TEST_P(NpjIdentityTest, IsThreadCountInvariant) {
+  const NpjResult serial = Run(1);
+  for (uint32_t threads : {2u, 8u}) {
+    SCOPED_TRACE(testing::Message() << "threads " << threads);
+    const NpjResult par = Run(threads);
+    EXPECT_EQ(par.matches, serial.matches);
+    EXPECT_EQ(par.checksum, serial.checksum);
+    ASSERT_EQ(par.rows.size(), serial.rows.size());
+    for (size_t i = 0; i < serial.rows.size(); ++i) {
+      ASSERT_EQ(par.rows[i].key, serial.rows[i].key) << "row " << i;
+      ASSERT_EQ(par.rows[i].value, serial.rows[i].value) << "row " << i;
+    }
+    ExpectCountersEq(par.totals, serial.totals);
+    ASSERT_EQ(par.phases.size(), serial.phases.size());
+    for (size_t p = 0; p < serial.phases.size(); ++p) {
+      const exec::KernelRecord& a = par.phases[p];
+      const exec::KernelRecord& b = serial.phases[p];
+      EXPECT_EQ(a.name, b.name);
+      EXPECT_EQ(a.sms, b.sms);
+      ExpectCountersEq(a.counters, b.counters);
+      EXPECT_EQ(a.time.compute, b.time.compute) << a.name;
+      EXPECT_EQ(a.time.gpu_mem, b.time.gpu_mem) << a.name;
+      EXPECT_EQ(a.time.cpu_mem, b.time.cpu_mem) << a.name;
+      EXPECT_EQ(a.time.link, b.time.link) << a.name;
+      EXPECT_EQ(a.time.tlb, b.time.tlb) << a.name;
+      EXPECT_EQ(a.time.latency, b.time.latency) << a.name;
+    }
+    EXPECT_EQ(par.elapsed, serial.elapsed);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    SchemesModesPlacements, NpjIdentityTest,
+    ::testing::Combine(::testing::Values(join::HashScheme::kPerfect,
+                                         join::HashScheme::kLinearProbing,
+                                         join::HashScheme::kBucketChaining),
+                       ::testing::Values(join::ResultMode::kMaterialize,
+                                         join::ResultMode::kAggregate),
+                       ::testing::Bool()),
+    [](const auto& info) {
+      std::string name = join::HashSchemeName(std::get<0>(info.param));
+      name += std::get<1>(info.param) == join::ResultMode::kMaterialize
+                  ? "Materialize"
+                  : "Aggregate";
+      name += std::get<2>(info.param) ? "Spilled" : "InCore";
+      return name;
+    });
 
 // --- Sanitizer provenance under parallel execution ---
 
