@@ -67,7 +67,7 @@ util::StatusOr<AggregateRun> TritonAggregate::Run(exec::Device& dev,
 
   for (uint32_t p = 0; p < radix1.fanout(); ++p) {
     if (layout1.PartitionSize(p) == 0) continue;
-    partition::SlicedRowInput rows =
+    const partition::RowInput rows =
         partition::PartitionInputOf(state, layout1, p);
     partition::PrefixSumOptions ps2;
     ps2.name = "prefix_sum2";
@@ -78,7 +78,7 @@ util::StatusOr<AggregateRun> TritonAggregate::Run(exec::Device& dev,
     if (!refined.ok()) return refined.status();
     partition::PartitionOptions p2;
     p2.name = "partition2";
-    pass2.PartitionSliced(dev, rows, layout2, *refined, p2);
+    pass2.PartitionRows(dev, rows, layout2, *refined, p2);
 
     dev.Launch({.name = "aggregate"}, [&](exec::KernelContext& ctx) {
       const partition::Tuple* data = refined->as<partition::Tuple>();

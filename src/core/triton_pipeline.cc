@@ -108,22 +108,19 @@ util::Status JoinPair(exec::Device& dev, const Front& front, uint32_t p,
   const partition::RadixConfig radix2 = body.radix2;
   mem::Buffer* staging = body.staging;
 
-  partition::SlicedRowInput r_rows =
-      partition::PartitionInputOf(r1.state, r1.layout, p);
-  partition::SlicedRowInput s_rows =
-      partition::PartitionInputOf(s1.state, s1.layout, p);
-
-  // Second-pass prefix sums run on the GPU; with spilled state they double
-  // as the copy-in of the pair, so later kernels read GPU memory instead of
-  // re-crossing the link (Section 6.2.3).
+  // Second-pass prefix sums run on the GPU over the pair's pass-1 slices;
+  // with spilled state they double as the copy-in of the pair, so pass 2
+  // reads the staged copy in GPU memory instead of re-crossing the link
+  // (Section 6.2.3). Returns the view pass 2 reads.
   auto prefix_and_stage =
-      [&](const partition::SlicedRowInput& rows,
-          uint64_t stage_at) -> partition::PartitionLayout {
-    partition::PartitionLayout layout;
+      [&](const Partitioned& rel, uint64_t stage_at,
+          partition::PartitionLayout& layout) -> partition::RowInput {
+    const partition::RowInput rows =
+        partition::PartitionInputOf(rel.state, rel.layout, p);
+    const uint64_t n = rows.size();
     dev.Launch(
         {.name = "prefix_sum2", .sms = body.sms},
         [&](exec::KernelContext& ctx) {
-          const uint64_t n = rows.size();
           // The scan accounting stays on the launch context (one pass over
           // the pair); the histogram work fans out over the executor.
           rows.AccountRead(ctx, 0, n);
@@ -136,9 +133,7 @@ util::Status JoinPair(exec::Device& dev, const Front& front, uint32_t p,
             uint64_t end = std::min(n, begin + chunk);
             if (begin >= end) return;
             sub.SetSanitizerBlock(b);
-            // Per-block copy: sliced inputs cache a seek cursor.
-            partition::SlicedRowInput block_rows = rows;
-            partition::ComputeBlockHistogram(block_rows, radix2, begin, end,
+            partition::ComputeBlockHistogram(rows, radix2, begin, end,
                                              histograms[b]);
           });
           layout = partition::PartitionLayout(radix2, histograms, 8);
@@ -156,11 +151,14 @@ util::Status JoinPair(exec::Device& dev, const Front& front, uint32_t p,
           ctx.WriteSeq(*staging, stage_at * sizeof(partition::Tuple),
                        n * sizeof(partition::Tuple));
         });
-    return layout;
+    return staging == nullptr ? rows
+                              : partition::RowInput(staging, stage_at, n);
   };
-  partition::PartitionLayout r_layout2 = prefix_and_stage(r_rows, stage_offset);
-  partition::PartitionLayout s_layout2 =
-      prefix_and_stage(s_rows, stage_offset + r_n);
+  partition::PartitionLayout r_layout2, s_layout2;
+  const partition::RowInput r_rows =
+      prefix_and_stage(r1, stage_offset, r_layout2);
+  const partition::RowInput s_rows =
+      prefix_and_stage(s1, stage_offset + r_n, s_layout2);
 
   auto r2 = dev.allocator().AllocateGpu(r_layout2.padded_tuples() *
                                         sizeof(partition::Tuple));
@@ -171,15 +169,8 @@ util::Status JoinPair(exec::Device& dev, const Front& front, uint32_t p,
 
   partition::SharedPartitioner pass2;
   const partition::PartitionOptions p2{.sms = body.sms, .name = "partition2"};
-  if (staging != nullptr) {
-    partition::RowInput r_staged(staging, stage_offset, r_n);
-    partition::RowInput s_staged(staging, stage_offset + r_n, s_n);
-    pass2.PartitionRows(dev, r_staged, r_layout2, *r2, p2);
-    pass2.PartitionRows(dev, s_staged, s_layout2, *s2, p2);
-  } else {
-    pass2.PartitionSliced(dev, r_rows, r_layout2, *r2, p2);
-    pass2.PartitionSliced(dev, s_rows, s_layout2, *s2, p2);
-  }
+  pass2.PartitionRows(dev, r_rows, r_layout2, *r2, p2);
+  pass2.PartitionRows(dev, s_rows, s_layout2, *s2, p2);
 
   // Join task scheduler: assigns refined pairs to thread blocks.
   dev.Launch({.name = "sched", .sms = body.sms},

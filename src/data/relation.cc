@@ -1,5 +1,8 @@
 #include "data/relation.h"
 
+#include <cstdint>
+#include <string>
+
 namespace triton::data {
 
 util::StatusOr<Relation> Relation::AllocateCpu(mem::Allocator& alloc,
@@ -7,6 +10,11 @@ util::StatusOr<Relation> Relation::AllocateCpu(mem::Allocator& alloc,
                                                uint32_t payload_cols) {
   if (rows == 0) {
     return util::Status::InvalidArgument("relation must have at least 1 row");
+  }
+  if (rows > UINT64_MAX / (kKeyBytes + payload_cols * kValueBytes)) {
+    return util::Status::InvalidArgument(
+        "relation of " + std::to_string(rows) +
+        " rows: its byte size overflows 64 bits");
   }
   Relation rel;
   rel.rows_ = rows;

@@ -36,7 +36,8 @@ class Relation {
   Relation() = default;
 
   /// Allocates an uninitialized relation with `rows` rows and
-  /// `payload_cols` payload columns in CPU memory.
+  /// `payload_cols` payload columns in CPU memory. Refuses zero rows and a
+  /// row count whose byte size overflows 64 bits.
   static util::StatusOr<Relation> AllocateCpu(mem::Allocator& alloc,
                                               uint64_t rows,
                                               uint32_t payload_cols = 1);

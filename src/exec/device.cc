@@ -208,8 +208,8 @@ void KernelContext::RunBlocks(
                : BlockExecutor::Order::kAny);
 }
 
-void KernelContext::ReadSeq(const mem::Buffer& buf, uint64_t offset,
-                            uint64_t size) {
+void KernelContext::AccessSeq(const mem::Buffer& buf, uint64_t offset,
+                              uint64_t size, bool is_write) {
   if (size == 0) return;
   DCHECK_LE(offset + size, buf.size());
   // Walk the range page by page so interleaved placements split correctly;
@@ -226,32 +226,9 @@ void KernelContext::ReadSeq(const mem::Buffer& buf, uint64_t offset,
       run_end = std::min(end, page_end);
       if (run_end < end && buf.LocationOf(run_end) != loc) break;
     }
-    Account(buf.base_addr() + pos, run_end - pos, loc, /*is_write=*/false,
+    Account(buf.base_addr() + pos, run_end - pos, loc, is_write,
             /*is_random=*/false);
     // One translation per entry range touched by the run.
-    SharedTlbRun(buf.base_addr() + pos, run_end - pos, loc,
-                 /*with_latency=*/false);
-    pos = run_end;
-  }
-}
-
-void KernelContext::WriteSeq(const mem::Buffer& buf, uint64_t offset,
-                             uint64_t size) {
-  if (size == 0) return;
-  DCHECK_LE(offset + size, buf.size());
-  const uint64_t page = buf.page_bytes();
-  uint64_t pos = offset;
-  uint64_t end = offset + size;
-  while (pos < end) {
-    sim::PageLocation loc = buf.LocationOf(pos);
-    uint64_t run_end = pos;
-    while (run_end < end && buf.LocationOf(run_end) == loc) {
-      uint64_t page_end = (run_end / page + 1) * page;
-      run_end = std::min(end, page_end);
-      if (run_end < end && buf.LocationOf(run_end) != loc) break;
-    }
-    Account(buf.base_addr() + pos, run_end - pos, loc, /*is_write=*/true,
-            /*is_random=*/false);
     SharedTlbRun(buf.base_addr() + pos, run_end - pos, loc,
                  /*with_latency=*/false);
     pos = run_end;

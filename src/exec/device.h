@@ -115,9 +115,13 @@ class KernelContext : private sim::TlbEscalationSink {
   // --- Sequential (streamed, perfectly coalesced) traffic ---
 
   /// Accounts a sequential read of [offset, offset+size) from `buf`.
-  void ReadSeq(const mem::Buffer& buf, uint64_t offset, uint64_t size);
+  void ReadSeq(const mem::Buffer& buf, uint64_t offset, uint64_t size) {
+    AccessSeq(buf, offset, size, /*is_write=*/false);
+  }
   /// Accounts a sequential write.
-  void WriteSeq(const mem::Buffer& buf, uint64_t offset, uint64_t size);
+  void WriteSeq(const mem::Buffer& buf, uint64_t offset, uint64_t size) {
+    AccessSeq(buf, offset, size, /*is_write=*/true);
+  }
 
   // --- Random (per-access) traffic ---
 
@@ -257,6 +261,11 @@ class KernelContext : private sim::TlbEscalationSink {
     sim::PageLocation loc;
     TlbReplayKind kind;
   };
+
+  /// ReadSeq and WriteSeq: accounts a sequential access of [offset,
+  /// offset+size) of `buf`, one run per stretch of same-location pages.
+  void AccessSeq(const mem::Buffer& buf, uint64_t offset, uint64_t size,
+                 bool is_write);
 
   /// Routes one access of `size` bytes at absolute address `addr` located
   /// in `loc`. `replay_tlb` controls whether this access replays a device

@@ -35,17 +35,6 @@ inline uint64_t RadixPartition(uint64_t key, uint32_t shift, uint32_t bits) {
   return HashBits(MultiplyShift(key), shift, bits);
 }
 
-/// Murmur3 finalizer; used where an independent second hash is needed
-/// (e.g. hash-table placement independent of the partition bits).
-inline uint64_t Murmur3Fmix(uint64_t k) {
-  k ^= k >> 33;
-  k *= 0xff51afd7ed558ccdULL;
-  k ^= k >> 33;
-  k *= 0xc4ceb9fe1a85ec53ULL;
-  k ^= k >> 33;
-  return k;
-}
-
 }  // namespace triton::hash
 
 #endif  // TRITON_HASH_HASH_FN_H_

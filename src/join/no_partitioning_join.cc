@@ -15,13 +15,6 @@ namespace triton::join {
 
 namespace {
 
-/// SM-cycles per build / probe tuple (calibrated; random accesses dominate
-/// out-of-core runs regardless).
-// Calibrated to the paper's in-core rates (Figure 21's dissection: probe
-// 4.3 G tuples/s, build 1.8 G tuples/s on 80 SMs).
-constexpr double kBuildCyclesPerTuple = 68.0;
-constexpr double kProbeCyclesPerTuple = 28.0;
-
 /// Distance (in tuples) the build and probe loops prefetch hash-table lines
 /// ahead of the current tuple. The table spans hundreds of MiB, so every
 /// slot touch is a host DRAM miss; prefetching restores memory-level

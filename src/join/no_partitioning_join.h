@@ -38,6 +38,13 @@
 
 namespace triton::join {
 
+/// SM-cycles per build / probe tuple, calibrated to the paper's in-core
+/// rates (Figure 21's dissection: probe 4.3 G tuples/s, build 1.8 G
+/// tuples/s on 80 SMs); random accesses dominate out-of-core runs
+/// regardless. serve::SharedBuild charges the same perfect-table lookups.
+inline constexpr double kBuildCyclesPerTuple = 68.0;
+inline constexpr double kProbeCyclesPerTuple = 28.0;
+
 /// Configuration of the no-partitioning join.
 struct NoPartitioningJoinConfig {
   HashScheme scheme = HashScheme::kPerfect;

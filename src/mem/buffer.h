@@ -107,8 +107,6 @@ class Buffer {
 
   /// Bytes of this buffer resident in GPU memory.
   uint64_t GpuBytes() const { return gpu_bytes_; }
-  /// Bytes of this buffer resident in CPU memory.
-  uint64_t CpuBytes() const { return size_ - gpu_bytes_; }
 
  private:
   friend class Allocator;

@@ -31,11 +31,9 @@ double CpuDmaBandwidth(const sim::HwSpec& hw) {
   return hw.link.raw_bandwidth_per_dir * 0.85;
 }
 
-template <typename Input>
-PartitionRun CpuSwwcPartitioner::Run(exec::Device& dev, const Input& input,
-                                     const PartitionLayout& layout,
-                                     mem::Buffer& out,
-                                     const PartitionOptions& opts) {
+PartitionRun CpuSwwcPartitioner::PartitionColumns(
+    exec::Device& dev, const ColumnInput& input, const PartitionLayout& layout,
+    mem::Buffer& out, const PartitionOptions& opts) {
   const sim::CpuSpec& cpu = cpu_ != nullptr ? *cpu_ : dev.hw().cpu;
   Tuple* out_rows = out.as<Tuple>();
   const RadixConfig radix = layout.radix();
@@ -94,27 +92,6 @@ PartitionRun CpuSwwcPartitioner::Run(exec::Device& dev, const Input& input,
   rec.time.cpu_mem = static_cast<double>(in_bytes) * passes / rate;
   dev.Record(rec);
   return run;
-}
-
-PartitionRun CpuSwwcPartitioner::PartitionColumns(
-    exec::Device& dev, const ColumnInput& input, const PartitionLayout& layout,
-    mem::Buffer& out, const PartitionOptions& opts) {
-  return Run(dev, input, layout, out, opts);
-}
-
-PartitionRun CpuSwwcPartitioner::PartitionRows(exec::Device& dev,
-                                               const RowInput& input,
-                                               const PartitionLayout& layout,
-                                               mem::Buffer& out,
-                                               const PartitionOptions& opts) {
-  return Run(dev, input, layout, out, opts);
-}
-
-PartitionRun CpuSwwcPartitioner::PartitionSliced(
-    exec::Device& dev, const SlicedRowInput& input,
-    const PartitionLayout& layout, mem::Buffer& out,
-    const PartitionOptions& opts) {
-  return Run(dev, input, layout, out, opts);
 }
 
 }  // namespace triton::partition

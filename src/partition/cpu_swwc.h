@@ -56,20 +56,7 @@ class CpuSwwcPartitioner {
                                 mem::Buffer& out,
                                 const PartitionOptions& opts);
 
-  PartitionRun PartitionRows(exec::Device& dev, const RowInput& input,
-                             const PartitionLayout& layout, mem::Buffer& out,
-                             const PartitionOptions& opts);
-
-  PartitionRun PartitionSliced(exec::Device& dev, const SlicedRowInput& input,
-                               const PartitionLayout& layout,
-                               mem::Buffer& out, const PartitionOptions& opts);
-
  private:
-  template <typename Input>
-  PartitionRun Run(exec::Device& dev, const Input& input,
-                   const PartitionLayout& layout, mem::Buffer& out,
-                   const PartitionOptions& opts);
-
   const sim::CpuSpec* cpu_;
 };
 

@@ -39,12 +39,9 @@ constexpr double kFlushCycles = 8.0;
 
 }  // namespace
 
-template <typename Input>
-PartitionRun HierarchicalPartitioner::Run(exec::Device& dev,
-                                          const Input& input,
-                                          const PartitionLayout& layout,
-                                          mem::Buffer& out,
-                                          const PartitionOptions& opts) {
+PartitionRun HierarchicalPartitioner::PartitionColumns(
+    exec::Device& dev, const ColumnInput& input, const PartitionLayout& layout,
+    mem::Buffer& out, const PartitionOptions& opts) {
   const RadixConfig radix = layout.radix();
   const uint32_t fanout = radix.fanout();
   const uint32_t l1_cap =
@@ -71,8 +68,8 @@ PartitionRun HierarchicalPartitioner::Run(exec::Device& dev,
   if (o.name.empty()) o.name = "hierarchical";
   PartitionRun run = internal::RunPartitionKernel(
       dev, input, layout, o, kPartitionCyclesPerTuple,
-      [&](exec::KernelContext& ctx, internal::BlockState& st, const Input& in,
-          uint64_t begin, uint64_t end) -> uint64_t {
+      [&](exec::KernelContext& ctx, internal::BlockState& st, uint64_t begin,
+          uint64_t end) -> uint64_t {
         const uint64_t l1_tuples = static_cast<uint64_t>(fanout) * l1_cap;
         std::vector<Tuple>& l1 =
             internal::BlockScratch<Tuple, internal::kScratchHierTuples>(
@@ -170,7 +167,7 @@ PartitionRun HierarchicalPartitioner::Run(exec::Device& dev,
         uint32_t pidx[kBatchTuples];
         for (uint64_t base = begin; base < end; base += kBatchTuples) {
           const uint64_t m = std::min<uint64_t>(end - base, kBatchTuples);
-          in.GetBatch(base, m, batch);
+          input.GetBatch(base, m, batch);
           radix.PartitionsOf(batch, m, pidx);
           for (uint64_t j = 0; j < m; ++j) {
             const uint32_t p = pidx[j];
@@ -195,26 +192,6 @@ PartitionRun HierarchicalPartitioner::Run(exec::Device& dev,
       });
   if (l2_storage.ok()) dev.allocator().Free(*l2_storage);
   return run;
-}
-
-PartitionRun HierarchicalPartitioner::PartitionColumns(
-    exec::Device& dev, const ColumnInput& input, const PartitionLayout& layout,
-    mem::Buffer& out, const PartitionOptions& opts) {
-  return Run(dev, input, layout, out, opts);
-}
-
-PartitionRun HierarchicalPartitioner::PartitionRows(
-    exec::Device& dev, const RowInput& input, const PartitionLayout& layout,
-    mem::Buffer& out, const PartitionOptions& opts) {
-  return Run(dev, input, layout, out, opts);
-}
-
-PartitionRun HierarchicalPartitioner::PartitionSliced(exec::Device& dev,
-                                        const SlicedRowInput& input,
-                                        const PartitionLayout& layout,
-                                        mem::Buffer& out,
-                                        const PartitionOptions& opts) {
-  return Run(dev, input, layout, out, opts);
 }
 
 }  // namespace triton::partition

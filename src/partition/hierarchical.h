@@ -53,21 +53,7 @@ class HierarchicalPartitioner : public GpuPartitioner {
                                 mem::Buffer& out,
                                 const PartitionOptions& opts) override;
 
-  PartitionRun PartitionRows(exec::Device& dev, const RowInput& input,
-                             const PartitionLayout& layout, mem::Buffer& out,
-                             const PartitionOptions& opts) override;
-
-  PartitionRun PartitionSliced(exec::Device& dev, const SlicedRowInput& input,
-                               const PartitionLayout& layout,
-                               mem::Buffer& out,
-                               const PartitionOptions& opts) override;
-
  private:
-  template <typename Input>
-  PartitionRun Run(exec::Device& dev, const Input& input,
-                   const PartitionLayout& layout, mem::Buffer& out,
-                   const PartitionOptions& opts);
-
   HierarchicalConfig config_;
 };
 

@@ -1,10 +1,11 @@
 // Input views for partitioning kernels.
 //
-// Pass 1 reads base relations in column layout (separate key and payload
-// arrays); later passes read the 16-byte row-format tuples produced by the
-// previous pass. Every view exposes the same bulk GetBatch/KeysBatch
-// interface, so the partitioning kernels are written once, templated over
-// the view, and fetch tuples a tile of kBatchTuples at a time.
+// Pass 1 reads base relations in column layout (ColumnInput: separate key
+// and payload arrays). Later passes, which only the Shared partitioner
+// runs, read the 16-byte row-format tuples the previous pass produced
+// (RowInput). Both views expose the same bulk GetBatch/KeysBatch interface
+// and fetch tuples a tile of kBatchTuples at a time. Views are immutable:
+// every thread block of a kernel reads through the same one.
 
 #ifndef TRITON_PARTITION_INPUT_H_
 #define TRITON_PARTITION_INPUT_H_
@@ -108,28 +109,56 @@ class ColumnInput {
   uint64_t num_tuples_;
 };
 
-/// Row-format view over partitioned tuples (pass-2+ input).
+/// Row-format view over partitioned tuples (the input of every pass after
+/// the first): a list of slices of one buffer, read as one flat index
+/// space. A pass-1 partition is one slice per pass-1 block, with alignment
+/// gaps between them; a pair staged contiguously in GPU memory is a single
+/// slice.
 class RowInput {
  public:
+  /// `slices` are (tuple offset, tuple count) pairs in storage order.
+  RowInput(const mem::Buffer* rows,
+           std::vector<std::pair<uint64_t, uint64_t>> slices)
+      : rows_(rows), slices_(std::move(slices)) {
+    starts_.reserve(slices_.size() + 1);
+    starts_.push_back(0);
+    for (const auto& slice : slices_) {
+      starts_.push_back(starts_.back() + slice.second);
+    }
+  }
+
+  /// One slice: tuples [offset_tuples, offset_tuples + num_tuples).
   RowInput(const mem::Buffer* rows, uint64_t offset_tuples,
            uint64_t num_tuples)
-      : rows_(rows), offset_(offset_tuples), num_tuples_(num_tuples) {}
+      : RowInput(rows, {{offset_tuples, num_tuples}}) {}
 
-  uint64_t size() const { return num_tuples_; }
+  uint64_t size() const { return starts_.back(); }
 
+  /// Fetches flat tuples [i, i + n) across slice boundaries: each
+  /// contiguous sub-run within one slice is a memcpy.
   void GetBatch(uint64_t i, uint64_t n, Tuple* out) const {
-    std::memcpy(out, rows_->as<Tuple>() + offset_ + i, n * sizeof(Tuple));
+    ForEachRun(i, n, [&](const Tuple* src, uint64_t at, uint64_t count) {
+      std::memcpy(out + at, src, count * sizeof(Tuple));
+    });
   }
 
   void KeysBatch(uint64_t i, uint64_t n, data::Key* out) const {
-    const Tuple* rows = rows_->as<Tuple>() + offset_ + i;
-    for (uint64_t j = 0; j < n; ++j) out[j] = rows[j].key;
+    ForEachRun(i, n, [&](const Tuple* src, uint64_t at, uint64_t count) {
+      for (uint64_t j = 0; j < count; ++j) out[at + j] = src[j].key;
+    });
   }
 
+  /// Accounts one sequential read per slice that [begin, end) touches.
   void AccountRead(exec::KernelContext& ctx, uint64_t begin,
                    uint64_t end) const {
-    ctx.ReadSeq(*rows_, (offset_ + begin) * sizeof(Tuple),
-                (end - begin) * sizeof(Tuple));
+    for (size_t k = SliceOf(begin); k < slices_.size() && starts_[k] < end;
+         ++k) {
+      const uint64_t lo = std::max(begin, starts_[k]);
+      const uint64_t hi = std::min(end, starts_[k + 1]);
+      ctx.ReadSeq(*rows_,
+                  (slices_[k].first + (lo - starts_[k])) * sizeof(Tuple),
+                  (hi - lo) * sizeof(Tuple));
+    }
   }
 
   /// Row-format tuples interleave keys with values, so a key scan still
@@ -139,98 +168,34 @@ class RowInput {
     AccountRead(ctx, begin, end);
   }
 
-  uint64_t BytesPerTuple() const { return sizeof(Tuple); }
-
  private:
-  const mem::Buffer* rows_;
-  uint64_t offset_;
-  uint64_t num_tuples_;
-};
-
-/// Row-format view over a list of slices (a pass-1 partition is stored as
-/// per-block slices with alignment gaps; pass 2 reads it through this view
-/// as one flat index space).
-class SlicedRowInput {
- public:
-  /// `slices` are (tuple offset, tuple count) pairs in storage order.
-  SlicedRowInput(const mem::Buffer* rows,
-                 std::vector<std::pair<uint64_t, uint64_t>> slices)
-      : rows_(rows), slices_(std::move(slices)) {
-    starts_.reserve(slices_.size() + 1);
-    starts_.push_back(0);
-    for (const auto& [begin, count] : slices_) {
-      (void)begin;
-      starts_.push_back(starts_.back() + count);
-    }
+  /// Index of the slice holding flat tuple `i`: the last slice starting at
+  /// or before it, so empty slices are skipped.
+  size_t SliceOf(uint64_t i) const {
+    return static_cast<size_t>(
+               std::upper_bound(starts_.begin(), starts_.end(), i) -
+               starts_.begin()) -
+           1;
   }
 
-  uint64_t size() const { return starts_.back(); }
-
-  /// Fetches flat tuples [i, i + n) across slice boundaries: each
-  /// contiguous sub-run within one slice is a memcpy.
-  void GetBatch(uint64_t i, uint64_t n, Tuple* out) const {
+  /// Calls fn(src, at, count) for each run of flat tuples [i, i + n) that
+  /// is contiguous in storage: `count` tuples at `src` are batch entries
+  /// [at, at + count).
+  template <typename Fn>
+  void ForEachRun(uint64_t i, uint64_t n, Fn&& fn) const {
     const Tuple* rows = rows_->as<Tuple>();
     uint64_t done = 0;
-    while (done < n) {
-      const uint64_t pos = i + done;
-      Seek(pos);
-      const uint64_t in_slice = pos - starts_[cursor_];
-      const uint64_t take =
-          std::min(n - done, slices_[cursor_].second - in_slice);
-      std::memcpy(out + done, rows + slices_[cursor_].first + in_slice,
-                  take * sizeof(Tuple));
+    for (size_t k = SliceOf(i); done < n; ++k) {
+      const uint64_t in_slice = i + done - starts_[k];
+      const uint64_t take = std::min(n - done, slices_[k].second - in_slice);
+      fn(rows + slices_[k].first + in_slice, done, take);
       done += take;
-    }
-  }
-
-  void KeysBatch(uint64_t i, uint64_t n, data::Key* out) const {
-    const Tuple* rows = rows_->as<Tuple>();
-    uint64_t done = 0;
-    while (done < n) {
-      const uint64_t pos = i + done;
-      Seek(pos);
-      const uint64_t in_slice = pos - starts_[cursor_];
-      const uint64_t take =
-          std::min(n - done, slices_[cursor_].second - in_slice);
-      const Tuple* src = rows + slices_[cursor_].first + in_slice;
-      for (uint64_t j = 0; j < take; ++j) out[done + j] = src[j].key;
-      done += take;
-    }
-  }
-
-  void AccountRead(exec::KernelContext& ctx, uint64_t begin,
-                   uint64_t end) const {
-    for (size_t k = 0; k < slices_.size(); ++k) {
-      uint64_t lo = std::max(begin, starts_[k]);
-      uint64_t hi = std::min(end, starts_[k + 1]);
-      if (lo >= hi) continue;
-      ctx.ReadSeq(*rows_,
-                  (slices_[k].first + (lo - starts_[k])) * sizeof(Tuple),
-                  (hi - lo) * sizeof(Tuple));
-    }
-  }
-
-  void AccountReadKeys(exec::KernelContext& ctx, uint64_t begin,
-                       uint64_t end) const {
-    AccountRead(ctx, begin, end);
-  }
-
-  uint64_t BytesPerTuple() const { return sizeof(Tuple); }
-
- private:
-  /// Points cursor_ at the slice containing flat index `i`. Batches are
-  /// overwhelmingly sequential, so the current slice is cached.
-  void Seek(uint64_t i) const {
-    if (i < starts_[cursor_] || i >= starts_[cursor_ + 1]) {
-      auto it = std::upper_bound(starts_.begin(), starts_.end(), i);
-      cursor_ = static_cast<size_t>(it - starts_.begin()) - 1;
     }
   }
 
   const mem::Buffer* rows_;
   std::vector<std::pair<uint64_t, uint64_t>> slices_;
-  std::vector<uint64_t> starts_;
-  mutable size_t cursor_ = 0;
+  std::vector<uint64_t> starts_;  // flat index of each slice's first tuple
 };
 
 }  // namespace triton::partition

@@ -51,16 +51,6 @@ class PartitionLayout {
     return slice_size_[Index(partition, block)];
   }
 
-  /// First storage offset of a partition.
-  uint64_t PartitionBegin(uint32_t partition) const {
-    return SliceBegin(partition, 0);
-  }
-  /// Storage extent of a partition including intra-partition padding.
-  uint64_t PartitionExtent(uint32_t partition) const {
-    uint64_t end = partition + 1 < fanout() ? PartitionBegin(partition + 1)
-                                            : padded_tuples_;
-    return end - PartitionBegin(partition);
-  }
   /// Data tuples in a partition (excluding padding).
   uint64_t PartitionSize(uint32_t partition) const {
     return partition_size_[partition];
@@ -92,15 +82,15 @@ class PartitionLayout {
   std::vector<uint64_t> partition_size_;
 };
 
-/// Builds the SlicedRowInput for one partition of a partitioned buffer.
-inline SlicedRowInput PartitionInputOf(const mem::Buffer& rows,
-                                       const PartitionLayout& layout,
-                                       uint32_t p) {
+/// Builds the row view of one partition of a partitioned buffer: its
+/// non-empty slices in storage order.
+inline RowInput PartitionInputOf(const mem::Buffer& rows,
+                                 const PartitionLayout& layout, uint32_t p) {
   std::vector<std::pair<uint64_t, uint64_t>> slices;
   layout.ForEachSlice(p, [&](uint64_t begin, uint64_t count) {
     slices.emplace_back(begin, count);
   });
-  return SlicedRowInput(&rows, std::move(slices));
+  return RowInput(&rows, std::move(slices));
 }
 
 /// Computes one block's histogram over input tuples [begin, end) into the

@@ -17,11 +17,9 @@ constexpr double kLinearExtraCyclesPerTuple = 30.0;
 
 }  // namespace
 
-template <typename Input>
-PartitionRun LinearPartitioner::Run(exec::Device& dev, const Input& input,
-                                    const PartitionLayout& layout,
-                                    mem::Buffer& out,
-                                    const PartitionOptions& opts) {
+PartitionRun LinearPartitioner::PartitionColumns(
+    exec::Device& dev, const ColumnInput& input, const PartitionLayout& layout,
+    mem::Buffer& out, const PartitionOptions& opts) {
   const RadixConfig radix = layout.radix();
   const uint32_t fanout = radix.fanout();
   // The whole scratchpad holds one batch.
@@ -33,8 +31,8 @@ PartitionRun LinearPartitioner::Run(exec::Device& dev, const Input& input,
   return internal::RunPartitionKernel(
       dev, input, layout, o,
       kPartitionCyclesPerTuple + kLinearExtraCyclesPerTuple,
-      [&](exec::KernelContext& ctx, internal::BlockState& st, const Input& in,
-          uint64_t begin, uint64_t end) -> uint64_t {
+      [&](exec::KernelContext& ctx, internal::BlockState& st, uint64_t begin,
+          uint64_t end) -> uint64_t {
         std::vector<uint32_t>& counts =
             internal::BlockScratch<uint32_t, internal::kScratchLinearCounts>(
                 fanout);
@@ -62,7 +60,7 @@ PartitionRun LinearPartitioner::Run(exec::Device& dev, const Input& input,
           // scratchpad-local and charged via the cycle constant). Each
           // tuple is staged once into the arena by its owning warp.
           std::fill_n(counts.begin(), fanout, 0u);
-          in.GetBatch(base, m, staged);
+          input.GetBatch(base, m, staged);
           radix.PartitionsOf(staged, m, pidx);
           for (uint64_t i = 0; i < m; ++i) {
             ++counts[pidx[i]];
@@ -93,30 +91,6 @@ PartitionRun LinearPartitioner::Run(exec::Device& dev, const Input& input,
         }
         return flushes;
       });
-}
-
-PartitionRun LinearPartitioner::PartitionColumns(exec::Device& dev,
-                                                 const ColumnInput& input,
-                                                 const PartitionLayout& layout,
-                                                 mem::Buffer& out,
-                                                 const PartitionOptions& opts) {
-  return Run(dev, input, layout, out, opts);
-}
-
-PartitionRun LinearPartitioner::PartitionRows(exec::Device& dev,
-                                              const RowInput& input,
-                                              const PartitionLayout& layout,
-                                              mem::Buffer& out,
-                                              const PartitionOptions& opts) {
-  return Run(dev, input, layout, out, opts);
-}
-
-PartitionRun LinearPartitioner::PartitionSliced(exec::Device& dev,
-                                        const SlicedRowInput& input,
-                                        const PartitionLayout& layout,
-                                        mem::Buffer& out,
-                                        const PartitionOptions& opts) {
-  return Run(dev, input, layout, out, opts);
 }
 
 }  // namespace triton::partition

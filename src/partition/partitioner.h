@@ -6,6 +6,11 @@
 // per thread block, one output slice per (partition, block)) and differ in
 // how tuples are buffered and flushed — which is exactly where their
 // bandwidth and TLB behaviour comes from (Sections 4.2 and 4.3).
+//
+// The algorithm is the variable of the first pass, which scatters the
+// columnar base relations out of core (Figures 17/18), so GpuPartitioner
+// is a column kernel. Later passes refine each partition in GPU memory and
+// always use Shared, which alone also reads row-format input.
 
 #ifndef TRITON_PARTITION_PARTITIONER_H_
 #define TRITON_PARTITION_PARTITIONER_H_
@@ -70,20 +75,6 @@ class GpuPartitioner {
                                         const PartitionLayout& layout,
                                         mem::Buffer& out,
                                         const PartitionOptions& opts) = 0;
-
-  /// Scatters row-format input (later passes).
-  virtual PartitionRun PartitionRows(exec::Device& dev, const RowInput& input,
-                                     const PartitionLayout& layout,
-                                     mem::Buffer& out,
-                                     const PartitionOptions& opts) = 0;
-
-  /// Scatters a sliced row view (a pass-1 partition read through its
-  /// per-block slices).
-  virtual PartitionRun PartitionSliced(exec::Device& dev,
-                                       const SlicedRowInput& input,
-                                       const PartitionLayout& layout,
-                                       mem::Buffer& out,
-                                       const PartitionOptions& opts) = 0;
 };
 
 namespace internal {
@@ -156,14 +147,13 @@ inline void AccountFlush(exec::KernelContext& ctx, sim::BlockTlb& tlb,
 
 /// Shared kernel driver: splits the input into per-block chunks, accounts
 /// the streamed input read, sets up cursors and the block TLB, and invokes
-/// `per_block(ctx, state, input, begin, end)` for each block, which returns
-/// the number of flushes it issued. `cycles_per_tuple` is charged
-/// automatically.
+/// `per_block(ctx, state, begin, end)` for each block, which reads input
+/// tuples [begin, end) and returns the number of flushes it issued.
+/// `cycles_per_tuple` is charged automatically.
 ///
-/// Blocks run concurrently on the exec::BlockExecutor pool, so per_block
-/// receives a per-block *copy* of the input view (SlicedRowInput caches its
-/// current slice) and a per-block sub-context; all shared-device effects
-/// are reduced in block order by ForEachBlock.
+/// Blocks run concurrently on the exec::BlockExecutor pool. They share the
+/// immutable input view and each get a sub-context; all shared-device
+/// effects are reduced in block order by ForEachBlock.
 template <typename Input, typename PerBlockFn>
 PartitionRun RunPartitionKernel(exec::Device& dev, const Input& input,
                                 const PartitionLayout& layout,
@@ -190,8 +180,7 @@ PartitionRun RunPartitionKernel(exec::Device& dev, const Input& input,
       uint64_t end = std::min(n, begin + chunk);
       if (begin >= end) return;
       sub.SetSanitizerBlock(b);
-      Input block_input = input;
-      block_input.AccountRead(sub, begin, end);
+      input.AccountRead(sub, begin, end);
 
       sim::BlockTlb tlb(dev.hw().tlb, num_blocks, sub.escalation_sink());
       // One BlockState per worker thread: each worker runs blocks strictly
@@ -205,7 +194,7 @@ PartitionRun RunPartitionKernel(exec::Device& dev, const Input& input,
       for (uint32_t p = 0; p < fanout; ++p) {
         state.cursors[p] = layout.SliceBegin(p, b);
       }
-      block_flushes[b] = per_block(sub, state, block_input, begin, end);
+      block_flushes[b] = per_block(sub, state, begin, end);
 
       // Verify the block wrote exactly its slice sizes.
       for (uint32_t p = 0; p < fanout; ++p) {

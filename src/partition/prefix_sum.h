@@ -65,10 +65,8 @@ PartitionLayout GpuPrefixSum(exec::Device& dev, const Input& input,
       uint64_t end = std::min(n, begin + chunk);
       if (begin >= end) return;
       sub.SetSanitizerBlock(b);
-      // Per-block copy: sliced inputs cache a slice cursor in Get().
-      Input block_input = input;
-      block_input.AccountReadKeys(sub, begin, end);
-      ComputeBlockHistogram(block_input, radix, begin, end, histograms[b]);
+      input.AccountReadKeys(sub, begin, end);
+      ComputeBlockHistogram(input, radix, begin, end, histograms[b]);
     });
     layout = PartitionLayout(radix, histograms, opts.pad_tuples);
     ctx.AddTuples(n);

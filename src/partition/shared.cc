@@ -37,8 +37,8 @@ PartitionRun SharedPartitioner::Run(exec::Device& dev, const Input& input,
   if (o.name.empty()) o.name = "shared";
   return internal::RunPartitionKernel(
       dev, input, layout, o, kPartitionCyclesPerTuple,
-      [&](exec::KernelContext& ctx, internal::BlockState& st, const Input& in,
-          uint64_t begin, uint64_t end) -> uint64_t {
+      [&](exec::KernelContext& ctx, internal::BlockState& st, uint64_t begin,
+          uint64_t end) -> uint64_t {
         // Block-shared scratchpad buffers: one per partition, `cap` tuples.
         const uint64_t buf_tuples = static_cast<uint64_t>(fanout) * cap;
         std::vector<Tuple>& buffers =
@@ -88,7 +88,7 @@ PartitionRun SharedPartitioner::Run(exec::Device& dev, const Input& input,
         uint32_t pidx[kBatchTuples];
         for (uint64_t base = begin; base < end; base += kBatchTuples) {
           const uint64_t m = std::min<uint64_t>(end - base, kBatchTuples);
-          in.GetBatch(base, m, batch);
+          input.GetBatch(base, m, batch);
           radix.PartitionsOf(batch, m, pidx);
           for (uint64_t j = 0; j < m; ++j) {
             const uint32_t p = pidx[j];
@@ -125,14 +125,6 @@ PartitionRun SharedPartitioner::PartitionRows(exec::Device& dev,
                                               const PartitionLayout& layout,
                                               mem::Buffer& out,
                                               const PartitionOptions& opts) {
-  return Run(dev, input, layout, out, opts);
-}
-
-PartitionRun SharedPartitioner::PartitionSliced(exec::Device& dev,
-                                        const SlicedRowInput& input,
-                                        const PartitionLayout& layout,
-                                        mem::Buffer& out,
-                                        const PartitionOptions& opts) {
   return Run(dev, input, layout, out, opts);
 }
 

@@ -33,14 +33,11 @@ class SharedPartitioner : public GpuPartitioner {
                                 mem::Buffer& out,
                                 const PartitionOptions& opts) override;
 
+  /// Scatters row-format input: a later pass over a pass-1 partition read
+  /// in place through its slices, or over a pair staged in GPU memory.
   PartitionRun PartitionRows(exec::Device& dev, const RowInput& input,
                              const PartitionLayout& layout, mem::Buffer& out,
-                             const PartitionOptions& opts) override;
-
-  PartitionRun PartitionSliced(exec::Device& dev, const SlicedRowInput& input,
-                               const PartitionLayout& layout,
-                               mem::Buffer& out,
-                               const PartitionOptions& opts) override;
+                             const PartitionOptions& opts);
 
  private:
   template <typename Input>

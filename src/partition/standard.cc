@@ -4,18 +4,16 @@
 
 namespace triton::partition {
 
-template <typename Input>
-PartitionRun StandardPartitioner::Run(exec::Device& dev, const Input& input,
-                                      const PartitionLayout& layout,
-                                      mem::Buffer& out,
-                                      const PartitionOptions& opts) {
+PartitionRun StandardPartitioner::PartitionColumns(
+    exec::Device& dev, const ColumnInput& input, const PartitionLayout& layout,
+    mem::Buffer& out, const PartitionOptions& opts) {
   const RadixConfig radix = layout.radix();
   PartitionOptions o = opts;
   if (o.name.empty()) o.name = "standard";
   return internal::RunPartitionKernel(
       dev, input, layout, o, kPartitionCyclesPerTuple,
-      [&](exec::KernelContext& ctx, internal::BlockState& st, const Input& in,
-          uint64_t begin, uint64_t end) -> uint64_t {
+      [&](exec::KernelContext& ctx, internal::BlockState& st, uint64_t begin,
+          uint64_t end) -> uint64_t {
         // One warp scatters 32 tuples at a time. Lanes whose tuples fall in
         // the same partition land on consecutive cursor slots, so the
         // hardware coalescing unit merges them into one transaction — the
@@ -41,7 +39,7 @@ PartitionRun StandardPartitioner::Run(exec::Device& dev, const Input& input,
         for (uint64_t i = begin; i < end; i += warp) {
           const uint64_t m = std::min(end, i + warp) - i;
           const uint32_t sim_warp = internal::SimWarpOf(i - begin, warp);
-          in.GetBatch(i, m, batch);
+          input.GetBatch(i, m, batch);
           radix.PartitionsOf(batch, m, pidx);
           for (uint64_t j = 0; j < m; ++j) {
             if (run_count[pidx[j]]++ == 0) touched.push_back(pidx[j]);
@@ -60,28 +58,6 @@ PartitionRun StandardPartitioner::Run(exec::Device& dev, const Input& input,
         }
         return writes;
       });
-}
-
-PartitionRun StandardPartitioner::PartitionColumns(
-    exec::Device& dev, const ColumnInput& input, const PartitionLayout& layout,
-    mem::Buffer& out, const PartitionOptions& opts) {
-  return Run(dev, input, layout, out, opts);
-}
-
-PartitionRun StandardPartitioner::PartitionRows(exec::Device& dev,
-                                                const RowInput& input,
-                                                const PartitionLayout& layout,
-                                                mem::Buffer& out,
-                                                const PartitionOptions& opts) {
-  return Run(dev, input, layout, out, opts);
-}
-
-PartitionRun StandardPartitioner::PartitionSliced(exec::Device& dev,
-                                        const SlicedRowInput& input,
-                                        const PartitionLayout& layout,
-                                        mem::Buffer& out,
-                                        const PartitionOptions& opts) {
-  return Run(dev, input, layout, out, opts);
 }
 
 }  // namespace triton::partition

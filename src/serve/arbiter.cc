@@ -31,12 +31,6 @@ MemoryArbiter::MemoryArbiter(const sim::HwSpec& hw)
       cpu_capacity_(hw.cpu_mem.capacity),
       scratchpad_capacity_(hw.gpu.scratchpad_bytes) {}
 
-bool MemoryArbiter::ExceedsMachine(const ResourceRequest& request) const {
-  return request.gpu_bytes > gpu_capacity_ ||
-         request.cpu_bytes > cpu_capacity_ ||
-         request.scratchpad_bytes > scratchpad_capacity_;
-}
-
 util::StatusOr<Reservation> MemoryArbiter::Reserve(
     const ResourceRequest& request) {
   if (request.gpu_bytes > gpu_free()) {

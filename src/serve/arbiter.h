@@ -82,9 +82,6 @@ class MemoryArbiter {
   /// no scratchpad kernels, so it holds none of that budget).
   sim::HwSpec CarvedSpec(const Reservation& reservation) const;
 
-  /// True when `request` could never be granted even on an idle machine.
-  bool ExceedsMachine(const ResourceRequest& request) const;
-
   uint64_t gpu_free() const { return gpu_capacity_ - gpu_used_; }
   uint64_t cpu_free() const { return cpu_capacity_ - cpu_used_; }
   uint64_t scratchpad_free() const {

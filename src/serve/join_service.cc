@@ -51,6 +51,11 @@ sim::PerfCounters ProportionalShare(const sim::PerfCounters& c, uint64_t num,
   return out;
 }
 
+/// Largest tuple count a request may name on either side. Both sides'
+/// 16-byte tuples, times the footprint estimate's eight copies, then total
+/// at most 2^63 bytes, so no byte size derived from a request wraps.
+constexpr uint64_t kMaxRequestTuples = uint64_t{1} << 55;
+
 }  // namespace
 
 const char* RequestKindName(RequestKind kind) {
@@ -135,6 +140,11 @@ util::Status JoinService::Submit(const Request& request) {
   }
   if (request.kind == RequestKind::kJoin && request.r_tuples == 0) {
     return util::Status::InvalidArgument("join request needs r_tuples > 0");
+  }
+  if (request.r_tuples > kMaxRequestTuples ||
+      request.s_tuples > kMaxRequestTuples) {
+    return util::Status::InvalidArgument(
+        "request tuple counts above 2^55 overflow its byte sizes");
   }
   if (request.kind == RequestKind::kProbe && shared_build_ == nullptr) {
     return util::Status::FailedPrecondition(

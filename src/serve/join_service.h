@@ -143,7 +143,8 @@ class JoinService {
 
   /// Enqueues a request. Fails with ResourceExhausted when the admission
   /// queue is full (counted against the tenant), InvalidArgument for a
-  /// malformed request, FailedPrecondition for a probe without a shared
+  /// malformed request (an empty side, or a tuple count whose byte sizes
+  /// would overflow), FailedPrecondition for a probe without a shared
   /// build.
   util::Status Submit(const Request& request);
 

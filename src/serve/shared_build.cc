@@ -6,20 +6,12 @@
 
 #include "data/generator.h"
 #include "hash/perfect_table.h"
+#include "join/no_partitioning_join.h"
 #include "util/bits.h"
 #include "util/logging.h"
 #include "util/random.h"
 
 namespace triton::serve {
-
-namespace {
-
-/// SM-cycles per build/probe tuple, matching the no-partitioning join's
-/// calibration (the probe path is the same perfect-table lookup).
-constexpr double kBuildCyclesPerTuple = 68.0;
-constexpr double kProbeCyclesPerTuple = 28.0;
-
-}  // namespace
 
 util::StatusOr<std::unique_ptr<SharedBuild>> SharedBuild::Create(
     const sim::HwSpec& hw, MemoryArbiter& arbiter, const Config& config) {
@@ -76,7 +68,7 @@ util::StatusOr<std::unique_ptr<SharedBuild>> SharedBuild::Create(
                     config.tuples * sizeof(data::Value));
         ctx.AddTuples(config.tuples);
         ctx.Charge(
-            static_cast<uint64_t>(config.tuples * kBuildCyclesPerTuple));
+            static_cast<uint64_t>(config.tuples * join::kBuildCyclesPerTuple));
         hash::Entry* slots = sb->table_.as<hash::Entry>();
         for (uint64_t i = 0; i < config.tuples; ++i) {
           uint64_t slot = static_cast<uint64_t>(keys[i] - 1);
@@ -95,7 +87,12 @@ util::StatusOr<BatchRun> SharedBuild::RunBatch(
     return util::Status::InvalidArgument("empty probe batch");
   }
   uint64_t total = 0;
-  for (const ProbeSpec& s : specs) total += s.tuples;
+  for (const ProbeSpec& s : specs) {
+    if (s.tuples > UINT64_MAX / sizeof(data::Key) - total) {
+      return util::Status::InvalidArgument("probe batch byte size overflows");
+    }
+    total += s.tuples;
+  }
   if (total == 0) {
     return util::Status::InvalidArgument("probe batch with 0 tuples");
   }
@@ -140,7 +137,8 @@ util::StatusOr<BatchRun> SharedBuild::RunBatch(
           ctx.ReadSeq(*keys, 0, total * sizeof(data::Key));
           ctx.ReadSeq(*vals, 0, total * sizeof(data::Value));
           ctx.AddTuples(total);
-          ctx.Charge(static_cast<uint64_t>(total * kProbeCyclesPerTuple));
+          ctx.Charge(
+              static_cast<uint64_t>(total * join::kProbeCyclesPerTuple));
           const hash::Entry* slots = table_.as<const hash::Entry>();
           uint64_t base = 0;
           for (size_t r = 0; r < specs.size(); ++r) {

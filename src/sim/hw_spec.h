@@ -171,13 +171,6 @@ struct HwSpec {
   /// latencies and transaction sizes unchanged). See file comment.
   HwSpec Scaled(double factor) const;
 
-  /// Link payload bandwidth per direction for a given payload:physical
-  /// packet efficiency (e.g. 128/(128+16) for perfectly coalesced SM
-  /// transactions).
-  double LinkPayloadBandwidth(double efficiency) const {
-    return link.raw_bandwidth_per_dir * efficiency;
-  }
-
   /// Aggregate GPU instruction-issue throughput in (warp-)operations/second
   /// for `sms` streaming multiprocessors.
   double GpuIssueRate(uint32_t sms) const {

@@ -106,10 +106,4 @@ TranslationResult TlbSimulator::EscalateMiss(uint64_t addr, PageLocation loc,
 
 void TlbSimulator::FlushGpuTlb() { l2_.Flush(); }
 
-void TlbSimulator::FlushAll() {
-  l2_.Flush();
-  l3_.Flush();
-  iommu_iotlb_.Flush();
-}
-
 }  // namespace triton::sim

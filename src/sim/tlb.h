@@ -164,9 +164,6 @@ class TlbSimulator : public TlbEscalationSink {
   /// Flushes the GPU L2 TLB only (happens at each kernel launch).
   void FlushGpuTlb();
 
-  /// Flushes both levels.
-  void FlushAll();
-
   const TlbSpec& spec() const { return spec_; }
 
  private:

@@ -18,13 +18,6 @@ void Table::AddRow(std::vector<std::string> cells) {
   rows_.push_back(std::move(cells));
 }
 
-void Table::AddNumericRow(const std::vector<double>& values, int precision) {
-  std::vector<std::string> cells;
-  cells.reserve(values.size());
-  for (double v : values) cells.push_back(FormatDouble(v, precision));
-  AddRow(std::move(cells));
-}
-
 std::string Table::ToText() const {
   std::vector<size_t> widths(headers_.size());
   for (size_t c = 0; c < headers_.size(); ++c) widths[c] = headers_[c].size();

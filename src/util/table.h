@@ -22,9 +22,6 @@ class Table {
   /// Appends a row; must have exactly as many cells as there are headers.
   void AddRow(std::vector<std::string> cells);
 
-  /// Convenience: formats each double with the given precision.
-  void AddNumericRow(const std::vector<double>& values, int precision = 3);
-
   size_t num_rows() const { return rows_.size(); }
 
   /// Renders an aligned, boxed table.

@@ -25,12 +25,6 @@ std::string FormatBytes(uint64_t bytes) {
   return FormatWithSuffix(static_cast<double>(bytes), kSuffixes, 5, 1024.0);
 }
 
-std::string FormatBandwidth(double bytes_per_sec) {
-  static const char* const kSuffixes[] = {"B/s", "KiB/s", "MiB/s", "GiB/s",
-                                          "TiB/s"};
-  return FormatWithSuffix(bytes_per_sec, kSuffixes, 5, 1024.0);
-}
-
 std::string FormatTupleRate(double tuples_per_sec) {
   static const char* const kSuffixes[] = {"Tuples/s", "K Tuples/s",
                                           "M Tuples/s", "G Tuples/s"};

@@ -18,9 +18,6 @@ inline constexpr uint64_t kGB = 1000ull * 1000 * 1000;
 /// Formats a byte count as e.g. "1.50 GiB".
 std::string FormatBytes(uint64_t bytes);
 
-/// Formats a rate in bytes/second as e.g. "63.5 GiB/s".
-std::string FormatBandwidth(double bytes_per_sec);
-
 /// Formats a tuple rate as e.g. "2.25 G Tuples/s".
 std::string FormatTupleRate(double tuples_per_sec);
 

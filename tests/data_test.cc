@@ -32,6 +32,22 @@ TEST_F(DataTest, ZeroRowRelationRejected) {
   EXPECT_FALSE(Relation::AllocateCpu(alloc_, 0).ok());
 }
 
+// 2^61 + 1 rows of 8-byte keys wrap a 64-bit byte count to 8 bytes; the
+// generator must not be handed that 8-byte column to fill.
+TEST_F(DataTest, RowCountWhoseByteSizeOverflowsRejected) {
+  const uint64_t rows = (uint64_t{1} << 61) + 1;
+  EXPECT_EQ(Relation::AllocateCpu(alloc_, rows).status().code(),
+            util::StatusCode::kInvalidArgument);
+  EXPECT_EQ(Relation::AllocateCpu(alloc_, uint64_t{1} << 60, 2)
+                .status()
+                .code(),
+            util::StatusCode::kInvalidArgument);
+  WorkloadConfig cfg;
+  cfg.r_tuples = 16;
+  cfg.s_tuples = rows;
+  EXPECT_FALSE(GenerateWorkload(alloc_, cfg).ok());
+}
+
 TEST_F(DataTest, PrimaryKeysAreDensePermutation) {
   auto rel = Relation::AllocateCpu(alloc_, 4096);
   ASSERT_TRUE(rel.ok());

@@ -260,16 +260,16 @@ TEST_F(PartitionTest, TwoPassPartitioningRefinesPartitions) {
   shared.PartitionColumns(*dev_, input, layout1, *out1, {});
   VerifyPartitioned(input, layout1, *out1);
 
-  // Second pass over partition 2, once per slice (RowInput) and once over
-  // the whole partition read through its slices (SlicedRowInput).
+  // Second pass over partition 2, once per slice (one-slice views) and
+  // once over the whole partition read through its slices.
   RadixConfig pass2 = pass1.Next(4);
   const uint32_t p = 2;
-  auto refine = [&](const auto& rows, auto partition_fn) {
+  auto refine = [&](const RowInput& rows) {
     PartitionLayout layout2 = GpuPrefixSum(*dev_, rows, pass2, 2);
     auto out2 = dev_->allocator().AllocateCpu(layout2.padded_tuples() *
                                               sizeof(Tuple));
     CHECK_OK(out2.status());
-    (shared.*partition_fn)(*dev_, rows, layout2, *out2, {});
+    shared.PartitionRows(*dev_, rows, layout2, *out2, {});
     VerifyPartitioned(rows, layout2, *out2);
     // All tuples in the sub-partitions still belong to first-pass
     // partition p.
@@ -284,10 +284,104 @@ TEST_F(PartitionTest, TwoPassPartitioningRefinesPartitions) {
     }
   };
   layout1.ForEachSlice(p, [&](uint64_t begin, uint64_t count) {
-    refine(RowInput(&*out1, begin, count), &SharedPartitioner::PartitionRows);
+    refine(RowInput(&*out1, begin, count));
   });
-  refine(PartitionInputOf(*out1, layout1, p),
-         &SharedPartitioner::PartitionSliced);
+  refine(PartitionInputOf(*out1, layout1, p));
+}
+
+// The row view over a ragged slice list (different lengths, gaps, an empty
+// slice, slices crossing pages) reads as one flat index space: batches that
+// start mid-slice and span several slices equal a flat copy, and the read
+// accounting is one sequential read per slice touched. The buffer's pages
+// alternate between GPU and CPU memory, so a read at the wrong offset books
+// different counters.
+TEST_F(PartitionTest, RowInputReadsRaggedSlicesAsOneFlatRange) {
+  const uint64_t page = hw_.tlb.page_bytes / sizeof(Tuple);
+  const uint64_t tuples = 16 * page;
+  const std::vector<std::pair<uint64_t, uint64_t>> slices = {
+      {8, 5},
+      {page - 100, 300},
+      {2 * page, 0},
+      {2 * page + 10, 1},
+      {3 * page - 3, 7},
+      {4 * page + 500, 5 * page},
+      {12 * page - 1, 3}};
+  auto allocate = [&](exec::Device& dev) {
+    auto buf = dev.allocator().AllocateInterleaved(tuples * sizeof(Tuple),
+                                                   tuples * sizeof(Tuple) / 2);
+    CHECK_OK(buf.status());
+    return std::move(buf).value();
+  };
+  mem::Buffer buf = allocate(*dev_);
+  Tuple* rows = buf.as<Tuple>();
+  for (uint64_t i = 0; i < tuples; ++i) {
+    rows[i] = Tuple{static_cast<int64_t>(i + 1), static_cast<int64_t>(3 * i)};
+  }
+  std::vector<Tuple> flat;
+  for (const auto& [at, count] : slices) {
+    flat.insert(flat.end(), rows + at, rows + at + count);
+  }
+  const RowInput view(&buf, slices);
+  ASSERT_EQ(view.size(), flat.size());
+
+  // Flat slice starts: 0, 5, 305, 305, 306, 313, 313 + 5 * page.
+  const uint64_t n_all = flat.size();
+  const std::vector<std::pair<uint64_t, uint64_t>> ranges = {
+      {2, 310}, {303, 20}, {306, n_all - 306}, {0, n_all}, {5000, n_all - 5000}};
+  for (const auto& [i, n] : ranges) {
+    std::vector<Tuple> got(n);
+    view.GetBatch(i, n, got.data());
+    EXPECT_EQ(std::memcmp(got.data(), flat.data() + i, n * sizeof(Tuple)), 0)
+        << "GetBatch(" << i << ", " << n << ")";
+    std::vector<data::Key> keys(n);
+    view.KeysBatch(i, n, keys.data());
+    for (uint64_t j = 0; j < n; ++j) {
+      ASSERT_EQ(keys[j], flat[i + j].key) << "KeysBatch(" << i << ", " << n
+                                          << ") at " << j;
+    }
+  }
+
+  // A one-slice view is the contiguous range.
+  const RowInput one(&buf, 4 * page + 500, 5 * page);
+  ASSERT_EQ(one.size(), 5 * page);
+  std::vector<Tuple> got(300);
+  one.GetBatch(page + 7, 300, got.data());
+  EXPECT_EQ(
+      std::memcmp(got.data(), rows + 5 * page + 507, 300 * sizeof(Tuple)), 0);
+
+  // AccountRead over each range books the counters of one ReadSeq per
+  // slice the range touches. Each side runs on a fresh device, so both see
+  // the same addresses and a cold TLB.
+  auto counters_of = [&](auto account) {
+    exec::Device dev(hw_);
+    mem::Buffer b = allocate(dev);
+    return dev
+        .Launch({.name = "read"},
+                [&](exec::KernelContext& ctx) { account(ctx, b); })
+        .counters;
+  };
+  for (const auto& [i, n] : ranges) {
+    const sim::PerfCounters got_counters =
+        counters_of([&](exec::KernelContext& ctx, const mem::Buffer& b) {
+          RowInput(&b, slices).AccountRead(ctx, i, i + n);
+        });
+    const sim::PerfCounters want =
+        counters_of([&](exec::KernelContext& ctx, const mem::Buffer& b) {
+          uint64_t start = 0;
+          for (const auto& [at, count] : slices) {
+            const uint64_t lo = std::max(i, start);
+            const uint64_t hi = std::min(i + n, start + count);
+            if (lo < hi) {
+              ctx.ReadSeq(b, (at + lo - start) * sizeof(Tuple),
+                          (hi - lo) * sizeof(Tuple));
+            }
+            start += count;
+          }
+        });
+    EXPECT_EQ(want.link_read_payload + want.gpu_mem_read, n * sizeof(Tuple));
+    EXPECT_TRUE(got_counters == want) << "AccountRead(" << i << ", " << i + n
+                                      << ")";
+  }
 }
 
 // With GPU memory exhausted, Hierarchical cannot allocate its L2 buffers

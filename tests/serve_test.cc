@@ -248,6 +248,35 @@ TEST(ServeAdmissionTest, MalformedRequestsRejected) {
             util::StatusCode::kFailedPrecondition);
 }
 
+// 2^61 + 1 eight-byte keys wrap a 64-bit byte count to 8 bytes. Such a
+// request is refused at Submit, so it is never admitted on a wrapped
+// footprint, never allocated, and never batched with other tenants' probes.
+TEST(ServeAdmissionTest, TupleCountsWhoseByteSizesOverflowRejected) {
+  ServiceConfig config;
+  config.shared_build_tuples = 1000;
+  JoinService service(TestHw(), config);
+  ASSERT_TRUE(service.init_status().ok());
+  const uint64_t huge = (uint64_t{1} << 61) + 1;
+  for (RequestKind kind :
+       {RequestKind::kJoin, RequestKind::kAggregate, RequestKind::kProbe}) {
+    Request oversized;
+    oversized.kind = kind;
+    oversized.r_tuples = 1000;
+    oversized.s_tuples = huge;
+    EXPECT_EQ(service.Submit(oversized).code(),
+              util::StatusCode::kInvalidArgument)
+        << serve::RequestKindName(kind);
+  }
+  Request probe;
+  probe.kind = RequestKind::kProbe;
+  probe.s_tuples = 500;
+  ASSERT_TRUE(service.Submit(probe).ok());
+  ASSERT_TRUE(service.Drain().ok());
+  ASSERT_EQ(service.outcomes().size(), 1u);
+  EXPECT_TRUE(service.outcomes()[0].status.ok());
+  EXPECT_EQ(service.outcomes()[0].matches, 500u);
+}
+
 // --- Memory arbiter ---
 
 TEST(ServeArbiterTest, ExhaustionReturnsResourceExhaustedAndRetryWorks) {
@@ -412,6 +441,27 @@ TEST(ServeBatchingTest, SharedBuildProbesSeeEveryKey) {
   }
   EXPECT_EQ(run->elapsed, rerun->elapsed);
   ExpectCountersEq(run->counters, rerun->counters);
+}
+
+// A batch whose key bytes overflow, alone or summed, is refused before
+// anything is staged.
+TEST(ServeBatchingTest, SharedBuildRefusesBatchWhoseBytesOverflow) {
+  sim::HwSpec hw = TestHw();
+  MemoryArbiter arbiter(hw);
+  serve::SharedBuild::Config config;
+  config.tuples = 1024;
+  auto sb = serve::SharedBuild::Create(hw, arbiter, config);
+  ASSERT_TRUE(sb.ok()) << sb.status().ToString();
+  const uint64_t half = uint64_t{1} << 60;
+  for (const std::vector<serve::ProbeSpec>& specs :
+       {std::vector<serve::ProbeSpec>{{(uint64_t{1} << 61) + 1, 5}},
+        std::vector<serve::ProbeSpec>{{half, 5}, {half, 6}}}) {
+    EXPECT_EQ((*sb)->RunBatch(specs).status().code(),
+              util::StatusCode::kInvalidArgument);
+  }
+  auto run = (*sb)->RunBatch({{100, 5}});
+  ASSERT_TRUE(run.ok()) << run.status().ToString();
+  EXPECT_EQ(run->results[0].matches, 100u);
 }
 
 // --- Mixed backends: CPU, GPU and hybrid joins co-resident ---
