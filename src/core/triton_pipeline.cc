@@ -121,8 +121,10 @@ util::Status JoinPair(exec::Device& dev, const Front& front, uint32_t p,
     dev.Launch(
         {.name = "prefix_sum2", .sms = body.sms},
         [&](exec::KernelContext& ctx) {
-          // The scan accounting stays on the launch context (one pass over
-          // the pair); the histogram work fans out over the executor.
+          // The scan and copy-in accounting stays on the launch context
+          // (one read and one write pass over the pair: per-block calls
+          // would split the runs at block boundaries); each block
+          // histograms its chunk and copies it into the staging slot.
           rows.AccountRead(ctx, 0, n);
           const uint32_t blocks = body.sms;
           const uint64_t chunk = (n + blocks - 1) / blocks;
@@ -135,19 +137,21 @@ util::Status JoinPair(exec::Device& dev, const Front& front, uint32_t p,
             sub.SetSanitizerBlock(b);
             partition::ComputeBlockHistogram(rows, radix2, begin, end,
                                              histograms[b]);
+            if (staging == nullptr) return;
+            partition::Tuple batch[partition::kBatchTuples];
+            for (uint64_t base = begin; base < end;
+                 base += partition::kBatchTuples) {
+              const uint64_t m =
+                  std::min<uint64_t>(end - base, partition::kBatchTuples);
+              rows.GetBatch(base, m, batch);
+              sub.StoreRun(*staging, stage_at + base, batch, m);
+            }
           });
           layout = partition::PartitionLayout(radix2, histograms, 8);
           ctx.AddTuples(n);
           ctx.Charge(
               static_cast<uint64_t>(n * partition::kPrefixSumCyclesPerTuple));
           if (staging == nullptr) return;
-          partition::Tuple batch[partition::kBatchTuples];
-          for (uint64_t base = 0; base < n; base += partition::kBatchTuples) {
-            const uint64_t m =
-                std::min<uint64_t>(n - base, partition::kBatchTuples);
-            rows.GetBatch(base, m, batch);
-            ctx.StoreRun(*staging, stage_at + base, batch, m);
-          }
           ctx.WriteSeq(*staging, stage_at * sizeof(partition::Tuple),
                        n * sizeof(partition::Tuple));
         });
@@ -179,9 +183,10 @@ util::Status JoinPair(exec::Device& dev, const Front& front, uint32_t p,
                                                 radix2.fanout()));
              });
 
-  join::JoinRefinedPairs(dev, body.sms, body.scheme, *r2, r_layout2, *s2,
-                         s_layout2, body.result, &totals->result_cursor,
-                         &totals->matches, &totals->checksum);
+  util::Status st = join::JoinRefinedPairs(
+      dev, body.sms, body.scheme, *r2, r_layout2, *s2, s_layout2, body.result,
+      &totals->result_cursor, &totals->matches, &totals->checksum);
+  if (!st.ok()) return st;
 
   for (size_t k = trace_mark; k < dev.trace().size(); ++k) {
     lanes->Add(dev.trace()[k].time);

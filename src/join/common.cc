@@ -24,6 +24,13 @@ util::StatusOr<mem::Buffer> AllocateResult(exec::Device& dev, ResultMode mode,
   return dev.allocator().AllocateCpu(rows * sizeof(hash::Entry));
 }
 
+util::Status TooManyMatches(const std::string& join, uint64_t rows) {
+  return util::Status::ResourceExhausted(
+      join + ": more than |S| = " + std::to_string(rows) +
+      " matches to materialize; repeated build keys need "
+      "ResultMode::kAggregate");
+}
+
 double JoinRun::PhaseTime(const std::string& substr) const {
   double total = 0.0;
   for (const auto& p : phases) {

@@ -39,6 +39,11 @@ enum class ResultMode {
 util::StatusOr<mem::Buffer> AllocateResult(exec::Device& dev, ResultMode mode,
                                            uint64_t rows);
 
+/// The refusal of a materialized join whose matches would run past its
+/// `rows`-row result buffer (|S| rows; repeated build keys can make more
+/// matches than that). `join` names the operator or kernel.
+util::Status TooManyMatches(const std::string& join, uint64_t rows);
+
 /// Outcome of one join execution.
 struct JoinRun {
   /// Number of matches found (PK/FK workloads: exactly |S|).

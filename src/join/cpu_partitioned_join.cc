@@ -121,11 +121,13 @@ util::StatusOr<JoinRun> CpuPartitionedJoin::Run(exec::Device& dev,
 
     if (bits2 == 0) {
       // Partitions are already scratchpad-sized: join directly.
+      util::Status st;
       dev.Launch({.name = "join"}, [&](exec::KernelContext& ctx) {
-        joiner.JoinRange(ctx, *staging, 0, r_n, r_n, s_n, bits1,
-                         result->valid() ? &*result : nullptr, &result_cursor,
-                         &matches, &checksum);
+        st = joiner.JoinRange(ctx, *staging, 0, r_n, r_n, s_n, bits1,
+                              result->valid() ? &*result : nullptr,
+                              &result_cursor, &matches, &checksum);
       });
+      if (!st.ok()) return st;
       continue;
     }
 
@@ -149,9 +151,11 @@ util::StatusOr<JoinRun> CpuPartitionedJoin::Run(exec::Device& dev,
     gpu_partitioner.PartitionRows(dev, s_rows, s_layout2, *s2, popts);
 
     // --- Join the refined pairs ---
-    JoinRefinedPairs(dev, /*sms=*/0, config_.scheme, *r2, r_layout2, *s2,
-                     s_layout2, result->valid() ? &*result : nullptr,
-                     &result_cursor, &matches, &checksum);
+    util::Status st = JoinRefinedPairs(
+        dev, /*sms=*/0, config_.scheme, *r2, r_layout2, *s2, s_layout2,
+        result->valid() ? &*result : nullptr, &result_cursor, &matches,
+        &checksum);
+    if (!st.ok()) return st;
   }
 
   run.matches = matches;

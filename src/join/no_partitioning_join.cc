@@ -342,12 +342,10 @@ util::StatusOr<JoinRun> NoPartitioningJoin::Run(exec::Device& dev,
                       // Repeated build keys can make more matches than the
                       // |S|-row result buffer holds.
                       if (outs[b].rows.size() > s.rows() - cursor) {
-                        status = util::Status::ResourceExhausted(
+                        status = TooManyMatches(
                             std::string("no-partitioning join (") +
-                            scheme_name + "): more than |S| = " +
-                            std::to_string(s.rows()) +
-                            " matches to materialize; repeated build keys "
-                            "need ResultMode::kAggregate");
+                                scheme_name + ")",
+                            s.rows());
                         return false;
                       }
                       ctx.StoreRun(*result, cursor, outs[b].rows.data(),

@@ -15,6 +15,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "exec/block_executor.h"
 #include "partition/input.h"
 #include "partition/radix.h"
 #include "util/logging.h"
@@ -114,7 +115,10 @@ void ComputeBlockHistogram(const Input& input, RadixConfig radix,
 }
 
 /// Computes per-block histograms for `input` split into `num_blocks`
-/// contiguous chunks (the functional part of the prefix-sum kernels).
+/// contiguous chunks (the functional part of the prefix-sum kernels). The
+/// blocks run on the exec::BlockExecutor pool, each writing only its own
+/// histogram, so the result is independent of the thread count. Must not
+/// be called from inside a block.
 template <typename Input>
 std::vector<std::vector<uint64_t>> ComputeHistograms(const Input& input,
                                                      RadixConfig radix,
@@ -123,11 +127,11 @@ std::vector<std::vector<uint64_t>> ComputeHistograms(const Input& input,
       num_blocks, std::vector<uint64_t>(radix.fanout(), 0));
   const uint64_t n = input.size();
   const uint64_t chunk = (n + num_blocks - 1) / num_blocks;
-  for (uint32_t b = 0; b < num_blocks; ++b) {
-    uint64_t begin = static_cast<uint64_t>(b) * chunk;
-    uint64_t end = std::min(n, begin + chunk);
+  exec::BlockExecutor::Global().Run(num_blocks, [&](uint32_t b) {
+    const uint64_t begin = static_cast<uint64_t>(b) * chunk;
+    const uint64_t end = std::min(n, begin + chunk);
     ComputeBlockHistogram(input, radix, begin, end, histograms[b]);
-  }
+  });
   return histograms;
 }
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <optional>
 #include <vector>
 
 #include "core/triton_pipeline.h"
@@ -24,8 +25,25 @@ struct PairDesc {
   uint64_t tuples() const { return r_n + s_n; }
 };
 
-/// Outcome of one CPU-joined pair, reduced in pair order.
-struct PairOutcome {
+/// CPU side of one morsel: a bucket-chaining table over R_i, built by one
+/// block and then probed by one block per pass-1 slice of S_i.
+struct CpuPairTable {
+  std::vector<uint32_t> heads;
+  std::vector<int64_t> keys;
+  std::vector<int64_t> values;
+  std::vector<uint32_t> next;
+  std::optional<hash::BucketChainTable> table;
+};
+
+/// One CPU probe block: a pass-1 slice of S_i against its pair's table.
+struct SliceProbe {
+  size_t pair = 0;  // index of the pair among the wave's CPU pairs
+  uint64_t begin = 0;
+  uint64_t count = 0;
+};
+
+/// Outcome of one CPU probe block, reduced in (pair, slice) order.
+struct ProbeOutcome {
   uint64_t matches = 0;
   uint64_t checksum = 0;
   std::vector<partition::Tuple> rows;
@@ -176,14 +194,17 @@ util::StatusOr<join::JoinRun> CoProcessScheduler::Run(
 
   // CPU side of one morsel, functional half: join the pair in place from
   // the pass-1 state with a bucket-chaining table over R_i. Runs on the
-  // BlockExecutor pool (one block per pair); outcomes land in per-pair
-  // slots and are reduced in pair order afterwards.
+  // BlockExecutor pool: one block builds each pair's table, then one block
+  // probes each pass-1 slice of S_i. Outcomes land in per-slice slots and
+  // are reduced in (pair, slice) order, which is S_i's storage order.
   const partition::Tuple* r1_rows =
       front->rels[0].state.as<partition::Tuple>();
   const partition::Tuple* s1_rows =
       front->rels[1].state.as<partition::Tuple>();
   const bool materialize = result->valid();
-  auto cpu_join_pair = [&](const PairDesc& pd, PairOutcome* out) {
+  const uint64_t result_rows =
+      materialize ? result->size() / sizeof(partition::Tuple) : 0;
+  auto cpu_build = [&](const PairDesc& pd, CpuPairTable* t) {
     // Keep chains short for pairs much larger than the scratchpad table:
     // the CPU's LLC-resident table is not bucket-limited the way the
     // scratchpad one is (the modeled cost already pays the sub-partition
@@ -193,31 +214,32 @@ util::StatusOr<join::JoinRun> CoProcessScheduler::Run(
       ++log2_buckets;
     }
     const uint32_t buckets = 1u << log2_buckets;
-    std::vector<uint32_t> heads(buckets, 0u);
-    std::vector<int64_t> keys(pd.r_n);
-    std::vector<int64_t> values(pd.r_n);
-    std::vector<uint32_t> next(pd.r_n);
-    hash::BucketChainTable table(heads.data(), buckets, keys.data(),
-                                 values.data(), next.data(),
-                                 static_cast<uint32_t>(pd.r_n));
+    t->heads.assign(buckets, 0u);
+    t->keys.resize(pd.r_n);
+    t->values.resize(pd.r_n);
+    t->next.resize(pd.r_n);
+    hash::BucketChainTable& table = t->table.emplace(
+        t->heads.data(), buckets, t->keys.data(), t->values.data(),
+        t->next.data(), static_cast<uint32_t>(pd.r_n));
     r_layout1.ForEachSlice(pd.p, [&](uint64_t begin, uint64_t count) {
       for (uint64_t i = begin; i < begin + count; ++i) {
         table.Insert(r1_rows[i].key, r1_rows[i].value, bits1);
       }
     });
-    s_layout1.ForEachSlice(pd.p, [&](uint64_t begin, uint64_t count) {
-      for (uint64_t i = begin; i < begin + count; ++i) {
-        table.Probe(s1_rows[i].key, bits1, [&](int64_t build_val) {
-          if (materialize) {
-            out->rows.push_back(
-                partition::Tuple{build_val, s1_rows[i].value});
-          }
-          ++out->matches;
-          out->checksum += static_cast<uint64_t>(build_val) +
-                           static_cast<uint64_t>(s1_rows[i].value);
-        });
-      }
-    });
+  };
+  auto cpu_probe = [&](const hash::BucketChainTable& table,
+                       const SliceProbe& sp, ProbeOutcome* out) {
+    if (materialize) out->rows.reserve(sp.count);
+    for (uint64_t i = sp.begin; i < sp.begin + sp.count; ++i) {
+      table.Probe(s1_rows[i].key, bits1, [&](int64_t build_val) {
+        if (materialize) {
+          out->rows.push_back(partition::Tuple{build_val, s1_rows[i].value});
+        }
+        ++out->matches;
+        out->checksum += static_cast<uint64_t>(build_val) +
+                         static_cast<uint64_t>(s1_rows[i].value);
+      });
+    }
   };
 
   // --- Morsel waves: assign pairs to a side in pair-index order, run the
@@ -256,20 +278,29 @@ util::StatusOr<join::JoinRun> CoProcessScheduler::Run(
       }
     }
 
-    std::vector<PairOutcome> outs(cpu_idx.size());
-    if (!cpu_idx.empty()) {
-      exec::BlockExecutor::Global().Run(
-          static_cast<uint32_t>(cpu_idx.size()), [&](uint32_t b) {
-            cpu_join_pair(pairs[cpu_idx[b]], &outs[b]);
-          });
+    std::vector<CpuPairTable> tables(cpu_idx.size());
+    std::vector<SliceProbe> probes;  // in (pair, slice) order
+    for (size_t k = 0; k < cpu_idx.size(); ++k) {
+      s_layout1.ForEachSlice(pairs[cpu_idx[k]].p,
+                             [&](uint64_t begin, uint64_t count) {
+                               probes.push_back({k, begin, count});
+                             });
     }
+    std::vector<ProbeOutcome> outs(probes.size());
+    exec::BlockExecutor::Global().Run(
+        static_cast<uint32_t>(cpu_idx.size()),
+        [&](uint32_t k) { cpu_build(pairs[cpu_idx[k]], &tables[k]); });
+    exec::BlockExecutor::Global().Run(
+        static_cast<uint32_t>(probes.size()), [&](uint32_t b) {
+          cpu_probe(*tables[probes[b].pair].table, probes[b], &outs[b]);
+        });
 
-    size_t cpu_k = 0;
+    size_t cpu_k = 0, probe_b = 0;
     for (size_t i = done; i < wave_end; ++i) {
       const PairDesc& pd = pairs[i];
       ++wave.pairs;
       if (to_cpu[i - done]) {
-        PairOutcome& out = outs[cpu_k++];
+        const size_t k = cpu_k++;
         const CpuPairCost cost = PredictCpuPairCost(
             hw, pd.r_n, pd.s_n, stats_.cached_fraction, config_.scheme);
         const uint64_t pair_bytes = pd.tuples() * sizeof(partition::Tuple);
@@ -291,7 +322,16 @@ util::StatusOr<join::JoinRun> CoProcessScheduler::Run(
         rec.time.link = cost.link_seconds;
         rec.time.cpu_mem = cost.read_seconds + cost.partition_seconds;
         rec.time.compute = cost.join_seconds;
-        if (materialize && !out.rows.empty()) {
+        for (; probe_b < probes.size() && probes[probe_b].pair == k;
+             ++probe_b) {
+          const ProbeOutcome& out = outs[probe_b];
+          totals.matches += out.matches;
+          totals.checksum += out.checksum;
+          if (out.rows.empty()) continue;
+          if (out.rows.size() > result_rows - totals.result_cursor) {
+            return join::TooManyMatches("co-processing CPU pair join",
+                                        result_rows);
+          }
           std::memcpy(result->as<partition::Tuple>() + totals.result_cursor,
                       out.rows.data(),
                       out.rows.size() * sizeof(partition::Tuple));
@@ -300,8 +340,6 @@ util::StatusOr<join::JoinRun> CoProcessScheduler::Run(
               out.rows.size() * sizeof(partition::Tuple);
         }
         dev.Record(rec);
-        totals.matches += out.matches;
-        totals.checksum += out.checksum;
         const double pair_seconds = cost.Seconds();
         stats_.cpu_seconds += pair_seconds;
         wave.cpu_seconds += pair_seconds;

@@ -20,6 +20,18 @@ namespace {
 
 using util::kMiB;
 
+/// Folds a PK/FK workload so every build key appears twice: key k becomes
+/// (k + 1) / 2 on both sides, so each probe tuple matches two build tuples
+/// and a join makes twice as many matches as its |S|-row result holds.
+void RepeatBuildKeys(data::Workload& wl) {
+  for (uint64_t i = 0; i < wl.r.rows(); ++i) {
+    wl.r.keys()[i] = (wl.r.keys()[i] + 1) / 2;
+  }
+  for (uint64_t j = 0; j < wl.s.rows(); ++j) {
+    wl.s.keys()[j] = (wl.s.keys()[j] + 1) / 2;
+  }
+}
+
 class JoinTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -332,6 +344,44 @@ TEST_F(JoinTest, CpuPartitionedJoinIsExact) {
   EXPECT_EQ(run->matches, 150000u);
   EXPECT_EQ(run->checksum, ref);
   EXPECT_GT(run->elapsed, 0.0);
+}
+
+// Repeated build keys make more matches than the |S|-row result holds.
+// The CPU-partitioned join refuses to materialize them on both of its
+// paths: joining the pass-1 pairs directly (`bits2` derives to 0) and
+// refining them in a second pass first.
+void ExpectCpuPartitionedRefusesResultPastProbeRows(
+    exec::Device& dev, const data::Workload& wl, uint32_t bits1,
+    uint32_t bits2) {
+  CpuPartitionedJoin mat({.bits1 = bits1, .bits2 = bits2});
+  auto m = mat.Run(dev, wl.r, wl.s);
+  ASSERT_FALSE(m.ok());
+  EXPECT_EQ(m.status().code(), util::StatusCode::kResourceExhausted)
+      << m.status().ToString();
+  // Aggregating the same input is exact, and takes the intended path.
+  CpuPartitionedJoin agg(
+      {.result_mode = ResultMode::kAggregate, .bits1 = bits1, .bits2 = bits2});
+  auto a = agg.Run(dev, wl.r, wl.s);
+  ASSERT_TRUE(a.ok()) << a.status().ToString();
+  EXPECT_EQ(a->matches, 2 * wl.s.rows());
+  EXPECT_EQ(a->checksum, ReferenceChecksum(wl.r, wl.s));
+  bool second_pass = false;
+  for (const auto& ph : a->phases) second_pass |= ph.name == "partition2";
+  EXPECT_EQ(second_pass, bits2 != 0);
+}
+
+TEST_F(JoinTest, CpuPartitionedJoinDirectPathRefusesResultPastProbeRows) {
+  auto wl = MakeWorkload(40000, 40000);
+  RepeatBuildKeys(wl);
+  ExpectCpuPartitionedRefusesResultPastProbeRows(*dev_, wl, /*bits1=*/8,
+                                                 /*bits2=*/0);
+}
+
+TEST_F(JoinTest, CpuPartitionedJoinRefinedPathRefusesResultPastProbeRows) {
+  auto wl = MakeWorkload(40000, 40000);
+  RepeatBuildKeys(wl);
+  ExpectCpuPartitionedRefusesResultPastProbeRows(*dev_, wl, /*bits1=*/2,
+                                                 /*bits2=*/4);
 }
 
 TEST_F(JoinTest, CpuPartitionedJoinHandlesOutOfCoreData) {

@@ -33,6 +33,7 @@
 #include "partition/prefix_sum.h"
 #include "partition/shared.h"
 #include "sanitizer/sanitizer.h"
+#include "sched/coprocess_scheduler.h"
 #include "sim/hw_spec.h"
 #include "sim/perf_counters.h"
 #include "sim/tlb.h"
@@ -47,6 +48,9 @@ using partition::RadixConfig;
 using partition::Tuple;
 using sanitizer::Violation;
 using sanitizer::ViolationCode;
+
+/// Row digest of CoProcessingIsThreadCountInvariant's join; see there.
+constexpr uint64_t kCoProcessRowDigest = 8741557957022970ull;
 
 /// Scoped thread-count override; restores the previous pool size.
 class ThreadsGuard {
@@ -83,6 +87,43 @@ void ExpectCountersEq(const sim::PerfCounters& a, const sim::PerfCounters& b) {
   EXPECT_EQ(a.issue_slots, b.issue_slots);
   EXPECT_EQ(a.tuples, b.tuples);
 }
+
+/// Forwards every allocator callback to the device's sanitizer and keeps a
+/// copy of the last freed buffer of `capture_bytes` bytes: the join frees
+/// its result buffer before returning, so this is how a test reads the
+/// materialized rows.
+class ResultCapture : public mem::AllocationObserver {
+ public:
+  ResultCapture(sanitizer::DeviceSanitizer* san, uint64_t capture_bytes)
+      : san_(san), capture_bytes_(capture_bytes) {}
+
+  void OnAlloc(const mem::Buffer& buffer) override {
+    if (san_ != nullptr) san_->OnAlloc(buffer);
+  }
+  void OnFree(const mem::Buffer& buffer) override {
+    if (buffer.size() == capture_bytes_) {
+      const auto* rows = buffer.as<hash::Entry>();
+      captured_.assign(rows, rows + capture_bytes_ / sizeof(hash::Entry));
+    }
+    if (san_ != nullptr) san_->OnFree(buffer);
+  }
+  void OnArenaBegin(uint64_t id, uint64_t base_addr) override {
+    if (san_ != nullptr) san_->OnArenaBegin(id, base_addr);
+  }
+  void OnArenaEnd(uint64_t id) override {
+    if (san_ != nullptr) san_->OnArenaEnd(id);
+  }
+  void OnArenaViolation(uint64_t id, const std::string& message) override {
+    if (san_ != nullptr) san_->OnArenaViolation(id, message);
+  }
+
+  const std::vector<hash::Entry>& captured() const { return captured_; }
+
+ private:
+  sanitizer::DeviceSanitizer* san_;
+  uint64_t capture_bytes_;
+  std::vector<hash::Entry> captured_;
+};
 
 // --- BlockExecutor unit tests ---
 
@@ -287,10 +328,11 @@ class ParallelIdentityTest : public ::testing::Test {
  protected:
   void SetUp() override { hw_ = sim::HwSpec::Ac922NvLink().Scaled(64); }
 
-  data::Workload MakeWorkload(mem::Allocator& alloc, uint64_t n) {
+  data::Workload MakeWorkload(mem::Allocator& alloc, uint64_t r,
+                              uint64_t s) {
     data::WorkloadConfig cfg;
-    cfg.r_tuples = n;
-    cfg.s_tuples = n;
+    cfg.r_tuples = r;
+    cfg.s_tuples = s;
     auto wl = data::GenerateWorkload(alloc, cfg);
     CHECK_OK(wl.status());
     return std::move(wl).value();
@@ -310,7 +352,7 @@ class ParallelIdentityTest : public ::testing::Test {
                           uint64_t n, uint32_t bits, uint32_t blocks) {
     ThreadsGuard guard(threads);
     exec::Device dev(hw_, /*sanitize=*/true);
-    auto wl = MakeWorkload(dev.allocator(), n);
+    auto wl = MakeWorkload(dev.allocator(), n, n);
     ColumnInput input = ColumnInput::Of(wl.r);
     RadixConfig radix{0, bits};
     PartitionLayout layout =
@@ -350,18 +392,76 @@ class ParallelIdentityTest : public ::testing::Test {
     EXPECT_EQ(a.elapsed, b.elapsed);
   }
 
+  /// Runs `prefix_sum(dev, input, radix, blocks)` over the keys of an
+  /// n-tuple relation at 1, 2 and 8 threads: the layouts and the recorded
+  /// counters must be identical, and every slice (p, b) must hold the
+  /// number of block b's tuples [b * chunk, (b + 1) * chunk) in
+  /// partition p.
+  template <typename PrefixSum>
+  void ExpectPrefixSumIsThreadCountInvariant(PrefixSum&& prefix_sum,
+                                             uint64_t n, uint32_t blocks) {
+    SCOPED_TRACE(testing::Message() << n << " tuples, " << blocks
+                                    << " blocks");
+    const RadixConfig radix{0, 6};
+    auto run_once = [&](uint32_t threads) {
+      ThreadsGuard guard(threads);
+      exec::Device dev(hw_, /*sanitize=*/true);
+      auto wl = MakeWorkload(dev.allocator(), n, n);
+      ColumnInput input = ColumnInput::Of(wl.r);
+      dev.ClearTrace();
+      PartitionLayout layout = prefix_sum(dev, input, radix, blocks);
+      const uint64_t chunk = (n + blocks - 1) / blocks;
+      std::vector<std::vector<uint64_t>> expected(
+          blocks, std::vector<uint64_t>(radix.fanout(), 0));
+      for (uint64_t i = 0; i < n; ++i) {
+        ++expected[i / chunk][radix.PartitionOf(wl.r.keys()[i])];
+      }
+      for (uint32_t b = 0; b < blocks; ++b) {
+        for (uint32_t p = 0; p < radix.fanout(); ++p) {
+          EXPECT_EQ(layout.SliceSize(p, b), expected[b][p])
+              << "partition " << p << " block " << b;
+        }
+      }
+      sim::PerfCounters counters = dev.trace().back().counters;
+      return std::make_pair(layout, counters);
+    };
+    auto [layout1, counters1] = run_once(1);
+    for (uint32_t threads : {2u, 8u}) {
+      auto [layout_t, counters_t] = run_once(threads);
+      ASSERT_EQ(layout_t.fanout(), layout1.fanout());
+      ASSERT_EQ(layout_t.num_blocks(), layout1.num_blocks());
+      EXPECT_EQ(layout_t.padded_tuples(), layout1.padded_tuples());
+      for (uint32_t p = 0; p < layout1.fanout(); ++p) {
+        for (uint32_t b = 0; b < layout1.num_blocks(); ++b) {
+          EXPECT_EQ(layout_t.SliceBegin(p, b), layout1.SliceBegin(p, b));
+          EXPECT_EQ(layout_t.SliceSize(p, b), layout1.SliceSize(p, b));
+        }
+      }
+      ExpectCountersEq(counters1, counters_t);
+    }
+  }
+
   struct JoinResult {
     uint64_t matches = 0;
     uint64_t checksum = 0;
     sim::PerfCounters totals;
     double elapsed = 0.0;
+    /// Materialized result rows, in result-buffer order.
+    std::vector<Tuple> rows;
   };
 
+  /// Runs a materializing join over a PK/FK workload with |R| = r and
+  /// |S| = s and captures its result rows. |R| != |S| keeps the result the
+  /// only freed buffer of |S| x 16 bytes. At one thread the sorted rows
+  /// must be the reference pairs.
   template <typename JoinFn>
-  JoinResult RunJoin(uint32_t threads, uint64_t n, JoinFn&& make_join) {
+  JoinResult RunJoin(uint32_t threads, uint64_t r, uint64_t s,
+                     JoinFn&& make_join) {
     ThreadsGuard guard(threads);
     exec::Device dev(hw_, /*sanitize=*/true);
-    auto wl = MakeWorkload(dev.allocator(), n);
+    ResultCapture capture(dev.sanitizer(), s * sizeof(Tuple));
+    dev.allocator().set_observer(&capture);
+    auto wl = MakeWorkload(dev.allocator(), r, s);
     auto join = make_join();
     auto run = join.Run(dev, wl.r, wl.s);
     CHECK_OK(run.status());
@@ -370,11 +470,39 @@ class ParallelIdentityTest : public ::testing::Test {
     res.checksum = run->checksum;
     res.totals = run->totals;
     res.elapsed = run->elapsed;
-    EXPECT_EQ(res.matches, n);
+    res.rows = capture.captured();
+    EXPECT_EQ(res.matches, s);
+    if (threads == 1) ExpectReferenceRows(wl, res.rows);
     std::vector<Violation> vs = dev.sanitizer()->TakeViolations();
     EXPECT_TRUE(vs.empty()) << vs.size() << " violation(s) at threads "
                             << threads << ", first: " << vs.front().message;
+    dev.allocator().set_observer(dev.sanitizer());
     return res;
+  }
+
+  /// PK/FK reference: every probe tuple pairs with the build tuple of its
+  /// key, as <build payload, probe payload>; compared as sorted multisets.
+  static void ExpectReferenceRows(const data::Workload& wl,
+                                  std::vector<Tuple> rows) {
+    std::vector<data::Value> payload_of(wl.r.rows() + 1);
+    for (uint64_t i = 0; i < wl.r.rows(); ++i) {
+      payload_of[wl.r.keys()[i]] = wl.r.payload(0)[i];
+    }
+    std::vector<Tuple> ref;
+    for (uint64_t j = 0; j < wl.s.rows(); ++j) {
+      ref.push_back(Tuple{payload_of[wl.s.keys()[j]], wl.s.payload(0)[j]});
+    }
+    auto less = [](const Tuple& a, const Tuple& b) {
+      return a.key != b.key ? a.key < b.key : a.value < b.value;
+    };
+    std::sort(ref.begin(), ref.end(), less);
+    std::sort(rows.begin(), rows.end(), less);
+    ASSERT_EQ(rows.size(), ref.size());
+    uint64_t wrong = 0;
+    for (size_t i = 0; i < ref.size(); ++i) {
+      wrong += rows[i].key != ref[i].key || rows[i].value != ref[i].value;
+    }
+    EXPECT_EQ(wrong, 0u) << "result rows are not the reference pairs";
   }
 
   void ExpectJoinResultEq(const JoinResult& a, const JoinResult& b) {
@@ -382,6 +510,11 @@ class ParallelIdentityTest : public ::testing::Test {
     EXPECT_EQ(a.checksum, b.checksum);
     ExpectCountersEq(a.totals, b.totals);
     EXPECT_EQ(a.elapsed, b.elapsed);
+    ASSERT_EQ(a.rows.size(), b.rows.size());
+    for (size_t i = 0; i < a.rows.size(); ++i) {
+      ASSERT_EQ(a.rows[i].key, b.rows[i].key) << "row " << i;
+      ASSERT_EQ(a.rows[i].value, b.rows[i].value) << "row " << i;
+    }
   }
 
   sim::HwSpec hw_;
@@ -434,38 +567,32 @@ TEST_F(ParallelIdentityTest,
 }
 
 TEST_F(ParallelIdentityTest, GpuPrefixSumIsThreadCountInvariant) {
-  auto run_once = [&](uint32_t threads) {
-    ThreadsGuard guard(threads);
-    exec::Device dev(hw_, /*sanitize=*/true);
-    auto wl = MakeWorkload(dev.allocator(), 50000);
-    ColumnInput input = ColumnInput::Of(wl.r);
-    dev.ClearTrace();
-    PartitionLayout layout =
-        partition::GpuPrefixSum(dev, input, RadixConfig{0, 6}, 8);
-    sim::PerfCounters counters = dev.trace().back().counters;
-    return std::make_pair(layout, counters);
+  ExpectPrefixSumIsThreadCountInvariant(
+      [](exec::Device& dev, const ColumnInput& input, RadixConfig radix,
+         uint32_t blocks) {
+        return partition::GpuPrefixSum(dev, input, radix, blocks);
+      },
+      50000, 8);
+}
+
+// The CPU prefix sum's histogram blocks run on the pool as well. Five
+// tuples over eight blocks leaves blocks without input.
+TEST_F(ParallelIdentityTest, CpuPrefixSumIsThreadCountInvariant) {
+  auto cpu_prefix_sum = [](exec::Device& dev, const ColumnInput& input,
+                           RadixConfig radix, uint32_t blocks) {
+    return partition::CpuPrefixSum(dev, input, radix, blocks);
   };
-  auto [layout1, counters1] = run_once(1);
-  for (uint32_t threads : {2u, 8u}) {
-    auto [layout_t, counters_t] = run_once(threads);
-    ASSERT_EQ(layout_t.fanout(), layout1.fanout());
-    for (uint32_t p = 0; p < layout1.fanout(); ++p) {
-      for (uint32_t b = 0; b < layout1.num_blocks(); ++b) {
-        EXPECT_EQ(layout_t.SliceBegin(p, b), layout1.SliceBegin(p, b));
-        EXPECT_EQ(layout_t.SliceSize(p, b), layout1.SliceSize(p, b));
-      }
-    }
-    ExpectCountersEq(counters1, counters_t);
-  }
+  ExpectPrefixSumIsThreadCountInvariant(cpu_prefix_sum, 50000, 8);
+  ExpectPrefixSumIsThreadCountInvariant(cpu_prefix_sum, 5, 8);
 }
 
 TEST_F(ParallelIdentityTest, TritonJoinIsThreadCountInvariant) {
   auto make = [] {
     return core::TritonJoin({.scheme = join::HashScheme::kBucketChaining});
   };
-  JoinResult serial = RunJoin(1, 100000, make);
+  JoinResult serial = RunJoin(1, 75000, 100000, make);
   for (uint32_t threads : {2u, 8u}) {
-    JoinResult par = RunJoin(threads, 100000, make);
+    JoinResult par = RunJoin(threads, 75000, 100000, make);
     ExpectJoinResultEq(serial, par);
   }
 }
@@ -476,9 +603,9 @@ TEST_F(ParallelIdentityTest,
     return core::TritonJoin({.scheme = join::HashScheme::kBucketChaining,
                              .gpu_prefix_sum = true});
   };
-  JoinResult serial = RunJoin(1, 80000, make);
+  JoinResult serial = RunJoin(1, 60000, 80000, make);
   for (uint32_t threads : {2u, 8u}) {
-    JoinResult par = RunJoin(threads, 80000, make);
+    JoinResult par = RunJoin(threads, 60000, 80000, make);
     ExpectJoinResultEq(serial, par);
   }
 }
@@ -487,9 +614,9 @@ TEST_F(ParallelIdentityTest, CpuPartitionedJoinIsThreadCountInvariant) {
   auto make = [] {
     return join::CpuPartitionedJoin(join::CpuPartitionedJoinConfig{});
   };
-  JoinResult serial = RunJoin(1, 80000, make);
+  JoinResult serial = RunJoin(1, 60000, 80000, make);
   for (uint32_t threads : {2u, 8u}) {
-    JoinResult par = RunJoin(threads, 80000, make);
+    JoinResult par = RunJoin(threads, 60000, 80000, make);
     ExpectJoinResultEq(serial, par);
   }
 }
@@ -498,9 +625,9 @@ TEST_F(ParallelIdentityTest, CpuPartitionedJoinIsThreadCountInvariant) {
 // copies the pair into GPU staging memory.
 TEST_F(ParallelIdentityTest, UncachedTritonJoinIsThreadCountInvariant) {
   auto make = [] { return core::TritonJoin({.cache_bytes = 0}); };
-  JoinResult serial = RunJoin(1, 64 * 1024, make);
+  JoinResult serial = RunJoin(1, 48 * 1024, 64 * 1024, make);
   for (uint32_t threads : {2u, 8u}) {
-    JoinResult par = RunJoin(threads, 64 * 1024, make);
+    JoinResult par = RunJoin(threads, 48 * 1024, 64 * 1024, make);
     ExpectJoinResultEq(serial, par);
   }
 }
@@ -512,9 +639,32 @@ TEST_F(ParallelIdentityTest,
     return join::CpuPartitionedJoin(
         {.result_mode = join::ResultMode::kMaterialize});
   };
-  JoinResult serial = RunJoin(1, 64 * 1024, make);
+  JoinResult serial = RunJoin(1, 48 * 1024, 64 * 1024, make);
   for (uint32_t threads : {2u, 8u}) {
-    JoinResult par = RunJoin(threads, 64 * 1024, make);
+    JoinResult par = RunJoin(threads, 48 * 1024, 64 * 1024, make);
+    ExpectJoinResultEq(serial, par);
+  }
+}
+
+// Co-processing at a mid split: GPU pairs run the Triton pair body, CPU
+// pairs build one table per pair and probe it with one block per pass-1
+// slice of S_i. The CPU side reduces its slices in storage order, a
+// deterministic order that neither the thread count nor the sorted
+// reference would reveal, so the row order is pinned as a digest (the rows
+// of a join that probes each CPU pair in one block).
+TEST_F(ParallelIdentityTest, CoProcessingIsThreadCountInvariant) {
+  auto make = [] { return sched::CoProcessScheduler({.split_ratio = 0.5}); };
+  JoinResult serial = RunJoin(1, 120000, 160000, make);
+  // FNV-1a over the rows' keys and values, in result order.
+  uint64_t digest = 14695981039346656037ull;
+  for (const Tuple& t : serial.rows) {
+    for (int64_t word : {t.key, t.value}) {
+      digest = (digest ^ static_cast<uint64_t>(word)) * 1099511628211ull;
+    }
+  }
+  EXPECT_EQ(digest, kCoProcessRowDigest);
+  for (uint32_t threads : {2u, 8u}) {
+    JoinResult par = RunJoin(threads, 120000, 160000, make);
     ExpectJoinResultEq(serial, par);
   }
 }
@@ -523,7 +673,7 @@ TEST_F(ParallelIdentityTest,
 // the direct materializing path tuple for tuple.
 TEST_F(ParallelIdentityTest, JoinSlicesEmitMatchesJoinSlices) {
   exec::Device dev(hw_, /*sanitize=*/false);
-  auto wl = MakeWorkload(dev.allocator(), 5000);
+  auto wl = MakeWorkload(dev.allocator(), 5000, 5000);
   // Lay both relations out as single slices of their row buffers.
   auto rows = dev.allocator().AllocateCpu(2 * 5000 * sizeof(Tuple));
   ASSERT_TRUE(rows.ok());
@@ -542,9 +692,12 @@ TEST_F(ParallelIdentityTest, JoinSlicesEmitMatchesJoinSlices) {
   uint64_t emit_matches = 0, emit_checksum = 0;
   dev.Launch({.name = "join"}, [&](exec::KernelContext& ctx) {
     uint64_t cursor = 0;
-    joiner.JoinSlices(ctx, *rows, {{0, 5000}}, *rows, {{5000, 5000}},
-                      /*radix_shift=*/0, /*result=*/nullptr, &cursor,
-                      &direct_matches, &direct_checksum);
+    EXPECT_TRUE(joiner
+                    .JoinSlices(ctx, *rows, {{0, 5000}}, *rows,
+                                {{5000, 5000}}, /*radix_shift=*/0,
+                                /*result=*/nullptr, &cursor, &direct_matches,
+                                &direct_checksum)
+                    .ok());
     joiner.JoinSlicesEmit(ctx, *rows, {{0, 5000}}, *rows, {{5000, 5000}},
                           /*radix_shift=*/0,
                           [&](int64_t build_val, int64_t probe_val) {
@@ -560,43 +713,6 @@ TEST_F(ParallelIdentityTest, JoinSlicesEmitMatchesJoinSlices) {
 }
 
 // --- No-partitioning join ---
-
-/// Forwards every allocator callback to the device's sanitizer and keeps a
-/// copy of the last freed buffer of `capture_bytes` bytes: the join frees
-/// its result buffer before returning, so this is how a test reads the
-/// materialized rows.
-class ResultCapture : public mem::AllocationObserver {
- public:
-  ResultCapture(sanitizer::DeviceSanitizer* san, uint64_t capture_bytes)
-      : san_(san), capture_bytes_(capture_bytes) {}
-
-  void OnAlloc(const mem::Buffer& buffer) override {
-    if (san_ != nullptr) san_->OnAlloc(buffer);
-  }
-  void OnFree(const mem::Buffer& buffer) override {
-    if (buffer.size() == capture_bytes_) {
-      const auto* rows = buffer.as<hash::Entry>();
-      captured_.assign(rows, rows + capture_bytes_ / sizeof(hash::Entry));
-    }
-    if (san_ != nullptr) san_->OnFree(buffer);
-  }
-  void OnArenaBegin(uint64_t id, uint64_t base_addr) override {
-    if (san_ != nullptr) san_->OnArenaBegin(id, base_addr);
-  }
-  void OnArenaEnd(uint64_t id) override {
-    if (san_ != nullptr) san_->OnArenaEnd(id);
-  }
-  void OnArenaViolation(uint64_t id, const std::string& message) override {
-    if (san_ != nullptr) san_->OnArenaViolation(id, message);
-  }
-
-  const std::vector<hash::Entry>& captured() const { return captured_; }
-
- private:
-  sanitizer::DeviceSanitizer* san_;
-  uint64_t capture_bytes_;
-  std::vector<hash::Entry> captured_;
-};
 
 /// (scheme, result mode, table spilled past GPU memory).
 using NpjCase = std::tuple<join::HashScheme, join::ResultMode, bool>;

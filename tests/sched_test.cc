@@ -37,6 +37,18 @@ class ThreadsGuard {
   uint32_t prev_;
 };
 
+/// Folds a PK/FK workload so every build key appears twice: key k becomes
+/// (k + 1) / 2 on both sides, so each probe tuple matches two build tuples
+/// and a join makes twice as many matches as its |S|-row result holds.
+void RepeatBuildKeys(data::Workload& wl) {
+  for (uint64_t i = 0; i < wl.r.rows(); ++i) {
+    wl.r.keys()[i] = (wl.r.keys()[i] + 1) / 2;
+  }
+  for (uint64_t j = 0; j < wl.s.rows(); ++j) {
+    wl.s.keys()[j] = (wl.s.keys()[j] + 1) / 2;
+  }
+}
+
 class CoProcessTest : public ::testing::Test {
  protected:
   void SetUp() override { hw_ = sim::HwSpec::Ac922NvLink().Scaled(64); }
@@ -125,6 +137,31 @@ TEST_F(CoProcessTest, MaterializeAgreesWithAggregate) {
     ASSERT_TRUE(run.ok()) << run.status().ToString();
     EXPECT_EQ(run->matches, 150000u);
     EXPECT_EQ(run->checksum, join::ReferenceChecksum(wl.r, wl.s));
+  }
+}
+
+// Repeated build keys make more matches than the |S|-row result holds.
+// At a mid split the GPU pairs' join kernel or the CPU pairs' reduction
+// meets the end of the result first; all-CPU only the reduction does.
+// Either refuses instead of writing past the buffer.
+TEST_F(CoProcessTest, RefusesResultPastProbeRows) {
+  for (double split : {0.5, 1.0}) {
+    SCOPED_TRACE(testing::Message() << "split " << split);
+    exec::Device dev(hw_);
+    auto wl = MakeWorkload(dev, 40000, 40000);
+    RepeatBuildKeys(wl);
+    CoProcessScheduler mat({.split_ratio = split});
+    auto m = mat.Run(dev, wl.r, wl.s);
+    ASSERT_FALSE(m.ok());
+    EXPECT_EQ(m.status().code(), util::StatusCode::kResourceExhausted)
+        << m.status().ToString();
+    // Aggregating the same input is exact.
+    CoProcessScheduler agg(
+        {.result_mode = join::ResultMode::kAggregate, .split_ratio = split});
+    auto a = agg.Run(dev, wl.r, wl.s);
+    ASSERT_TRUE(a.ok()) << a.status().ToString();
+    EXPECT_EQ(a->matches, 2 * wl.s.rows());
+    EXPECT_EQ(a->checksum, join::ReferenceChecksum(wl.r, wl.s));
   }
 }
 

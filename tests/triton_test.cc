@@ -15,6 +15,18 @@
 namespace triton::core {
 namespace {
 
+/// Folds a PK/FK workload so every build key appears twice: key k becomes
+/// (k + 1) / 2 on both sides, so each probe tuple matches two build tuples
+/// and a join makes twice as many matches as its |S|-row result holds.
+void RepeatBuildKeys(data::Workload& wl) {
+  for (uint64_t i = 0; i < wl.r.rows(); ++i) {
+    wl.r.keys()[i] = (wl.r.keys()[i] + 1) / 2;
+  }
+  for (uint64_t j = 0; j < wl.s.rows(); ++j) {
+    wl.s.keys()[j] = (wl.s.keys()[j] + 1) / 2;
+  }
+}
+
 class TritonJoinTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -57,6 +69,24 @@ TEST_F(TritonJoinTest, ExactResultOutOfCore) {
   EXPECT_EQ(run->matches, n);
   EXPECT_GT(join.stats().spilled_bytes, 0u);
   EXPECT_LT(join.stats().cached_fraction, 1.0);
+}
+
+// Repeated build keys make more matches than the |S|-row result holds:
+// the join refuses to materialize them instead of writing past the buffer.
+TEST_F(TritonJoinTest, RefusesResultPastProbeRows) {
+  auto wl = MakeWorkload(40000, 40000);
+  RepeatBuildKeys(wl);
+  TritonJoin mat({.result_mode = join::ResultMode::kMaterialize});
+  auto m = mat.Run(*dev_, wl.r, wl.s);
+  ASSERT_FALSE(m.ok());
+  EXPECT_EQ(m.status().code(), util::StatusCode::kResourceExhausted)
+      << m.status().ToString();
+  // Aggregating the same input is exact.
+  TritonJoin agg({.result_mode = join::ResultMode::kAggregate});
+  auto a = agg.Run(*dev_, wl.r, wl.s);
+  ASSERT_TRUE(a.ok()) << a.status().ToString();
+  EXPECT_EQ(a->matches, 2 * wl.s.rows());
+  EXPECT_EQ(a->checksum, join::ReferenceChecksum(wl.r, wl.s));
 }
 
 TEST_F(TritonJoinTest, InCoreWorkloadIsFullyCached) {
