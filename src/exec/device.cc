@@ -186,14 +186,20 @@ void KernelContext::RunBlocks(
     }
   }
   const std::unique_ptr<KernelContext>* subs = arena.data();
-  // Deterministic reduction, on this thread while later blocks run: replay
-  // each block's shared-TLB log and merge its counter shard and sanitizer
-  // state, strictly in block order. This is the only place shared TLB
-  // state advances for these blocks, and the replay order equals the
-  // serial execution order, so every counter and latency is bit-identical
-  // to a single-threaded run.
+  // Each block checks its own write coverage on its own thread, right
+  // after its body. Deterministic reduction, on this thread while later
+  // blocks run: replay each block's shared-TLB log and merge its counter
+  // shard and sanitizer state, strictly in block order. This is the only
+  // place shared TLB state advances for these blocks, and the replay order
+  // equals the serial execution order, so every counter and latency is
+  // bit-identical to a single-threaded run.
   BlockExecutor::Global().Run(
-      num_blocks, [subs, &body](uint32_t b) { body(*subs[b], b); },
+      num_blocks,
+      [subs, &body](uint32_t b) {
+        KernelContext& sub = *subs[b];
+        body(sub, b);
+        if (sub.san_ != nullptr) sub.san_->FinishBlock();
+      },
       [this, subs](uint32_t b) {
         KernelContext& sub = *subs[b];
         sub.ReplayDeferredLog();

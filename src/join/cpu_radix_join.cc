@@ -79,6 +79,9 @@ util::StatusOr<JoinRun> CpuRadixJoin::Run(exec::Device& dev,
 
   uint64_t matches = 0;
   uint64_t checksum = 0;
+  // Repeated build keys can make more matches than the |S|-row result
+  // holds; the probe stops before writing past it.
+  bool overflow = false;
   uint64_t max_partition = 0;
   for (uint32_t p = 0; p < radix.fanout(); ++p) {
     max_partition = std::max(max_partition, r_layout.PartitionSize(p));
@@ -89,7 +92,7 @@ util::StatusOr<JoinRun> CpuRadixJoin::Run(exec::Device& dev,
   std::vector<int64_t> values(max_partition);
   std::vector<uint32_t> next(max_partition);
 
-  for (uint32_t p = 0; p < radix.fanout(); ++p) {
+  for (uint32_t p = 0; p < radix.fanout() && !overflow; ++p) {
     if (r_layout.PartitionSize(p) == 0) continue;
     std::fill(heads.begin(), heads.end(), 0u);
     hash::BucketChainTable table(
@@ -104,13 +107,26 @@ util::StatusOr<JoinRun> CpuRadixJoin::Run(exec::Device& dev,
     s_layout.ForEachSlice(p, [&](uint64_t begin, uint64_t count) {
       for (uint64_t i = begin; i < begin + count; ++i) {
         table.Probe(s_rows[i].key, bits, [&](int64_t build_val) {
-          if (out != nullptr) out[matches] = {build_val, s_rows[i].value};
+          if (out != nullptr) {
+            if (matches == s.rows()) {
+              overflow = true;
+              return;
+            }
+            out[matches] = {build_val, s_rows[i].value};
+          }
           ++matches;
           checksum += static_cast<uint64_t>(build_val) +
                       static_cast<uint64_t>(s_rows[i].value);
         });
       }
     });
+  }
+
+  if (overflow) {
+    dev.allocator().Free(*r_out);
+    dev.allocator().Free(*s_out);
+    dev.allocator().Free(*result);
+    return TooManyMatches("CPU radix join", s.rows());
   }
 
   // --- Analytic join-phase time ---

@@ -25,13 +25,16 @@ void IntervalLog::Add(uint64_t begin, uint64_t end) {
   }
 }
 
-void IntervalLog::Merge(IntervalLog&& other) {
+void IntervalLog::Append(IntervalLog&& other) {
   if (log_.empty()) {
     std::swap(log_, other.log_);
     std::swap(normalized_, other.normalized_);
     std::swap(normalized_entries_, other.normalized_entries_);
-  } else {
-    for (const auto& [begin, end] : other.log_) Add(begin, end);
+  } else if (!other.log_.empty()) {
+    // The first normalized_entries_ entries stay sorted, so Normalize
+    // still sorts only what came after them.
+    log_.insert(log_.end(), other.log_.begin(), other.log_.end());
+    normalized_ = false;
   }
   other.log_.clear();
   other.normalized_ = true;
@@ -61,23 +64,42 @@ void IntervalLog::Normalize() {
   normalized_entries_ = log_.size();
 }
 
-uint64_t IntervalLog::UncoveredBy(const IntervalLog& cover) const {
+template <typename Fn>
+void IntervalLog::ForEachUncovered(const IntervalLog& cover, Fn fn) const {
   DCHECK(normalized_ && cover.normalized_);
   const auto& c = cover.log_;
-  uint64_t uncovered = 0;
   size_t first = 0;  // first cover interval that may reach the current pos
   for (const auto& [begin, end] : log_) {
     uint64_t pos = begin;
     while (first < c.size() && c[first].second <= pos) ++first;
     for (size_t k = first; pos < end; ++k) {
       if (k == c.size() || c[k].first >= end) {
-        uncovered += end - pos;
+        fn(pos, end);
         break;
       }
-      if (c[k].first > pos) uncovered += c[k].first - pos;
+      if (c[k].first > pos) fn(pos, c[k].first);
       pos = std::max(pos, c[k].second);
     }
   }
+}
+
+IntervalLog IntervalLog::Minus(const IntervalLog& cover) const {
+  // Pieces come out ascending, and two of them are separated by a
+  // non-empty cover interval or by a gap of this normalized log, so the
+  // result is normalized as built.
+  IntervalLog out;
+  ForEachUncovered(cover, [&out](uint64_t begin, uint64_t end) {
+    out.log_.emplace_back(begin, end);
+  });
+  out.normalized_entries_ = out.log_.size();
+  return out;
+}
+
+uint64_t IntervalLog::UncoveredBy(const IntervalLog& cover) const {
+  uint64_t uncovered = 0;
+  ForEachUncovered(cover, [&uncovered](uint64_t begin, uint64_t end) {
+    uncovered += end - begin;
+  });
   return uncovered;
 }
 

@@ -25,21 +25,36 @@ class IntervalLog {
   /// ignored.
   void Add(uint64_t begin, uint64_t end);
 
-  /// Adds every interval of `other` (union is order-independent) and
-  /// leaves `other` empty.
-  void Merge(IntervalLog&& other);
+  /// Appends every entry of `other` (union is order-independent) without
+  /// sorting or compacting, and leaves `other` empty. An empty log adopts
+  /// `other`'s storage.
+  void Append(IntervalLog&& other);
 
   /// Sorts the log and coalesces overlapping and adjacent intervals, so
   /// it holds the union as disjoint, non-adjacent intervals in ascending
   /// order. A no-op when the log is already in that form.
   void Normalize();
 
-  /// Bytes of this union not covered by `cover`. Both logs must be
-  /// normalized.
+  /// The part of this union not covered by `cover`, as a normalized log.
+  /// Both logs must be normalized.
+  IntervalLog Minus(const IntervalLog& cover) const;
+
+  /// Bytes of Minus(cover), counted in the same sweep without building it.
+  /// Both logs must be normalized.
   uint64_t UncoveredBy(const IntervalLog& cover) const;
 
   /// Bytes in the union. The log must be normalized.
   uint64_t TotalBytes() const;
+
+  /// True when both logs hold the same entries in the same order, so the
+  /// same union; no sort. Two logs built by the same sequence of Adds
+  /// always compare equal.
+  bool SameEntries(const IntervalLog& other) const {
+    return log_ == other.log_;
+  }
+
+  /// True when the union is empty.
+  bool empty() const { return log_.empty(); }
 
   /// Entries currently held. A normalized log holds exactly its disjoint
   /// intervals; otherwise at most 2 * max(entries after the last
@@ -50,6 +65,11 @@ class IntervalLog {
   /// Compaction never runs below this many entries, so tiny logs are
   /// not re-sorted on every out-of-order append.
   static constexpr size_t kMinCompactEntries = 64;
+
+  /// Calls fn(begin, end) for each maximal interval of this union outside
+  /// `cover`, in ascending order. Both logs must be normalized.
+  template <typename Fn>
+  void ForEachUncovered(const IntervalLog& cover, Fn fn) const;
 
   std::vector<std::pair<uint64_t, uint64_t>> log_;  // [begin, end)
   /// True when log_ is sorted, disjoint and non-adjacent.

@@ -57,11 +57,13 @@ util::Status Violation::ToStatus() const {
 
 void DeviceSanitizer::OnAlloc(const mem::Buffer& buffer) {
   live_[buffer.base_addr()] = LiveAllocation{buffer.size()};
+  last_found_ = nullptr;
 }
 
 void DeviceSanitizer::OnFree(const mem::Buffer& buffer) {
   const uint64_t base = buffer.base_addr();
   live_.erase(base);
+  last_found_ = nullptr;
   // A later allocation may reuse the address; drop stale shadow intervals.
   functional_writes_.erase(base);
   accounted_writes_.erase(base);
@@ -100,13 +102,19 @@ void DeviceSanitizer::OnArenaViolation(uint64_t id,
          "arena " + std::to_string(id) + ": " + message);
 }
 
-std::map<uint64_t, DeviceSanitizer::LiveAllocation>::const_iterator
-DeviceSanitizer::FindAllocation(uint64_t addr) const {
-  auto it = live_.upper_bound(addr);
-  if (it == live_.begin()) return live_.end();
+const DeviceSanitizer::LiveMap::value_type* DeviceSanitizer::FindAllocation(
+    uint64_t addr) {
+  if (last_found_ != nullptr && addr >= last_found_->first &&
+      addr < last_found_->first + last_found_->second.size) {
+    return last_found_;
+  }
+  const LiveMap& live = parent_ != nullptr ? parent_->live_ : live_;
+  auto it = live.upper_bound(addr);
+  if (it == live.begin()) return nullptr;
   --it;
-  if (addr >= it->first + it->second.size) return live_.end();
-  return it;
+  if (addr >= it->first + it->second.size) return nullptr;
+  last_found_ = &*it;
+  return last_found_;
 }
 
 // --- Launch lifecycle ---
@@ -122,16 +130,30 @@ void DeviceSanitizer::BeginLaunch(const std::string& kernel) {
 
 void DeviceSanitizer::EndLaunch(const sim::PerfCounters& counters) {
   // 1. Accounting completeness: every checked functional write must be
-  //    covered by accounted write traffic on the same allocation.
-  for (auto& [base, functional] : functional_writes_) {
-    IntervalLog& accounted = accounted_writes_[base];
-    functional.Normalize();
+  //    covered by accounted write traffic on the same allocation. A block's
+  //    stores covered by its own accounted writes are covered by the
+  //    launch's, so only the launch's own stores and the blocks' residues
+  //    (FinishBlock) are left to check.
+  for (auto& [base, stored] : functional_writes_) {
+    IntervalLog unchecked = std::move(stored.own);
+    unchecked.Append(std::move(stored.residue));
+    if (unchecked.empty()) continue;
+    WriteLogs& accounted_logs = accounted_writes_[base];
+    IntervalLog accounted = std::move(accounted_logs.own);
+    for (IntervalLog& log : accounted_logs.blocks) {
+      accounted.Append(std::move(log));
+    }
+    unchecked.Normalize();
     accounted.Normalize();
-    uint64_t uncovered = functional.UncoveredBy(accounted);
+    const uint64_t uncovered = unchecked.UncoveredBy(accounted);
     if (uncovered > tolerance_bytes_) {
+      // The message reports every stored byte, the covered ones too.
+      IntervalLog all_stored = std::move(unchecked);
+      for (IntervalLog& log : stored.blocks) all_stored.Append(std::move(log));
+      all_stored.Normalize();
       std::ostringstream msg;
       msg << uncovered << " B of functional writes to allocation at 0x"
-          << std::hex << base << std::dec << " (" << functional.TotalBytes()
+          << std::hex << base << std::dec << " (" << all_stored.TotalBytes()
           << " B stored, " << accounted.TotalBytes()
           << " B accounted) have no accounted traffic";
       Report(ViolationCode::kUnaccountedWrite, msg.str());
@@ -177,23 +199,40 @@ void DeviceSanitizer::EndLaunch(const sim::PerfCounters& counters) {
 
 std::unique_ptr<DeviceSanitizer> DeviceSanitizer::Fork() const {
   auto child = std::make_unique<DeviceSanitizer>();
-  child->live_ = live_;
+  child->parent_ = this;
   child->scope_ = scope_;
   child->in_launch_ = in_launch_;
   child->tolerance_bytes_ = tolerance_bytes_;
   return child;
 }
 
+void DeviceSanitizer::FinishBlock() {
+  for (auto& [base, stored] : functional_writes_) {
+    IntervalLog& accounted = accounted_writes_[base].own;
+    // A StoreRun and the flush that accounts it record the same interval
+    // on both sides, so a block that accounts every store as it makes it
+    // leaves two identical logs and no residue, without a sort.
+    if (stored.own.SameEntries(accounted)) continue;
+    stored.own.Normalize();
+    accounted.Normalize();
+    stored.residue = stored.own.Minus(accounted);
+  }
+}
+
 void DeviceSanitizer::MergeBlock(DeviceSanitizer& child) {
   for (auto& v : child.violations_) violations_.push_back(std::move(v));
   child.violations_.clear();
-  // Interval union is order-independent, so the unordered_map iteration
-  // order below cannot affect the merged state.
-  for (auto& [base, log] : child.functional_writes_) {
-    functional_writes_[base].Merge(std::move(log));
+  // Union is order-independent, so the child's map order cannot change
+  // what EndLaunch computes; inserting the stored-to keys in that order
+  // keeps the order in which EndLaunch visits (and reports) allocations.
+  for (auto& [base, stored] : child.functional_writes_) {
+    WriteLogs& logs = functional_writes_[base];
+    logs.blocks.push_back(std::move(stored.own));
+    logs.residue.Append(std::move(stored.residue));
   }
-  for (auto& [base, log] : child.accounted_writes_) {
-    accounted_writes_[base].Merge(std::move(log));
+  for (auto& [base, accounted] : child.accounted_writes_) {
+    if (accounted.own.empty()) continue;
+    accounted_writes_[base].blocks.push_back(std::move(accounted.own));
   }
   child.functional_writes_.clear();
   child.accounted_writes_.clear();
@@ -204,8 +243,8 @@ void DeviceSanitizer::MergeBlock(DeviceSanitizer& child) {
 void DeviceSanitizer::RecordAccounted(uint64_t addr, uint64_t size,
                                       bool is_write) {
   if (size == 0) return;
-  auto it = FindAllocation(addr);
-  if (it == live_.end()) {
+  const LiveMap::value_type* it = FindAllocation(addr);
+  if (it == nullptr) {
     std::ostringstream msg;
     msg << "accounted " << (is_write ? "write" : "read") << " of " << size
         << " B at 0x" << std::hex << addr << std::dec
@@ -224,15 +263,15 @@ void DeviceSanitizer::RecordAccounted(uint64_t addr, uint64_t size,
     size = end - addr;
   }
   if (is_write && in_launch_) {
-    accounted_writes_[it->first].Add(addr, addr + size);
+    accounted_writes_[it->first].own.Add(addr, addr + size);
   }
 }
 
 void DeviceSanitizer::RecordFunctionalWrite(uint64_t addr, uint64_t size) {
   if (size == 0 || !in_launch_) return;
-  auto it = FindAllocation(addr);
-  if (it == live_.end()) return;  // raw CHECK macros guard this path already
-  functional_writes_[it->first].Add(addr, addr + size);
+  const LiveMap::value_type* it = FindAllocation(addr);
+  if (it == nullptr) return;  // raw CHECK macros guard this path already
+  functional_writes_[it->first].own.Add(addr, addr + size);
 }
 
 void DeviceSanitizer::ExpectTuples(uint64_t tuples,
@@ -297,51 +336,30 @@ ScratchpadShadow::ScratchpadShadow(DeviceSanitizer* san, uint64_t bytes,
   initialized_.assign(words, 0);
 }
 
-bool ScratchpadShadow::CheckBounds(uint64_t offset, uint64_t size,
-                                   uint32_t warp, const char* what) {
-  if (offset + size <= bytes_) return true;
+void ScratchpadShadow::ReportOutOfBounds(uint64_t offset, uint64_t size,
+                                         uint32_t warp, const char* what) {
   std::ostringstream msg;
   msg << "scratchpad " << what << " of " << size << " B at offset " << offset
       << " overruns the " << bytes_ << " B arena by "
       << offset + size - bytes_ << " B";
   san_->ReportAtWarp(ViolationCode::kScratchpadOutOfBounds, warp, msg.str());
-  return false;
 }
 
-void ScratchpadShadow::Store(uint64_t offset, uint64_t size, uint32_t warp) {
-  if (san_ == nullptr || size == 0) return;
-  if (!CheckBounds(offset, size, warp, "store")) return;
-  const uint64_t first = offset / kWordBytes;
-  const uint64_t last = (offset + size - 1) / kWordBytes;
-  for (uint64_t w = first; w <= last; ++w) {
-    int32_t prev = last_writer_[w];
-    if (prev >= 0 && static_cast<uint32_t>(prev) != warp) {
-      std::ostringstream msg;
-      msg << "warps " << prev << " and " << warp
-          << " wrote scratchpad word at offset " << w * kWordBytes
-          << " with no synchronization point in between";
-      san_->ReportAtWarp(ViolationCode::kScratchpadRace, warp, msg.str());
-    }
-    last_writer_[w] = static_cast<int32_t>(warp);
-    initialized_[w] = 1;
-  }
+void ScratchpadShadow::ReportRace(uint32_t prev, uint32_t warp,
+                                  uint64_t word) {
+  std::ostringstream msg;
+  msg << "warps " << prev << " and " << warp
+      << " wrote scratchpad word at offset " << word * kWordBytes
+      << " with no synchronization point in between";
+  san_->ReportAtWarp(ViolationCode::kScratchpadRace, warp, msg.str());
 }
 
-void ScratchpadShadow::Load(uint64_t offset, uint64_t size, uint32_t warp) {
-  if (san_ == nullptr || size == 0) return;
-  if (!CheckBounds(offset, size, warp, "load")) return;
-  const uint64_t first = offset / kWordBytes;
-  const uint64_t last = (offset + size - 1) / kWordBytes;
-  for (uint64_t w = first; w <= last; ++w) {
-    if (!initialized_[w]) {
-      std::ostringstream msg;
-      msg << "scratchpad word at offset " << w * kWordBytes
-          << " read before any warp initialized it";
-      san_->ReportAtWarp(ViolationCode::kScratchpadUseBeforeInit, warp,
-                         msg.str());
-      return;  // one report per load is enough
-    }
-  }
+void ScratchpadShadow::ReportUseBeforeInit(uint32_t warp, uint64_t word) {
+  std::ostringstream msg;
+  msg << "scratchpad word at offset " << word * kWordBytes
+      << " read before any warp initialized it";
+  san_->ReportAtWarp(ViolationCode::kScratchpadUseBeforeInit, warp,
+                     msg.str());
 }
 
 void ScratchpadShadow::SyncRange(uint64_t offset, uint64_t size) {
@@ -363,47 +381,47 @@ void ScratchpadShadow::Barrier() {
 
 void ScratchpadShadow::AcquireLock(uint32_t lock, uint32_t warp) {
   if (san_ == nullptr) return;
-  auto it = lock_holder_.find(lock);
-  if (it != lock_holder_.end()) {
+  const int64_t holder = HolderOf(lock);
+  if (holder >= 0) {
     // The simulation is sequential: a holder cannot release while another
     // warp spins, so acquiring a held lock is a re-acquire bug or a
     // guaranteed deadlock on real hardware.
     std::ostringstream msg;
-    if (it->second == warp) {
+    if (holder == warp) {
       msg << "warp re-acquired buffer lock " << lock << " it already holds";
     } else {
       msg << "warp acquired buffer lock " << lock << " still held by warp "
-          << it->second << " (deadlock on real hardware)";
+          << holder << " (deadlock on real hardware)";
     }
     san_->ReportAtWarp(ViolationCode::kLockProtocol, warp, msg.str());
     return;
   }
+  if (lock >= lock_holder_.size()) lock_holder_.resize(uint64_t{lock} + 1, -1);
   lock_holder_[lock] = warp;
 }
 
 void ScratchpadShadow::ReleaseLock(uint32_t lock, uint32_t warp) {
   if (san_ == nullptr) return;
-  auto it = lock_holder_.find(lock);
-  if (it == lock_holder_.end() || it->second != warp) {
+  if (HolderOf(lock) != warp) {
     std::ostringstream msg;
     msg << "warp released buffer lock " << lock << " it does not hold";
     san_->ReportAtWarp(ViolationCode::kLockProtocol, warp, msg.str());
     return;
   }
-  lock_holder_.erase(it);
+  lock_holder_[lock] = -1;
 }
 
 void ScratchpadShadow::NoteFlush(uint32_t lock, uint32_t warp) {
   if (san_ == nullptr) return;
-  auto it = lock_holder_.find(lock);
-  if (it == lock_holder_.end() || it->second != warp) {
+  const int64_t holder = HolderOf(lock);
+  if (holder != warp) {
     std::ostringstream msg;
     msg << "buffer " << lock << " flushed by a warp that does not hold its "
         << "lock (holder: ";
-    if (it == lock_holder_.end()) {
+    if (holder < 0) {
       msg << "none";
     } else {
-      msg << "warp " << it->second;
+      msg << "warp " << holder;
     }
     msg << ")";
     san_->ReportAtWarp(ViolationCode::kLockProtocol, warp, msg.str());

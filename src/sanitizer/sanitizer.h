@@ -113,6 +113,9 @@ void SetDefaultEnabled(bool enabled);
 class DeviceSanitizer : public mem::AllocationObserver {
  public:
   DeviceSanitizer() = default;
+  // Forks and the lookup cache hold pointers into a sanitizer.
+  DeviceSanitizer(const DeviceSanitizer&) = delete;
+  DeviceSanitizer& operator=(const DeviceSanitizer&) = delete;
 
   // --- Allocator liveness callbacks (mem::AllocationObserver) ---
 
@@ -142,18 +145,27 @@ class DeviceSanitizer : public mem::AllocationObserver {
 
   // --- Parallel block execution (exec::KernelContext::ForEachBlock) ---
 
-  /// Creates a per-block child: the live-allocation map and launch scope
-  /// are copied (read-only while blocks are in flight — the allocator must
-  /// not be used inside a block), shadow maps and violations start empty.
-  /// The child is not an allocation observer; merge it back with
-  /// MergeBlock.
+  /// Creates a per-block child. It copies the launch scope and searches
+  /// this sanitizer's live-allocation map, which must stay unchanged until
+  /// the child is merged (the allocator may not be used inside a block).
+  /// Shadow logs and violations start empty. The child is not an
+  /// allocation observer; finish it with FinishBlock on the block's thread
+  /// and merge it back with MergeBlock.
   std::unique_ptr<DeviceSanitizer> Fork() const;
 
-  /// Folds one block's child state back into this sanitizer: violations
-  /// are appended (keeping the child's block/warp provenance and program
-  /// order) and the per-launch shadow write intervals are unioned. Must be
-  /// called in block order so violation order — and therefore test output —
-  /// is bit-identical to serial execution.
+  /// Runs the accounting-completeness check of one block on a child, on
+  /// the block's own thread: for each allocation the block stored to, keeps
+  /// the residue, its stores that its own accounted writes do not cover.
+  /// Every block's accounted writes are part of the launch's, so the
+  /// launch's uncovered bytes are exactly those of its own stores plus
+  /// every residue (EndLaunch).
+  void FinishBlock();
+
+  /// Folds one finished child back into this sanitizer: violations are
+  /// appended (keeping the child's block/warp provenance and program
+  /// order), and its shadow logs and residues are moved over unsorted.
+  /// Must be called in block order so violation order, and therefore test
+  /// output, is bit-identical to serial execution.
   void MergeBlock(DeviceSanitizer& child);
 
   // --- Execution provenance (drives violation messages) ---
@@ -208,11 +220,23 @@ class DeviceSanitizer : public mem::AllocationObserver {
   struct LiveAllocation {
     uint64_t size = 0;
   };
+  using LiveMap = std::map<uint64_t, LiveAllocation>;
+
+  /// One allocation's write intervals within a launch.
+  struct WriteLogs {
+    /// Recorded on this context: the launch's own, or one block's.
+    IntervalLog own;
+    /// Moved in by MergeBlock from finished blocks, one unsorted log each.
+    std::vector<IntervalLog> blocks;
+    /// Stores only: on a block, `own` minus its own accounted writes
+    /// (FinishBlock); on the launch, every merged block's residue.
+    IntervalLog residue;
+  };
 
   std::string ScopePrefix(uint32_t warp) const;
-  /// Returns the live allocation containing `addr`, or live_.end().
-  std::map<uint64_t, LiveAllocation>::const_iterator FindAllocation(
-      uint64_t addr) const;
+  /// Returns the live allocation containing `addr`, or null. Remembers its
+  /// last answer, since consecutive accesses mostly hit one allocation.
+  const LiveMap::value_type* FindAllocation(uint64_t addr);
 
   struct Scope {
     std::string kernel = "<none>";
@@ -225,17 +249,21 @@ class DeviceSanitizer : public mem::AllocationObserver {
   bool in_launch_ = false;
   uint64_t tolerance_bytes_ = 0;
 
-  /// Live allocations keyed by base address.
-  std::map<uint64_t, LiveAllocation> live_;
+  /// Live allocations keyed by base address. A fork leaves its own empty
+  /// and searches its parent's.
+  LiveMap live_;
+  const DeviceSanitizer* parent_ = nullptr;
+  /// FindAllocation's last answer; reset by OnAlloc and OnFree.
+  const LiveMap::value_type* last_found_ = nullptr;
 
   /// Open arena frames: id -> simulated base address of the frame.
   std::map<uint64_t, uint64_t> open_arenas_;
 
   // Per-launch shadow state, keyed by allocation base address. At launch
-  // end only allocations with functional writes are normalized and
-  // checked; the other accounted logs are dropped as they are.
-  std::unordered_map<uint64_t, IntervalLog> functional_writes_;
-  std::unordered_map<uint64_t, IntervalLog> accounted_writes_;
+  // end only allocations with stores the launch itself made or a residue
+  // are normalized and checked; every other log is dropped unsorted.
+  std::unordered_map<uint64_t, WriteLogs> functional_writes_;
+  std::unordered_map<uint64_t, WriteLogs> accounted_writes_;
 
   // Launch lint expectations.
   bool expect_set_ = false;
@@ -267,10 +295,38 @@ class ScratchpadShadow {
                    uint64_t capacity_bytes);
 
   /// Records warp `warp` writing [offset, offset+size) of the arena.
-  void Store(uint64_t offset, uint64_t size, uint32_t warp);
+  void Store(uint64_t offset, uint64_t size, uint32_t warp) {
+    if (san_ == nullptr || size == 0) return;
+    if (offset + size > bytes_) {
+      ReportOutOfBounds(offset, size, warp, "store");
+      return;
+    }
+    const uint64_t last = (offset + size - 1) / kWordBytes;
+    for (uint64_t w = offset / kWordBytes; w <= last; ++w) {
+      const int32_t prev = last_writer_[w];
+      if (prev >= 0 && static_cast<uint32_t>(prev) != warp) {
+        ReportRace(static_cast<uint32_t>(prev), warp, w);
+      }
+      last_writer_[w] = static_cast<int32_t>(warp);
+      initialized_[w] = 1;
+    }
+  }
 
   /// Records warp `warp` reading [offset, offset+size) of the arena.
-  void Load(uint64_t offset, uint64_t size, uint32_t warp);
+  void Load(uint64_t offset, uint64_t size, uint32_t warp) {
+    if (san_ == nullptr || size == 0) return;
+    if (offset + size > bytes_) {
+      ReportOutOfBounds(offset, size, warp, "load");
+      return;
+    }
+    const uint64_t last = (offset + size - 1) / kWordBytes;
+    for (uint64_t w = offset / kWordBytes; w <= last; ++w) {
+      if (!initialized_[w]) {
+        ReportUseBeforeInit(warp, w);
+        return;  // one report per load is enough
+      }
+    }
+  }
 
   /// Synchronization point covering [offset, offset+size): clears the race
   /// window and the init state (a flushed buffer is logically empty).
@@ -295,16 +351,24 @@ class ScratchpadShadow {
  private:
   static constexpr uint64_t kWordBytes = 8;
 
-  /// Bounds-checks one access; returns false (and reports) when outside
-  /// the arena.
-  bool CheckBounds(uint64_t offset, uint64_t size, uint32_t warp,
-                   const char* what);
+  // Reports for Store/Load, out of line.
+  void ReportOutOfBounds(uint64_t offset, uint64_t size, uint32_t warp,
+                         const char* what);
+  void ReportRace(uint32_t prev, uint32_t warp, uint64_t word);
+  void ReportUseBeforeInit(uint32_t warp, uint64_t word);
+
+  /// The warp holding `lock`, or -1 when it is free.
+  int64_t HolderOf(uint32_t lock) const {
+    return lock < lock_holder_.size() ? lock_holder_[lock] : -1;
+  }
 
   DeviceSanitizer* san_;  // null => every method is a no-op
   uint64_t bytes_ = 0;
   std::vector<int32_t> last_writer_;  // per word, -1 = none since last sync
   std::vector<uint8_t> initialized_;  // per word
-  std::unordered_map<uint32_t, uint32_t> lock_holder_;  // lock -> warp
+  /// Indexed by lock id (a buffer's partition), grown on acquire: the
+  /// holding warp, or -1.
+  std::vector<int64_t> lock_holder_;
 };
 
 }  // namespace triton::sanitizer

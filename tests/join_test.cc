@@ -333,6 +333,24 @@ TEST_F(JoinTest, XeonIsSlowerThanPower9OnLargeInputs) {
   EXPECT_LT(a->elapsed, b->elapsed);
 }
 
+// Every build key twice and S a foreign-key column: 2|S| matches. Writing
+// them all used to run past the |S|-row result buffer.
+TEST_F(JoinTest, CpuRadixJoinRefusesResultPastProbeRows) {
+  auto wl = MakeWorkload(40000, 40000);
+  RepeatBuildKeys(wl);
+  CpuRadixJoin mat;
+  auto m = mat.Run(*dev_, wl.r, wl.s);
+  ASSERT_FALSE(m.ok());
+  EXPECT_EQ(m.status().code(), util::StatusCode::kResourceExhausted)
+      << m.status().ToString();
+  // Aggregating the same input is exact.
+  CpuRadixJoin agg({.result_mode = ResultMode::kAggregate});
+  auto a = agg.Run(*dev_, wl.r, wl.s);
+  ASSERT_TRUE(a.ok()) << a.status().ToString();
+  EXPECT_EQ(a->matches, 2 * wl.s.rows());
+  EXPECT_EQ(a->checksum, ReferenceChecksum(wl.r, wl.s));
+}
+
 // --- CPU-partitioned GPU join ---
 
 TEST_F(JoinTest, CpuPartitionedJoinIsExact) {

@@ -11,10 +11,12 @@
 #include <atomic>
 #include <chrono>
 #include <memory>
+#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <thread>
 #include <tuple>
+#include <unordered_map>
 #include <vector>
 
 #include "core/triton_join.h"
@@ -37,6 +39,7 @@
 #include "sim/hw_spec.h"
 #include "sim/perf_counters.h"
 #include "sim/tlb.h"
+#include "util/random.h"
 
 namespace triton {
 namespace {
@@ -1038,6 +1041,209 @@ TEST_F(ParallelSanitizerTest, LockProtocolIsCaughtInsideABlock) {
   EXPECT_NE(v.message.find("flushed by a warp that does not hold"),
             std::string::npos)
       << v.message;
+}
+
+// --- Write coverage checked per block, against a byte-bitmap oracle ---
+
+constexpr uint32_t kCoverageBlocks = 16;
+/// Who records an interval: the launch before its blocks, a block
+/// 0..kCoverageBlocks-1, or the launch after its blocks.
+constexpr int kLaunchBefore = -1;
+constexpr int kLaunchAfter = static_cast<int>(kCoverageBlocks);
+
+struct CoverageOp {
+  int who = kLaunchBefore;
+  bool store = false;  // a checked store; otherwise an accounted write
+  int alloc = 0;
+  uint64_t begin = 0;
+  uint64_t end = 0;
+};
+
+/// Sizes of the allocations a coverage script writes to.
+const std::vector<uint64_t> kCoverageAllocs = {4096, 3000, 2048};
+
+/// A seeded script of checked stores and accounted writes. Every store
+/// draws who accounts it: the storing context itself right after the
+/// store, another block, only the launch after its blocks (the staging
+/// pattern: blocks copy, the launch accounts the whole pair once), part of
+/// it, or nobody. Allocation 0 never draws the last two, so it is clean
+/// only if accounting by other blocks and by the launch counts. Blocks
+/// with b % 4 == 0 account every store themselves, the common case of
+/// identical store and account logs. Accounted writes that cover no store
+/// (an NPJ table's) ride along.
+std::vector<CoverageOp> MakeCoverageScript(uint64_t seed) {
+  util::Rng rng(seed);
+  std::vector<CoverageOp> ops;
+  auto other_block = [&rng](int not_this) {
+    int b = 0;
+    do {
+      b = static_cast<int>(rng.NextBounded(kCoverageBlocks));
+    } while (b % 4 == 0 || b == not_this);
+    return b;
+  };
+  for (int alloc = 0; alloc < static_cast<int>(kCoverageAllocs.size());
+       ++alloc) {
+    const uint64_t size = kCoverageAllocs[alloc];
+    const uint64_t launch_share = alloc == 2 ? 2 : 10;  // 1 in n stores
+    for (int i = 0; i < 60; ++i) {
+      const uint64_t begin = rng.NextBounded(size - 64);
+      const uint64_t end = begin + 1 + rng.NextBounded(64);
+      int who = static_cast<int>(rng.NextBounded(kCoverageBlocks));
+      if (rng.NextBounded(launch_share) == 0) {
+        who = rng.NextBounded(2) == 0 ? kLaunchBefore : kLaunchAfter;
+      }
+      ops.push_back({who, true, alloc, begin, end});
+      uint64_t fate = rng.NextBounded(alloc == 0 ? 3 : 5);
+      if (who >= 0 && who % 4 == 0) fate = 0;
+      switch (fate) {
+        case 0:  // by the storing context
+          ops.push_back({who, false, alloc, begin, end});
+          break;
+        case 1:  // by another block
+          ops.push_back({other_block(who), false, alloc, begin, end});
+          break;
+        case 2:  // only by the launch, after every block
+          ops.push_back({kLaunchAfter, false, alloc, begin, end});
+          break;
+        case 3: {  // in part, by any context but the fast-path blocks
+          const uint64_t cut = begin + rng.NextBounded(end - begin);
+          const int by = rng.NextBounded(3) == 0 ? kLaunchAfter
+                                                 : other_block(-1);
+          if (rng.NextBounded(2) == 0) {
+            ops.push_back({by, false, alloc, begin, cut});
+          } else {
+            ops.push_back({by, false, alloc, cut + 1, end});
+          }
+          break;
+        }
+        default:  // by nobody
+          break;
+      }
+    }
+    for (int i = 0; i < 10; ++i) {
+      const uint64_t begin = rng.NextBounded(size - 64);
+      const int by = rng.NextBounded(4) == 0 ? kLaunchBefore : other_block(-1);
+      ops.push_back({by, false, alloc, begin, begin + 1 + rng.NextBounded(64)});
+    }
+  }
+  return ops;
+}
+
+/// One expected kUnaccountedWrite report.
+struct CoverageReport {
+  int alloc = 0;
+  uint64_t uncovered = 0, stored = 0, accounted = 0;
+};
+
+/// The reports EndLaunch must make, from one flag per byte. They come in
+/// the order the launch's std::unordered_map holds the stored-to
+/// allocations' base addresses, fed as serial execution feeds it: the
+/// launch's own stores before the blocks, each block's keys in its own
+/// map's order, then the launch's stores after the blocks.
+std::vector<CoverageReport> CoverageOracle(const std::vector<CoverageOp>& ops,
+                                           const std::vector<uint64_t>& bases) {
+  std::vector<std::vector<uint8_t>> stored, accounted;
+  for (uint64_t size : kCoverageAllocs) {
+    stored.emplace_back(size, 0);
+    accounted.emplace_back(size, 0);
+  }
+  for (const CoverageOp& op : ops) {
+    auto& bytes = op.store ? stored[op.alloc] : accounted[op.alloc];
+    for (uint64_t i = op.begin; i < op.end; ++i) bytes[i] = 1;
+  }
+  using Keys = std::unordered_map<uint64_t, int>;  // base -> allocation
+  auto stores_of = [&](int who, Keys& keys) {
+    for (const CoverageOp& op : ops) {
+      if (op.who == who && op.store) keys.emplace(bases[op.alloc], op.alloc);
+    }
+  };
+  Keys launch;
+  stores_of(kLaunchBefore, launch);
+  for (int b = 0; b < static_cast<int>(kCoverageBlocks); ++b) {
+    Keys block;
+    stores_of(b, block);
+    for (const auto& key : block) launch.insert(key);
+  }
+  stores_of(kLaunchAfter, launch);
+  std::vector<CoverageReport> reports;
+  for (const auto& [base, a] : launch) {
+    CoverageReport r{a, 0, 0, 0};
+    for (size_t i = 0; i < stored[a].size(); ++i) {
+      r.uncovered += stored[a][i] && !accounted[a][i];
+      r.stored += stored[a][i];
+      r.accounted += accounted[a][i];
+    }
+    if (r.uncovered > 0) reports.push_back(r);
+  }
+  return reports;
+}
+
+// Blocks check their own stores against their own accounted writes and
+// hand on only the residue; the launch checks its own stores and every
+// residue against all accounted writes. The reports must be exactly the
+// byte oracle's, in count, order and bytes, at any thread count.
+TEST_F(ParallelSanitizerTest, CoverageReportsMatchByteOracleAtAnyThreads) {
+  for (uint64_t seed : {1, 2, 3, 4}) {
+    const std::vector<CoverageOp> ops = MakeCoverageScript(seed);
+    std::vector<CoverageReport> expected;
+    for (uint32_t threads : {1u, 2u, 8u}) {
+      ThreadsGuard guard(threads);
+      // A fresh device per run: the launch's maps start out alike.
+      exec::Device dev(hw_, /*sanitize=*/true);
+      std::vector<mem::Buffer> bufs;
+      std::vector<uint64_t> bases;
+      for (uint64_t size : kCoverageAllocs) {
+        auto buf = dev.allocator().AllocateCpu(size);
+        ASSERT_TRUE(buf.ok());
+        bases.push_back(buf->base_addr());
+        bufs.push_back(std::move(buf).value());
+      }
+      if (expected.empty()) {
+        expected = CoverageOracle(ops, bases);
+        ASSERT_FALSE(expected.empty()) << "seed " << seed;
+        for (const CoverageReport& r : expected) {
+          ASSERT_NE(r.alloc, 0) << "seed " << seed << ": allocation 0 leaks";
+        }
+      }
+      auto replay = [&](exec::KernelContext& ctx, int who) {
+        for (const CoverageOp& op : ops) {
+          if (op.who != who) continue;
+          const uint64_t addr = bases[op.alloc] + op.begin;
+          if (op.store) {
+            ctx.sanitizer()->RecordFunctionalWrite(addr, op.end - op.begin);
+          } else {
+            ctx.sanitizer()->RecordAccounted(addr, op.end - op.begin,
+                                             /*is_write=*/true);
+          }
+        }
+      };
+      dev.Launch({.name = "coverage"}, [&](exec::KernelContext& ctx) {
+        replay(ctx, kLaunchBefore);
+        ctx.ForEachBlock(kCoverageBlocks,
+                         [&](exec::KernelContext& sub, uint32_t b) {
+                           sub.SetSanitizerBlock(b);
+                           replay(sub, static_cast<int>(b));
+                         });
+        replay(ctx, kLaunchAfter);
+      });
+      const std::vector<Violation> vs = dev.sanitizer()->TakeViolations();
+      ASSERT_EQ(vs.size(), expected.size())
+          << "seed " << seed << ", threads " << threads << ": "
+          << (vs.empty() ? "" : vs.front().message);
+      for (size_t i = 0; i < vs.size(); ++i) {
+        const CoverageReport& r = expected[i];
+        std::ostringstream want;
+        want << "kernel coverage, block 0, warp 0: " << r.uncovered
+             << " B of functional writes to allocation at 0x" << std::hex
+             << bases[r.alloc] << std::dec << " (" << r.stored
+             << " B stored, " << r.accounted
+             << " B accounted) have no accounted traffic";
+        EXPECT_EQ(vs[i].code, ViolationCode::kUnaccountedWrite);
+        EXPECT_EQ(vs[i].message, want.str())
+            << "seed " << seed << ", threads " << threads << ", report " << i;
+      }
+    }
+  }
 }
 
 TEST_F(ParallelSanitizerTest, TupleCountLintSeesMergedBlockCounters) {

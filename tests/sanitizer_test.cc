@@ -190,6 +190,8 @@ class ByteOracle {
     return static_cast<uint64_t>(std::count(set_.begin(), set_.end(), 1));
   }
 
+  bool Has(uint64_t byte) const { return set_[byte] != 0; }
+
   uint64_t UncoveredBy(const ByteOracle& cover) const {
     uint64_t n = 0;
     for (size_t i = 0; i < set_.size(); ++i) n += set_[i] && !cover.set_[i];
@@ -317,7 +319,8 @@ TEST(IntervalLogTest, EmptyParentAdoptsAnUnsortedChild) {
   child.Add(0, 10);  // backwards: the child's log is no longer sorted
   child.Add(5, 105);
   IntervalLog parent;
-  parent.Merge(std::move(child));
+  parent.Append(std::move(child));
+  EXPECT_EQ(child.entries(), 0u);
   parent.Normalize();
   EXPECT_EQ(parent.entries(), 1u);
   EXPECT_EQ(parent.TotalBytes(), 110u);
@@ -341,6 +344,37 @@ TEST(IntervalLogTest, UncoveredByMatchesByteOracle) {
   }
 }
 
+TEST(IntervalLogTest, MinusMatchesByteOracle) {
+  for (uint64_t seed : {15, 16, 17, 18}) {
+    util::Rng rng(seed);
+    IntervalLog a, c;
+    ByteOracle oa(kOracleBytes), oc(kOracleBytes);
+    AddRandom(rng, 1500, a, oa);
+    AddRandom(rng, 200 + 300 * static_cast<int>(seed % 4), c, oc);
+    a.Normalize();
+    c.Normalize();
+    IntervalLog rest = a.Minus(c);
+    // The residue is a normalized log of exactly the uncovered bytes.
+    EXPECT_EQ(rest.TotalBytes(), oa.UncoveredBy(oc)) << "seed " << seed;
+    EXPECT_EQ(rest.TotalBytes(), a.UncoveredBy(c)) << "seed " << seed;
+    EXPECT_EQ(rest.UncoveredBy(a), 0u) << "seed " << seed;
+    EXPECT_EQ(rest.UncoveredBy(c), rest.TotalBytes()) << "seed " << seed;
+    IntervalLog renormalized = rest;
+    renormalized.Normalize();
+    EXPECT_TRUE(renormalized.SameEntries(rest)) << "seed " << seed;
+    // Runs of the uncovered bytes, from the oracle.
+    ByteOracle orest(kOracleBytes);
+    for (uint64_t i = 0; i < kOracleBytes; ++i) {
+      if (oa.Has(i) && !oc.Has(i)) orest.Add(i, i + 1);
+    }
+    EXPECT_EQ(rest.entries(), orest.Runs()) << "seed " << seed;
+    EXPECT_EQ(a.Minus(a).entries(), 0u);
+    IntervalLog empty;
+    EXPECT_TRUE(a.Minus(empty).SameEntries(a));
+    EXPECT_TRUE(empty.Minus(a).empty());
+  }
+}
+
 TEST(IntervalLogTest, BlockMergesMatchOracleInEitherOrder) {
   for (uint64_t seed : {21, 22}) {
     util::Rng rng(seed);
@@ -358,11 +392,11 @@ TEST(IntervalLogTest, BlockMergesMatchOracleInEitherOrder) {
     AddRandom(rng, 40, reverse, combined);
     for (int b = 0; b < kBlocks; ++b) {
       IntervalLog child = children[b];
-      forward.Merge(std::move(child));
+      forward.Append(std::move(child));
       EXPECT_EQ(child.entries(), 0u);
     }
     for (int b = kBlocks - 1; b >= 0; --b) {
-      reverse.Merge(IntervalLog(children[b]));
+      reverse.Append(IntervalLog(children[b]));
     }
     ExpectMatches(forward, oracle);
     ExpectMatches(reverse, combined);
@@ -438,6 +472,36 @@ TEST_F(SanitizerTest, FlushByNonHolderIsReported) {
   EXPECT_NE(v.message.find("flushed by a warp that does not hold"),
             std::string::npos)
       << v.message;
+}
+
+TEST_F(SanitizerTest, LockTableGrowsToHighLockIds) {
+  ScratchpadShadow shadow(dev_->sanitizer(), 1024, hw_.gpu.scratchpad_bytes);
+  shadow.AcquireLock(/*lock=*/0, /*warp=*/1);
+  shadow.NoteFlush(/*lock=*/2047, /*warp=*/1);  // never acquired: beyond
+                                                // the table, not held
+  shadow.AcquireLock(/*lock=*/2047, /*warp=*/3);  // grows the table
+  shadow.NoteFlush(/*lock=*/2047, /*warp=*/3);
+  shadow.NoteFlush(/*lock=*/0, /*warp=*/1);  // lock 0 survived the growth
+  shadow.AcquireLock(/*lock=*/0, /*warp=*/2);  // still held by warp 1
+  shadow.ReleaseLock(/*lock=*/2047, /*warp=*/3);
+  shadow.ReleaseLock(/*lock=*/2047, /*warp=*/3);  // no longer held
+  shadow.ReleaseLock(/*lock=*/0, /*warp=*/1);
+  std::vector<Violation> vs = dev_->sanitizer()->TakeViolations();
+  ASSERT_EQ(vs.size(), 3u);
+  for (const Violation& v : vs) {
+    EXPECT_EQ(v.code, ViolationCode::kLockProtocol) << v.message;
+  }
+  EXPECT_NE(vs[0].message.find("buffer 2047 flushed by a warp that does not "
+                               "hold its lock (holder: none)"),
+            std::string::npos)
+      << vs[0].message;
+  EXPECT_NE(vs[1].message.find("lock 0 still held by warp 1"),
+            std::string::npos)
+      << vs[1].message;
+  EXPECT_EQ(vs[2].warp, 3u);
+  EXPECT_NE(vs[2].message.find("released buffer lock 2047 it does not hold"),
+            std::string::npos)
+      << vs[2].message;
 }
 
 TEST_F(SanitizerTest, DoubleAcquireIsReported) {
