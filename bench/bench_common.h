@@ -18,7 +18,9 @@
 // threads in benches that support it; forces --threads=1 so the cell is
 // the unit of parallelism — results are bit-identical at any setting).
 // Unknown flags are an error: a typo like --thread=8 would otherwise
-// silently run with the default and poison a regression baseline.
+// silently run with the default and poison a regression baseline. So are
+// a --threads outside [0, exec::BlockExecutor::kMaxThreads] and a --scale
+// below 1.
 
 #ifndef TRITON_BENCH_BENCH_COMMON_H_
 #define TRITON_BENCH_BENCH_COMMON_H_
@@ -64,9 +66,9 @@ class BenchEnv {
         jobs_(flags_.GetInt("jobs", 1)),
         csv_(flags_.GetBool("csv", false)),
         quick_(flags_.GetBool("quick", false)),
-        hw_(sim::HwSpec::Ac922NvLink().Scaled(static_cast<double>(scale_))),
         start_(std::chrono::steady_clock::now()) {
     ValidateFlags(bench_flags);
+    hw_ = sim::HwSpec::Ac922NvLink().Scaled(static_cast<double>(scale_));
     if (flags_.Has("json")) {
       json_path_ = flags_.GetString("json", "");
       // Bare --json (parsed as boolean true) selects the default path.
@@ -146,7 +148,8 @@ class BenchEnv {
 
  private:
   /// Rejects flags (and stray positional arguments) this bench does not
-  /// understand, listing what it does.
+  /// understand, and thread counts and scales it cannot run, listing the
+  /// flags it knows.
   void ValidateFlags(std::initializer_list<const char*> bench_flags) {
     std::vector<std::string> known = {"scale",   "runs", "csv", "quick",
                                       "threads", "json", "jobs"};
@@ -162,6 +165,18 @@ class BenchEnv {
     }
     for (const std::string& arg : flags_.positional()) {
       std::fprintf(stderr, "error: unexpected argument '%s'\n", arg.c_str());
+      bad = true;
+    }
+    const int64_t threads = flags_.GetInt("threads", 0);
+    if (threads < 0 || threads > exec::BlockExecutor::kMaxThreads) {
+      std::fprintf(stderr, "error: --threads=%lld is outside [0, %u]\n",
+                   static_cast<long long>(threads),
+                   exec::BlockExecutor::kMaxThreads);
+      bad = true;
+    }
+    if (scale_ < 1) {
+      std::fprintf(stderr, "error: --scale=%lld is below 1\n",
+                   static_cast<long long>(scale_));
       bad = true;
     }
     if (bad) {

@@ -147,7 +147,7 @@ util::Status JoinPair(exec::Device& dev, const Front& front, uint32_t p,
               sub.StoreRun(*staging, stage_at + base, batch, m);
             }
           });
-          layout = partition::PartitionLayout(radix2, histograms, 8);
+          layout = partition::PartitionLayout(radix2, histograms);
           ctx.AddTuples(n);
           ctx.Charge(
               static_cast<uint64_t>(n * partition::kPrefixSumCyclesPerTuple));

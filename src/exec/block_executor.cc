@@ -9,14 +9,18 @@ namespace triton::exec {
 
 namespace {
 
+/// TRITON_THREADS when it is in [1, kMaxThreads], else the hardware
+/// concurrency (capped at kMaxThreads).
 uint32_t DefaultThreads() {
   const char* env = std::getenv("TRITON_THREADS");
   if (env != nullptr && env[0] != '\0') {
     long v = std::strtol(env, nullptr, 10);
-    if (v >= 1) return static_cast<uint32_t>(v);
+    if (v >= 1 && v <= BlockExecutor::kMaxThreads) {
+      return static_cast<uint32_t>(v);
+    }
   }
   uint32_t hw = std::thread::hardware_concurrency();
-  return hw == 0 ? 1 : hw;
+  return std::clamp(hw, 1u, BlockExecutor::kMaxThreads);
 }
 
 }  // namespace
@@ -31,6 +35,7 @@ BlockExecutor::BlockExecutor() { SetThreads(0); }
 BlockExecutor::~BlockExecutor() { StopWorkers(); }
 
 void BlockExecutor::SetThreads(uint32_t threads) {
+  CHECK_LE(threads, kMaxThreads) << "BlockExecutor thread count";
   if (threads == 0) threads = DefaultThreads();
   if (threads == threads_ &&
       (threads == 1 || workers_.size() == threads - 1)) {

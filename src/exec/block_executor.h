@@ -15,8 +15,9 @@
 //
 // The pool size comes from, in decreasing precedence: SetThreads() (the
 // --threads bench flag), the TRITON_THREADS environment variable, and
-// std::thread::hardware_concurrency(). One thread means inline execution
-// with zero synchronization: each block is reduced right after it runs.
+// std::thread::hardware_concurrency(), and never exceeds kMaxThreads. One
+// thread means inline execution with zero synchronization: each block is
+// reduced right after it runs.
 
 #ifndef TRITON_EXEC_BLOCK_EXECUTOR_H_
 #define TRITON_EXEC_BLOCK_EXECUTOR_H_
@@ -39,6 +40,10 @@ class BlockExecutor {
   /// The process-wide executor used by KernelContext::ForEachBlock.
   static BlockExecutor& Global();
 
+  /// Largest pool size: a request beyond it is a caller's bug (a negative
+  /// count cast to unsigned), never a machine to use.
+  static constexpr uint32_t kMaxThreads = 1024;
+
   BlockExecutor();
   ~BlockExecutor();
 
@@ -46,7 +51,8 @@ class BlockExecutor {
   BlockExecutor& operator=(const BlockExecutor&) = delete;
 
   /// Resizes the pool to `threads` workers (0 restores the environment /
-  /// hardware default). Must not be called while Run is active.
+  /// hardware default); aborts, before touching any worker, when `threads`
+  /// exceeds kMaxThreads. Must not be called while Run is active.
   void SetThreads(uint32_t threads);
 
   /// Current pool size (>= 1; includes the calling thread).

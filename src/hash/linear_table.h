@@ -1,10 +1,11 @@
-// Linear-probing hash table with a 50% load factor.
+// Slot arithmetic of the linear-probing hash table (50% load factor).
 //
 // This is the paper's no-partitioning-join hashing scheme (Section 6.1):
 // open addressing with linear probing, capacity rounded up to a power of
-// two at twice the build cardinality, multiply-shift placement. The probe
-// sequence is exposed step by step so callers can account every slot touch
-// individually (each touch is a random memory access in the simulation).
+// two at twice the build cardinality, multiply-shift placement. The table
+// itself is the no-partitioning join's (join::NpjTable), which walks the
+// probe sequence step by step so it can account every slot touch (each
+// touch is a random memory access in the simulation).
 
 #ifndef TRITON_HASH_LINEAR_TABLE_H_
 #define TRITON_HASH_LINEAR_TABLE_H_
@@ -12,32 +13,23 @@
 #include <cstdint>
 
 #include "hash/hash_fn.h"
-#include "hash/perfect_table.h"
 #include "util/bits.h"
 #include "util/logging.h"
 
 namespace triton::hash {
 
-/// Open-addressing table over caller-provided storage.
-/// Storage must be zero-initialized; key 0 marks empty slots.
+/// Probe sequence over a power-of-two number of slots.
 class LinearTable {
  public:
-  LinearTable(Entry* slots, uint64_t capacity)
-      : slots_(slots), capacity_(capacity), mask_(capacity - 1) {
+  explicit LinearTable(uint64_t capacity)
+      : capacity_(capacity), mask_(capacity - 1) {
     DCHECK(util::IsPowerOfTwo(capacity));
   }
-
-  uint64_t capacity() const { return capacity_; }
 
   /// Capacity (in entries) for `build_tuples` at a 50% load factor,
   /// rounded up to a power of two.
   static uint64_t CapacityFor(uint64_t build_tuples) {
     return util::NextPowerOfTwo(build_tuples * 2);
-  }
-
-  /// Byte size of backing storage for `build_tuples`.
-  static uint64_t StorageBytes(uint64_t build_tuples) {
-    return CapacityFor(build_tuples) * sizeof(Entry);
   }
 
   /// Home slot of a key.
@@ -50,47 +42,7 @@ class LinearTable {
   /// Next slot in the probe sequence.
   uint64_t NextSlot(uint64_t slot) const { return (slot + 1) & mask_; }
 
-  /// Inserts a key/value; returns the number of slots touched (>= 1).
-  /// Keys must be nonzero. Aborts if the table is full.
-  uint64_t Insert(int64_t key, int64_t value) {
-    DCHECK_NE(key, 0);
-    uint64_t slot = SlotOf(key);
-    uint64_t touches = 1;
-    while (slots_[slot].key != 0) {
-      slot = NextSlot(slot);
-      ++touches;
-      CHECK_LE(touches, capacity_) << "linear table full";
-    }
-    slots_[slot].key = key;
-    slots_[slot].value = value;
-    return touches;
-  }
-
-  /// Probes for a key; sets *value on match. Returns slots touched.
-  /// `found` reports the match outcome.
-  uint64_t Probe(int64_t key, int64_t* value, bool* found) const {
-    uint64_t slot = SlotOf(key);
-    uint64_t touches = 1;
-    while (true) {
-      const Entry& e = slots_[slot];
-      if (e.key == key) {
-        *value = e.value;
-        *found = true;
-        return touches;
-      }
-      if (e.key == 0) {
-        *found = false;
-        return touches;
-      }
-      slot = NextSlot(slot);
-      ++touches;
-    }
-  }
-
-  const Entry* slots() const { return slots_; }
-
  private:
-  Entry* slots_;
   uint64_t capacity_;
   uint64_t mask_;
 };

@@ -2,7 +2,7 @@
 
 #include <unordered_map>
 
-#include "hash/perfect_table.h"
+#include "hash/entry.h"
 
 namespace triton::join {
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <utility>
 
 #include "join/scratch_join.h"
 #include "partition/cpu_swwc.h"
@@ -55,9 +56,9 @@ util::StatusOr<JoinRun> CpuPartitionedJoin::Run(exec::Device& dev,
   partition::ColumnInput r_in = partition::ColumnInput::Of(r);
   partition::ColumnInput s_in = partition::ColumnInput::Of(s);
   partition::PartitionLayout r_layout1(
-      radix1, partition::ComputeHistograms(r_in, radix1, cpu_blocks), 8);
+      radix1, partition::ComputeHistograms(r_in, radix1, cpu_blocks));
   partition::PartitionLayout s_layout1(
-      radix1, partition::ComputeHistograms(s_in, radix1, cpu_blocks), 8);
+      radix1, partition::ComputeHistograms(s_in, radix1, cpu_blocks));
   auto r_part = dev.allocator().AllocateCpu(r_layout1.padded_tuples() *
                                             sizeof(partition::Tuple));
   if (!r_part.ok()) return r_part.status();
@@ -120,13 +121,13 @@ util::StatusOr<JoinRun> CpuPartitionedJoin::Run(exec::Device& dev,
     partition::RowInput s_rows(&*staging, r_n, s_n);
 
     if (bits2 == 0) {
-      // Partitions are already scratchpad-sized: join directly.
-      util::Status st;
-      dev.Launch({.name = "join"}, [&](exec::KernelContext& ctx) {
-        st = joiner.JoinRange(ctx, *staging, 0, r_n, r_n, s_n, bits1,
-                              result->valid() ? &*result : nullptr,
-                              &result_cursor, &matches, &checksum);
-      });
+      // Partitions are already scratchpad-sized: join the staged pair
+      // directly, as one block.
+      util::Status st = JoinPairs(
+          dev, /*sms=*/0, config_.scheme, /*pairs=*/1, bits1,
+          [&](uint32_t) { return std::make_pair(r_rows, s_rows); },
+          result->valid() ? &*result : nullptr, &result_cursor, &matches,
+          &checksum);
       if (!st.ok()) return st;
       continue;
     }

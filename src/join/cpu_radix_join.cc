@@ -52,8 +52,8 @@ util::StatusOr<JoinRun> CpuRadixJoin::Run(exec::Device& dev,
   partition::ColumnInput s_in = partition::ColumnInput::Of(s);
   auto r_hist = partition::ComputeHistograms(r_in, radix, num_blocks);
   auto s_hist = partition::ComputeHistograms(s_in, radix, num_blocks);
-  partition::PartitionLayout r_layout(radix, r_hist, /*pad_tuples=*/8);
-  partition::PartitionLayout s_layout(radix, s_hist, /*pad_tuples=*/8);
+  partition::PartitionLayout r_layout(radix, r_hist);
+  partition::PartitionLayout s_layout(radix, s_hist);
 
   auto r_out = dev.allocator().AllocateCpu(r_layout.padded_tuples() *
                                            sizeof(partition::Tuple));

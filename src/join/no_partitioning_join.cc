@@ -5,15 +5,22 @@
 #include <string>
 #include <vector>
 
+#include "hash/entry.h"
 #include "hash/hash_fn.h"
 #include "hash/linear_table.h"
-#include "hash/perfect_table.h"
 #include "util/bits.h"
 #include "util/logging.h"
 
 namespace triton::join {
 
 namespace {
+
+/// SM-cycles per build / probe tuple, calibrated to the paper's in-core
+/// rates (Figure 21's dissection: probe 4.3 G tuples/s, build 1.8 G
+/// tuples/s on 80 SMs); random accesses dominate out-of-core runs
+/// regardless.
+constexpr double kBuildCyclesPerTuple = 68.0;
+constexpr double kProbeCyclesPerTuple = 28.0;
 
 /// Distance (in tuples) the build and probe loops prefetch hash-table lines
 /// ahead of the current tuple. The table spans hundreds of MiB, so every
@@ -38,31 +45,70 @@ struct Node {
 constexpr uint64_t kBlockTuples = 4096;
 constexpr uint32_t kWaveBlocks = 64;
 
-/// Runs body(sub, begin, end, b) over [0, n) in blocks of kBlockTuples, one
-/// ForEachBlock (or ForEachBlockInOrder) wave of up to kWaveBlocks blocks
-/// at a time. After each wave, after_wave(blocks) runs on the calling
-/// thread with the wave's block count (slot b held block b's chunk); the
-/// loop stops early when it returns false.
+/// Runs body(sub, begin, end, b) over rows [0, segment_ends.back()) in
+/// blocks of at most kBlockTuples, cut at every segment end so that each
+/// block lies in one segment, one ForEachBlock (or ForEachBlockInOrder)
+/// wave of up to kWaveBlocks blocks at a time. After each wave,
+/// after_wave(blocks, segment_of) runs on the calling thread with the
+/// wave's block count and each block's segment index (slot b held block
+/// b's chunk); the loop stops early when it returns false.
 template <typename Body, typename AfterWave>
-void ForEachWave(exec::KernelContext& ctx, uint64_t n, bool in_order,
+void ForEachWave(exec::KernelContext& ctx,
+                 const std::vector<uint64_t>& segment_ends, bool in_order,
                  const Body& body, const AfterWave& after_wave) {
-  constexpr uint64_t kWaveTuples = kWaveBlocks * kBlockTuples;
-  for (uint64_t wave = 0; wave < n; wave += kWaveTuples) {
-    const uint64_t wave_end = std::min(n, wave + kWaveTuples);
-    const auto blocks =
-        static_cast<uint32_t>(util::CeilDiv(wave_end - wave, kBlockTuples));
+  const uint64_t n = segment_ends.empty() ? 0 : segment_ends.back();
+  uint64_t bounds[kWaveBlocks + 1] = {};
+  size_t segment_of[kWaveBlocks] = {};
+  size_t segment = 0;
+  for (uint64_t pos = 0; pos < n;) {
+    uint32_t blocks = 0;
+    for (; blocks < kWaveBlocks && pos < n; ++blocks) {
+      while (segment_ends[segment] <= pos) ++segment;
+      bounds[blocks] = pos;
+      segment_of[blocks] = segment;
+      pos = std::min(segment_ends[segment], pos + kBlockTuples);
+    }
+    bounds[blocks] = pos;
     auto block = [&](exec::KernelContext& sub, uint32_t b) {
-      const uint64_t begin = wave + b * kBlockTuples;
-      body(sub, begin, std::min(wave_end, begin + kBlockTuples), b);
+      body(sub, bounds[b], bounds[b + 1], b);
     };
     if (in_order) {
       ctx.ForEachBlockInOrder(blocks, block);
     } else {
       ctx.ForEachBlock(blocks, block);
     }
-    if (!after_wave(blocks)) return;
+    if (!after_wave(blocks, segment_of)) return;
   }
 }
+
+/// The table buffer as each scheme lays it out: a slot array (perfect,
+/// linear probing) or bucket heads followed by chain nodes.
+struct TableView {
+  TableView(mem::Buffer& table, uint64_t build_rows)
+      : slots(table.as<hash::Entry>()),
+        heads(table.as<uint64_t>()),
+        num_heads(util::NextPowerOfTwo(build_rows)),
+        nodes(reinterpret_cast<Node*>(table.data() +
+                                      num_heads * sizeof(uint64_t))),
+        head_bits(util::FloorLog2(num_heads)),
+        build_rows(build_rows) {}
+
+  uint64_t HeadOf(data::Key key) const {
+    return hash::HashBits(hash::MultiplyShift(static_cast<uint64_t>(key)), 0,
+                          head_bits);
+  }
+  /// Whether the perfect table has a slot for `key`.
+  bool InDomain(data::Key key) const {
+    return key >= 1 && static_cast<uint64_t>(key) <= build_rows;
+  }
+
+  hash::Entry* slots;
+  uint64_t* heads;
+  uint64_t num_heads;
+  Node* nodes;
+  uint32_t head_bits;
+  uint64_t build_rows;
+};
 
 /// One probe block's output, appended in block order after its wave.
 struct ProbeBlockOut {
@@ -71,6 +117,17 @@ struct ProbeBlockOut {
   /// Materialized <build, probe> payload pairs, in probe order.
   std::vector<hash::Entry> rows;
 };
+
+std::string JoinName(HashScheme scheme) {
+  return std::string("no-partitioning join (") + HashSchemeName(scheme) +
+         ")";
+}
+
+util::Status NeedsPayload(const data::Relation& rel) {
+  if (rel.payload_cols() > 0) return util::Status::OK();
+  return util::Status::InvalidArgument(
+      "no-partitioning join needs one payload column per relation");
+}
 
 }  // namespace
 
@@ -87,80 +144,50 @@ uint64_t NpjTableBytes(HashScheme scheme, uint64_t r_tuples) {
   return 0;
 }
 
-util::StatusOr<JoinRun> NoPartitioningJoin::Run(exec::Device& dev,
-                                                const data::Relation& r,
-                                                const data::Relation& s) {
-  if (r.payload_cols() == 0 || s.payload_cols() == 0) {
-    return util::Status::InvalidArgument(
-        "no-partitioning join needs one payload column per relation");
-  }
-  JoinRun run;
-  const uint64_t table_bytes = NpjTableBytes(config_.scheme, r.rows());
+util::StatusOr<NpjTable> NpjTable::Build(
+    exec::Device& dev, const data::Relation& r,
+    const NoPartitioningJoinConfig& config) {
+  TRITON_RETURN_IF_ERROR(NeedsPayload(r));
+  const HashScheme scheme = config.scheme;
+  const uint64_t table_bytes = NpjTableBytes(scheme, r.rows());
   // Result materialization stages matches in GPU memory before streaming
   // them out; reserve an eighth of the GPU for it.
   uint64_t gpu_avail = dev.allocator().gpu_free();
-  if (config_.result_mode == ResultMode::kMaterialize) {
+  if (config.result_mode == ResultMode::kMaterialize) {
     uint64_t reserve = dev.hw().gpu_mem.capacity / 8;
     gpu_avail = gpu_avail > reserve ? gpu_avail - reserve : 0;
   }
   // Small headroom absorbs interleaving page-granularity rounding.
   gpu_avail -= gpu_avail / 64;
   const uint64_t cache =
-      std::min({config_.cache_bytes, table_bytes, gpu_avail});
-  auto table = dev.allocator().AllocateInterleaved(table_bytes, cache);
-  if (!table.ok()) return table.status();
-  std::memset(table->data(), 0, table->size());
-
-  auto result = AllocateResult(dev, config_.result_mode, s.rows());
-  if (!result.ok()) {
-    dev.allocator().Free(*table);
-    return result.status();
-  }
-
-  dev.ClearTrace();
+      std::min({config.cache_bytes, table_bytes, gpu_avail});
+  auto buffer = dev.allocator().AllocateInterleaved(table_bytes, cache);
+  if (!buffer.ok()) return buffer.status();
+  std::memset(buffer->data(), 0, buffer->size());
+  NpjTable npj(scheme, r.rows(), std::move(buffer).value());
+  mem::Buffer& table = npj.table_;
+  const TableView view(table, r.rows());
   const data::Key* r_keys = r.keys();
   const data::Value* r_vals = r.payload(0);
-  const data::Key* s_keys = s.keys();
-  const data::Value* s_vals = s.payload(0);
-  const HashScheme scheme = config_.scheme;
-  const char* scheme_name = HashSchemeName(scheme);
 
-  // The table buffer as each scheme lays it out: a slot array (perfect,
-  // linear probing) or bucket heads followed by chain nodes.
-  hash::Entry* slots = table->as<hash::Entry>();
-  const uint64_t r_rows = r.rows();
-  const uint64_t num_heads = util::NextPowerOfTwo(r_rows);
-  uint64_t* heads = table->as<uint64_t>();
-  Node* nodes =
-      reinterpret_cast<Node*>(table->data() + num_heads * sizeof(uint64_t));
-  const uint32_t head_bits = util::FloorLog2(num_heads);
-  auto head_of = [&](data::Key key) {
-    return hash::HashBits(hash::MultiplyShift(static_cast<uint64_t>(key)), 0,
-                          head_bits);
-  };
-  auto in_domain = [&](data::Key key) {
-    return key >= 1 && static_cast<uint64_t>(key) <= r_rows;
-  };
-
-  // --- Build phase ---
   // Insertion order decides the linear-probing layout and the chain order,
   // so the blocks run in input order. The first contract violation in
   // input order stops the build; later blocks skip.
   util::Status status;
   auto refuse = [&](uint64_t row, data::Key key, const char* why) {
     status = util::Status::InvalidArgument(
-        std::string("no-partitioning join (") + scheme_name +
-        "): build row " + std::to_string(row) + " has key " +
-        std::to_string(key) + ", " + why);
+        JoinName(scheme) + ": build row " + std::to_string(row) +
+        " has key " + std::to_string(key) + ", " + why);
   };
   exec::KernelConfig build_cfg;
-  build_cfg.name = std::string("npj_build_") + scheme_name;
+  build_cfg.name = std::string("npj_build_") + HashSchemeName(scheme);
   dev.Launch(build_cfg, [&](exec::KernelContext& ctx) {
     ctx.ReadSeq(r.key_buffer(), 0, r.rows() * sizeof(data::Key));
     ctx.ReadSeq(r.payload_buffer(0), 0, r.rows() * sizeof(data::Value));
     ctx.AddTuples(r.rows());
     ctx.Charge(static_cast<uint64_t>(r.rows() * kBuildCyclesPerTuple));
 
+    hash::Entry* slots = view.slots;
     auto build_block = [&](exec::KernelContext& sub, uint64_t begin,
                            uint64_t end, uint32_t) {
       if (!status.ok()) return;
@@ -168,12 +195,12 @@ util::StatusOr<JoinRun> NoPartitioningJoin::Run(exec::Device& dev,
         case HashScheme::kPerfect:
           for (uint64_t i = begin; i < end; ++i) {
             if (i + kPrefetchDist < end &&
-                in_domain(r_keys[i + kPrefetchDist])) {
+                view.InDomain(r_keys[i + kPrefetchDist])) {
               __builtin_prefetch(
                   &slots[static_cast<uint64_t>(r_keys[i + kPrefetchDist] - 1)],
                   1);
             }
-            if (!in_domain(r_keys[i])) {
+            if (!view.InDomain(r_keys[i])) {
               return refuse(i, r_keys[i], "outside the dense domain 1..|R|");
             }
             const uint64_t slot = static_cast<uint64_t>(r_keys[i] - 1);
@@ -181,13 +208,12 @@ util::StatusOr<JoinRun> NoPartitioningJoin::Run(exec::Device& dev,
               return refuse(i, r_keys[i], "which an earlier row holds");
             }
             slots[slot] = {r_keys[i], r_vals[i]};
-            sub.WriteRand(*table, slot * sizeof(hash::Entry),
+            sub.WriteRand(table, slot * sizeof(hash::Entry),
                           sizeof(hash::Entry));
           }
           return;
         case HashScheme::kLinearProbing: {
-          const hash::LinearTable linear(slots,
-                                         table->size() / sizeof(hash::Entry));
+          const hash::LinearTable linear(table.size() / sizeof(hash::Entry));
           for (uint64_t i = begin; i < end; ++i) {
             if (i + kPrefetchDist < end) {
               __builtin_prefetch(
@@ -198,7 +224,7 @@ util::StatusOr<JoinRun> NoPartitioningJoin::Run(exec::Device& dev,
             }
             uint64_t slot = linear.SlotOf(r_keys[i]);
             while (slots[slot].key != 0) {
-              sub.ReadRand(*table, slot * sizeof(hash::Entry),
+              sub.ReadRand(table, slot * sizeof(hash::Entry),
                            sizeof(hash::Entry));
               if (slots[slot].key == r_keys[i]) {
                 return refuse(i, r_keys[i], "which an earlier row holds");
@@ -206,7 +232,7 @@ util::StatusOr<JoinRun> NoPartitioningJoin::Run(exec::Device& dev,
               slot = linear.NextSlot(slot);
             }
             slots[slot] = {r_keys[i], r_vals[i]};
-            sub.WriteRand(*table, slot * sizeof(hash::Entry),
+            sub.WriteRand(table, slot * sizeof(hash::Entry),
                           sizeof(hash::Entry));
           }
           return;
@@ -214,160 +240,195 @@ util::StatusOr<JoinRun> NoPartitioningJoin::Run(exec::Device& dev,
         case HashScheme::kBucketChaining:
           for (uint64_t i = begin; i < end; ++i) {
             if (i + kPrefetchDist < end) {
-              __builtin_prefetch(&heads[head_of(r_keys[i + kPrefetchDist])],
-                                 1);
+              __builtin_prefetch(
+                  &view.heads[view.HeadOf(r_keys[i + kPrefetchDist])], 1);
             }
-            const uint64_t b = head_of(r_keys[i]);
-            nodes[i] = {r_keys[i], r_vals[i], heads[b]};
-            sub.WriteRand(*table,
-                          num_heads * sizeof(uint64_t) + i * sizeof(Node),
+            const uint64_t b = view.HeadOf(r_keys[i]);
+            view.nodes[i] = {r_keys[i], r_vals[i], view.heads[b]};
+            sub.WriteRand(table,
+                          view.num_heads * sizeof(uint64_t) + i * sizeof(Node),
                           sizeof(Node));
-            sub.ReadRand(*table, b * sizeof(uint64_t), sizeof(uint64_t));
-            sub.WriteRand(*table, b * sizeof(uint64_t), sizeof(uint64_t));
-            heads[b] = i + 1;
+            sub.ReadRand(table, b * sizeof(uint64_t), sizeof(uint64_t));
+            sub.WriteRand(table, b * sizeof(uint64_t), sizeof(uint64_t));
+            view.heads[b] = i + 1;
           }
           return;
       }
     };
-    ForEachWave(ctx, r_rows, /*in_order=*/true, build_block,
-                [&](uint32_t) { return status.ok(); });
+    ForEachWave(ctx, {r.rows()}, /*in_order=*/true, build_block,
+                [&](uint32_t, const size_t*) { return status.ok(); });
   });
+  if (!status.ok()) {
+    npj.Free(dev);
+    return status;
+  }
+  return npj;
+}
 
-  // --- Probe phase ---
+util::StatusOr<std::vector<NpjTable::SegmentTotals>> NpjTable::Probe(
+    exec::Device& dev, const data::Relation& s,
+    const std::vector<uint64_t>& segment_ends, mem::Buffer* result) {
+  TRITON_RETURN_IF_ERROR(NeedsPayload(s));
+  CHECK(!segment_ends.empty() && segment_ends.back() == s.rows() &&
+        std::is_sorted(segment_ends.begin(), segment_ends.end()))
+      << "probe segments must be ascending and end at s.rows()";
+  const TableView view(table_, build_rows_);
+  const hash::Entry* slots = view.slots;
+  const data::Key* s_keys = s.keys();
+  const data::Value* s_vals = s.payload(0);
+  const HashScheme scheme = scheme_;
+  const mem::Buffer& table = table_;
+
   // Blocks probe in any order; each stages its matches, and after every
   // wave the blocks' outputs are appended in block order, which is probe
   // order.
-  uint64_t matches = 0;
-  uint64_t checksum = 0;
-  if (status.ok()) {
-    exec::KernelConfig probe_cfg;
-    probe_cfg.name = std::string("npj_probe_") + scheme_name;
-    const bool materialize = result->valid();
-    std::vector<ProbeBlockOut> outs(kWaveBlocks);
-    dev.Launch(probe_cfg, [&](exec::KernelContext& ctx) {
-      ctx.ReadSeq(s.key_buffer(), 0, s.rows() * sizeof(data::Key));
-      ctx.ReadSeq(s.payload_buffer(0), 0, s.rows() * sizeof(data::Value));
-      ctx.AddTuples(s.rows());
-      ctx.Charge(static_cast<uint64_t>(s.rows() * kProbeCyclesPerTuple));
+  util::Status status;
+  std::vector<SegmentTotals> totals(segment_ends.size());
+  std::vector<ProbeBlockOut> outs(kWaveBlocks);
+  exec::KernelConfig probe_cfg;
+  probe_cfg.name = std::string("npj_probe_") + HashSchemeName(scheme);
+  dev.Launch(probe_cfg, [&](exec::KernelContext& ctx) {
+    ctx.ReadSeq(s.key_buffer(), 0, s.rows() * sizeof(data::Key));
+    ctx.ReadSeq(s.payload_buffer(0), 0, s.rows() * sizeof(data::Value));
+    ctx.AddTuples(s.rows());
+    ctx.Charge(static_cast<uint64_t>(s.rows() * kProbeCyclesPerTuple));
 
-      auto probe_block = [&](exec::KernelContext& sub, uint64_t begin,
-                             uint64_t end, uint32_t b) {
-        ProbeBlockOut& out = outs[b];
-        out.matches = 0;
-        out.checksum = 0;
-        out.rows.clear();
-        auto emit = [&](int64_t build_val, int64_t probe_val) {
-          if (materialize) out.rows.push_back({build_val, probe_val});
-          ++out.matches;
-          out.checksum += static_cast<uint64_t>(build_val) +
-                          static_cast<uint64_t>(probe_val);
-        };
-        switch (scheme) {
-          case HashScheme::kPerfect:
-            for (uint64_t j = begin; j < end; ++j) {
-              if (j + kPrefetchDist < end &&
-                  in_domain(s_keys[j + kPrefetchDist])) {
-                __builtin_prefetch(&slots[static_cast<uint64_t>(
-                    s_keys[j + kPrefetchDist] - 1)]);
-              }
-              const data::Key k = s_keys[j];
-              if (!in_domain(k)) continue;
-              const uint64_t slot = static_cast<uint64_t>(k - 1);
-              sub.ReadRand(*table, slot * sizeof(hash::Entry),
-                           sizeof(hash::Entry));
-              if (slots[slot].key == k) emit(slots[slot].value, s_vals[j]);
-            }
-            return;
-          case HashScheme::kLinearProbing: {
-            const hash::LinearTable linear(
-                slots, table->size() / sizeof(hash::Entry));
-            for (uint64_t j = begin; j < end; ++j) {
-              if (j + kPrefetchDist < end) {
-                __builtin_prefetch(
-                    &slots[linear.SlotOf(s_keys[j + kPrefetchDist])]);
-              }
-              // Key 0 marks an empty slot, so emptiness is tested first: a
-              // probe for key 0 must not match one.
-              for (uint64_t slot = linear.SlotOf(s_keys[j]);;
-                   slot = linear.NextSlot(slot)) {
-                sub.ReadRand(*table, slot * sizeof(hash::Entry),
-                             sizeof(hash::Entry));
-                if (slots[slot].key == 0) break;
-                if (slots[slot].key == s_keys[j]) {
-                  emit(slots[slot].value, s_vals[j]);
-                  break;
-                }
-              }
-            }
-            return;
-          }
-          case HashScheme::kBucketChaining: {
-            // Two prefetch distances: the far one covers the bucket head,
-            // the near one reads the (by then cached, read-only) head to
-            // prefetch the first chain node.
-            constexpr uint64_t kNodeDist = 8;
-            for (uint64_t j = begin; j < end; ++j) {
-              if (j + kPrefetchDist < end) {
-                __builtin_prefetch(&heads[head_of(s_keys[j + kPrefetchDist])]);
-              }
-              if (j + kNodeDist < end) {
-                const uint64_t c = heads[head_of(s_keys[j + kNodeDist])];
-                if (c != 0) __builtin_prefetch(&nodes[c - 1]);
-              }
-              const uint64_t hb = head_of(s_keys[j]);
-              sub.ReadRand(*table, hb * sizeof(uint64_t), sizeof(uint64_t));
-              for (uint64_t cur = heads[hb]; cur != 0;
-                   cur = nodes[cur - 1].next) {
-                sub.ReadRand(*table,
-                             num_heads * sizeof(uint64_t) +
-                                 (cur - 1) * sizeof(Node),
-                             sizeof(Node));
-                if (nodes[cur - 1].key == s_keys[j]) {
-                  emit(nodes[cur - 1].value, s_vals[j]);
-                }
-              }
-            }
-            return;
-          }
-        }
+    auto probe_block = [&](exec::KernelContext& sub, uint64_t begin,
+                           uint64_t end, uint32_t b) {
+      ProbeBlockOut& out = outs[b];
+      out.matches = 0;
+      out.checksum = 0;
+      out.rows.clear();
+      auto emit = [&](int64_t build_val, int64_t probe_val) {
+        if (result != nullptr) out.rows.push_back({build_val, probe_val});
+        ++out.matches;
+        out.checksum += static_cast<uint64_t>(build_val) +
+                        static_cast<uint64_t>(probe_val);
       };
-
-      uint64_t cursor = 0;  // result rows stored so far
-      ForEachWave(ctx, s.rows(), /*in_order=*/false, probe_block,
-                  [&](uint32_t blocks) {
-                    for (uint32_t b = 0; b < blocks; ++b) {
-                      matches += outs[b].matches;
-                      checksum += outs[b].checksum;
-                      if (!materialize) continue;
-                      // Repeated build keys can make more matches than the
-                      // |S|-row result buffer holds.
-                      if (outs[b].rows.size() > s.rows() - cursor) {
-                        status = TooManyMatches(
-                            std::string("no-partitioning join (") +
-                                scheme_name + ")",
-                            s.rows());
-                        return false;
-                      }
-                      ctx.StoreRun(*result, cursor, outs[b].rows.data(),
-                                   outs[b].rows.size());
-                      cursor += outs[b].rows.size();
-                    }
-                    return true;
-                  });
-
-      // Materialized results stream out through per-warp linear-allocator
-      // buffers: sequential, coalesced writes.
-      if (cursor > 0) {
-        ctx.WriteSeq(*result, 0, cursor * sizeof(hash::Entry));
+      switch (scheme) {
+        case HashScheme::kPerfect:
+          for (uint64_t j = begin; j < end; ++j) {
+            if (j + kPrefetchDist < end &&
+                view.InDomain(s_keys[j + kPrefetchDist])) {
+              __builtin_prefetch(
+                  &slots[static_cast<uint64_t>(s_keys[j + kPrefetchDist] - 1)]);
+            }
+            const data::Key k = s_keys[j];
+            if (!view.InDomain(k)) continue;
+            const uint64_t slot = static_cast<uint64_t>(k - 1);
+            sub.ReadRand(table, slot * sizeof(hash::Entry),
+                         sizeof(hash::Entry));
+            if (slots[slot].key == k) emit(slots[slot].value, s_vals[j]);
+          }
+          return;
+        case HashScheme::kLinearProbing: {
+          const hash::LinearTable linear(table.size() / sizeof(hash::Entry));
+          for (uint64_t j = begin; j < end; ++j) {
+            if (j + kPrefetchDist < end) {
+              __builtin_prefetch(
+                  &slots[linear.SlotOf(s_keys[j + kPrefetchDist])]);
+            }
+            // Key 0 marks an empty slot, so emptiness is tested first: a
+            // probe for key 0 must not match one.
+            for (uint64_t slot = linear.SlotOf(s_keys[j]);;
+                 slot = linear.NextSlot(slot)) {
+              sub.ReadRand(table, slot * sizeof(hash::Entry),
+                           sizeof(hash::Entry));
+              if (slots[slot].key == 0) break;
+              if (slots[slot].key == s_keys[j]) {
+                emit(slots[slot].value, s_vals[j]);
+                break;
+              }
+            }
+          }
+          return;
+        }
+        case HashScheme::kBucketChaining: {
+          // Two prefetch distances: the far one covers the bucket head,
+          // the near one reads the (by then cached, read-only) head to
+          // prefetch the first chain node.
+          constexpr uint64_t kNodeDist = 8;
+          const uint64_t* heads = view.heads;
+          const Node* nodes = view.nodes;
+          for (uint64_t j = begin; j < end; ++j) {
+            if (j + kPrefetchDist < end) {
+              __builtin_prefetch(&heads[view.HeadOf(s_keys[j + kPrefetchDist])]);
+            }
+            if (j + kNodeDist < end) {
+              const uint64_t c = heads[view.HeadOf(s_keys[j + kNodeDist])];
+              if (c != 0) __builtin_prefetch(&nodes[c - 1]);
+            }
+            const uint64_t hb = view.HeadOf(s_keys[j]);
+            sub.ReadRand(table, hb * sizeof(uint64_t), sizeof(uint64_t));
+            for (uint64_t cur = heads[hb]; cur != 0;
+                 cur = nodes[cur - 1].next) {
+              sub.ReadRand(table,
+                           view.num_heads * sizeof(uint64_t) +
+                               (cur - 1) * sizeof(Node),
+                           sizeof(Node));
+              if (nodes[cur - 1].key == s_keys[j]) {
+                emit(nodes[cur - 1].value, s_vals[j]);
+              }
+            }
+          }
+          return;
+        }
       }
-    });
-  }
+    };
 
-  dev.allocator().Free(*table);
-  dev.allocator().Free(*result);
+    const uint64_t capacity =
+        result != nullptr ? result->size() / sizeof(hash::Entry) : 0;
+    uint64_t cursor = 0;  // result rows stored so far
+    ForEachWave(ctx, segment_ends, /*in_order=*/false, probe_block,
+                [&](uint32_t blocks, const size_t* segment_of) {
+                  for (uint32_t b = 0; b < blocks; ++b) {
+                    SegmentTotals& seg = totals[segment_of[b]];
+                    seg.matches += outs[b].matches;
+                    seg.checksum += outs[b].checksum;
+                    if (result == nullptr) continue;
+                    // Repeated build keys can make more matches than the
+                    // result buffer holds.
+                    if (outs[b].rows.size() > capacity - cursor) {
+                      status = TooManyMatches(JoinName(scheme), capacity);
+                      return false;
+                    }
+                    ctx.StoreRun(*result, cursor, outs[b].rows.data(),
+                                 outs[b].rows.size());
+                    cursor += outs[b].rows.size();
+                  }
+                  return true;
+                });
+
+    // Materialized results stream out through per-warp linear-allocator
+    // buffers: sequential, coalesced writes.
+    if (cursor > 0) {
+      ctx.WriteSeq(*result, 0, cursor * sizeof(hash::Entry));
+    }
+  });
   if (!status.ok()) return status;
-  run.matches = matches;
-  run.checksum = checksum;
+  return totals;
+}
+
+util::StatusOr<JoinRun> NoPartitioningJoin::Run(exec::Device& dev,
+                                                const data::Relation& r,
+                                                const data::Relation& s) {
+  dev.ClearTrace();
+  auto table = NpjTable::Build(dev, r, config_);
+  if (!table.ok()) return table.status();
+  auto result = AllocateResult(dev, config_.result_mode, s.rows());
+  if (!result.ok()) {
+    table->Free(dev);
+    return result.status();
+  }
+  auto totals = table->Probe(dev, s, {s.rows()},
+                             result->valid() ? &*result : nullptr);
+  table->Free(dev);
+  dev.allocator().Free(*result);
+  if (!totals.ok()) return totals.status();
+
+  JoinRun run;
+  run.matches = totals->front().matches;
+  run.checksum = totals->front().checksum;
   run.phases = dev.trace();
   for (const auto& p : run.phases) run.totals.Merge(p.counters);
   run.elapsed = dev.TraceElapsed();

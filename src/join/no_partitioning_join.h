@@ -10,6 +10,12 @@
 // table size, blowing the TLB range and collapsing throughput by 400x
 // versus perfect hashing (Section 6.2.2).
 //
+// The table is an NpjTable: Build places and fills it, Probe streams probe
+// rows through it any number of times, and Free releases it. The join is
+// one build, one probe and a free; serve::SharedBuild keeps one perfect
+// table resident and probes it once per request batch, each request one
+// segment of the probe rows.
+//
 // Execution: both phases run as thread blocks over contiguous input
 // chunks, in waves. The probe uses KernelContext::ForEachBlock: blocks run
 // in any order, stage their matches, and are appended in block order. The
@@ -22,28 +28,24 @@
 // unique and lie in 1..|R| for kPerfect, and be unique and nonzero for
 // kLinearProbing (key 0 marks an empty slot); a violation is refused with
 // InvalidArgument naming the first offending row. kBucketChaining accepts
-// any build keys, but a materialized result is limited to |S| rows: more
-// matches than that (repeated build keys) are refused with
-// ResourceExhausted.
+// any build keys, but a materialized result is limited to its rows (|S|
+// for the join): more matches than that (repeated build keys) are refused
+// with ResourceExhausted.
 
 #ifndef TRITON_JOIN_NO_PARTITIONING_JOIN_H_
 #define TRITON_JOIN_NO_PARTITIONING_JOIN_H_
 
 #include <cstdint>
+#include <utility>
+#include <vector>
 
 #include "data/relation.h"
 #include "exec/device.h"
 #include "join/common.h"
+#include "mem/buffer.h"
 #include "util/status.h"
 
 namespace triton::join {
-
-/// SM-cycles per build / probe tuple, calibrated to the paper's in-core
-/// rates (Figure 21's dissection: probe 4.3 G tuples/s, build 1.8 G
-/// tuples/s on 80 SMs); random accesses dominate out-of-core runs
-/// regardless. serve::SharedBuild charges the same perfect-table lookups.
-inline constexpr double kBuildCyclesPerTuple = 68.0;
-inline constexpr double kProbeCyclesPerTuple = 28.0;
 
 /// Configuration of the no-partitioning join.
 struct NoPartitioningJoinConfig {
@@ -57,15 +59,60 @@ struct NoPartitioningJoinConfig {
 /// Size in bytes of the global hash table for `r_tuples` build tuples.
 uint64_t NpjTableBytes(HashScheme scheme, uint64_t r_tuples);
 
+/// The no-partitioning join's global hash table, resident on one device
+/// between its build and Free; see file comment.
+class NpjTable {
+ public:
+  /// One probe segment's matches and checksum (sum of build + probe
+  /// payloads over its matched pairs).
+  struct SegmentTotals {
+    uint64_t matches = 0;
+    uint64_t checksum = 0;
+  };
+
+  /// Places the table for `config.scheme` over r, interleaved with as much
+  /// in GPU memory as `config.cache_bytes` and the free GPU memory allow (a
+  /// materializing join keeps an eighth of the GPU for its result), and
+  /// builds it in the kernel "npj_build_<scheme>". Refuses build keys
+  /// outside the file comment's contract, freeing the table.
+  static util::StatusOr<NpjTable> Build(exec::Device& dev,
+                                        const data::Relation& r,
+                                        const NoPartitioningJoinConfig& config);
+
+  /// Probes with the rows of s in the kernel "npj_probe_<scheme>". The rows
+  /// are cut into consecutive segments ending at `segment_ends` (ascending,
+  /// the last one s.rows()), and the totals come back per segment. With a
+  /// non-null `result`, matched <build, probe> payload pairs are stored
+  /// from row 0 in probe order; more matches than `result` holds are
+  /// refused with ResourceExhausted.
+  util::StatusOr<std::vector<SegmentTotals>> Probe(
+      exec::Device& dev, const data::Relation& s,
+      const std::vector<uint64_t>& segment_ends, mem::Buffer* result);
+
+  /// Releases the table's memory.
+  void Free(exec::Device& dev) { dev.allocator().Free(table_); }
+
+  /// An empty table (no buffer); Build makes the real ones.
+  NpjTable() = default;
+
+ private:
+  NpjTable(HashScheme scheme, uint64_t build_rows, mem::Buffer table)
+      : scheme_(scheme), build_rows_(build_rows), table_(std::move(table)) {}
+
+  HashScheme scheme_ = HashScheme::kPerfect;
+  uint64_t build_rows_ = 0;
+  mem::Buffer table_;
+};
+
 /// No-partitioning hash join; see file comment.
 class NoPartitioningJoin {
  public:
   explicit NoPartitioningJoin(NoPartitioningJoinConfig config = {})
       : config_(config) {}
 
-  /// Joins r (build) with s (probe). Returns match count, checksum and
-  /// simulated timing, or refuses input outside the contract in the file
-  /// comment.
+  /// Joins r (build) with s (probe): NpjTable's Build, one Probe over all
+  /// of s, and Free. Returns match count, checksum and simulated timing, or
+  /// refuses input outside the contract in the file comment.
   util::StatusOr<JoinRun> Run(exec::Device& dev, const data::Relation& r,
                               const data::Relation& s);
 

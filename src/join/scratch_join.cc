@@ -48,77 +48,13 @@ ScratchJoiner::ScratchJoiner(HashScheme scheme, uint64_t scratchpad_bytes)
   next_.resize(max_build_tuples_);
 }
 
-util::Status ScratchJoiner::JoinSlices(
-    exec::KernelContext& ctx, const mem::Buffer& r_rows,
-    const std::vector<std::pair<uint64_t, uint64_t>>& r_slices,
-    const mem::Buffer& s_rows,
-    const std::vector<std::pair<uint64_t, uint64_t>>& s_slices,
-    uint32_t radix_shift, mem::Buffer* result, uint64_t* result_cursor,
-    uint64_t* matches, uint64_t* checksum) {
-  const uint64_t first_row = *result_cursor;
-  const uint64_t capacity =
-      result != nullptr ? result->size() / sizeof(partition::Tuple) : 0;
-  bool overflow = false;
-  // Matches are staged in a chunk, and each full chunk is stored in one
-  // bulk write at the result cursor, unless it would run past the result.
-  constexpr uint64_t kChunkTuples = 4096;
-  std::vector<partition::Tuple> chunk;
-  if (result != nullptr) chunk.reserve(kChunkTuples);
-  auto drain_chunk = [&] {
-    if (chunk.empty() || overflow) return;
-    if (chunk.size() > capacity - *result_cursor) {
-      overflow = true;
-      return;
-    }
-    ctx.StoreRun(*result, *result_cursor, chunk.data(), chunk.size());
-    *result_cursor += chunk.size();
-    chunk.clear();
-  };
-  JoinSlicesEmit(ctx, r_rows, r_slices, s_rows, s_slices, radix_shift,
-                 [&](int64_t build_val, int64_t probe_val) {
-                   if (result != nullptr && !overflow) {
-                     chunk.push_back(partition::Tuple{build_val, probe_val});
-                     if (chunk.size() == kChunkTuples) drain_chunk();
-                   }
-                   ++*matches;
-                   *checksum += static_cast<uint64_t>(build_val) +
-                                static_cast<uint64_t>(probe_val);
-                 });
-  drain_chunk();
-
-  // Materialized matches stream out through coalesced linear-allocator
-  // writes.
-  const uint64_t stored = *result_cursor - first_row;
-  if (stored > 0) {
-    ctx.WriteSeq(*result, first_row * sizeof(partition::Tuple),
-                 stored * sizeof(partition::Tuple));
-  }
-  if (overflow) return TooManyMatches("scratchpad join", capacity);
-  return util::Status::OK();
-}
-
-util::Status ScratchJoiner::JoinRange(exec::KernelContext& ctx,
-                                      const mem::Buffer& rows,
-                                      uint64_t r_offset, uint64_t r_count,
-                                      uint64_t s_offset, uint64_t s_count,
-                                      uint32_t radix_shift,
-                                      mem::Buffer* result,
-                                      uint64_t* result_cursor,
-                                      uint64_t* matches, uint64_t* checksum) {
-  return JoinSlices(ctx, rows, {{r_offset, r_count}}, rows,
-                    {{s_offset, s_count}}, radix_shift, result,
-                    result_cursor, matches, checksum);
-}
-
-util::Status JoinRefinedPairs(exec::Device& dev, uint32_t sms,
-                              HashScheme scheme, const mem::Buffer& r_rows,
-                              const partition::PartitionLayout& r_layout,
-                              const mem::Buffer& s_rows,
-                              const partition::PartitionLayout& s_layout,
-                              mem::Buffer* result, uint64_t* result_cursor,
-                              uint64_t* matches, uint64_t* checksum) {
-  const partition::RadixConfig radix = r_layout.radix();
-  const uint32_t fanout = radix.fanout();
+util::Status JoinPairs(
+    exec::Device& dev, uint32_t sms, HashScheme scheme, uint32_t pairs,
+    uint32_t radix_shift,
+    const std::function<std::pair<partition::RowInput, partition::RowInput>(
+        uint32_t)>& pair_of,
+    mem::Buffer* result, uint64_t* result_cursor, uint64_t* matches,
+    uint64_t* checksum) {
   const uint64_t scratchpad_bytes = dev.hw().gpu.scratchpad_bytes;
   util::Status status;
   dev.Launch({.name = "join", .sms = sms}, [&](exec::KernelContext& ctx) {
@@ -128,19 +64,14 @@ util::Status JoinRefinedPairs(exec::Device& dev, uint32_t sms,
       uint64_t checksum = 0;
       uint64_t offset = 0;  // result row of the block's first match
     };
-    std::vector<BlockOut> outs(fanout);
-    ctx.ForEachBlock(fanout, [&](exec::KernelContext& sub, uint32_t q) {
+    std::vector<BlockOut> outs(pairs);
+    ctx.ForEachBlock(pairs, [&](exec::KernelContext& sub, uint32_t q) {
       sub.SetSanitizerBlock(q);
-      std::vector<std::pair<uint64_t, uint64_t>> r_sl, s_sl;
-      r_layout.ForEachSlice(
-          q, [&](uint64_t b, uint64_t c) { r_sl.emplace_back(b, c); });
-      s_layout.ForEachSlice(
-          q, [&](uint64_t b, uint64_t c) { s_sl.emplace_back(b, c); });
+      const auto [r, s] = pair_of(q);
       BlockOut& out = outs[q];
-      if (result != nullptr) out.pairs.reserve(s_layout.PartitionSize(q));
+      if (result != nullptr) out.pairs.reserve(s.size());
       ThreadJoiner(scheme, scratchpad_bytes)
-          .JoinSlicesEmit(sub, r_rows, r_sl, s_rows, s_sl,
-                          radix.shift + radix.bits,
+          .JoinSlicesEmit(sub, r, s, radix_shift,
                           [&](int64_t build_val, int64_t probe_val) {
                             if (result != nullptr) {
                               out.pairs.push_back(
@@ -168,7 +99,7 @@ util::Status JoinRefinedPairs(exec::Device& dev, uint32_t sms,
     // Copy-out: block q stores its matches at its offset. The per-range
     // TLB entries of the writes replay in block order, the sequence one
     // loop over the blocks would issue.
-    ctx.ForEachBlock(fanout, [&](exec::KernelContext& sub, uint32_t q) {
+    ctx.ForEachBlock(pairs, [&](exec::KernelContext& sub, uint32_t q) {
       const BlockOut& out = outs[q];
       if (out.pairs.empty()) return;
       sub.SetSanitizerBlock(q);
@@ -179,6 +110,23 @@ util::Status JoinRefinedPairs(exec::Device& dev, uint32_t sms,
     *result_cursor = rows;
   });
   return status;
+}
+
+util::Status JoinRefinedPairs(exec::Device& dev, uint32_t sms,
+                              HashScheme scheme, const mem::Buffer& r_rows,
+                              const partition::PartitionLayout& r_layout,
+                              const mem::Buffer& s_rows,
+                              const partition::PartitionLayout& s_layout,
+                              mem::Buffer* result, uint64_t* result_cursor,
+                              uint64_t* matches, uint64_t* checksum) {
+  const partition::RadixConfig radix = r_layout.radix();
+  return JoinPairs(
+      dev, sms, scheme, radix.fanout(), radix.shift + radix.bits,
+      [&](uint32_t q) {
+        return std::make_pair(partition::PartitionInputOf(r_rows, r_layout, q),
+                              partition::PartitionInputOf(s_rows, s_layout, q));
+      },
+      result, result_cursor, matches, checksum);
 }
 
 }  // namespace triton::join

@@ -6,13 +6,17 @@
 // (Section 6.1: 2048 bucket heads), probe it with S_p, and emit matches.
 // If R_p exceeds the scratchpad capacity, the build side is processed in
 // chunks and S_p is re-probed per chunk (graceful degradation instead of a
-// failure; well-chosen radix bits avoid this).
+// failure; well-chosen radix bits avoid this). Both sides are
+// partition::RowInput views, so one kernel joins a refined pair's slices
+// and a pair staged contiguously alike; JoinPairs runs it as the `join`
+// kernel, one thread block per pair.
 
 #ifndef TRITON_JOIN_SCRATCH_JOIN_H_
 #define TRITON_JOIN_SCRATCH_JOIN_H_
 
 #include <algorithm>
 #include <cstdint>
+#include <functional>
 #include <utility>
 #include <vector>
 
@@ -20,6 +24,7 @@
 #include "hash/bucket_chain_table.h"
 #include "join/common.h"
 #include "mem/buffer.h"
+#include "partition/input.h"
 #include "partition/layout.h"
 #include "util/status.h"
 
@@ -40,41 +45,17 @@ class ScratchJoiner {
   /// `scheme` selects cost constants; the functional path is identical.
   ScratchJoiner(HashScheme scheme, uint64_t scratchpad_bytes);
 
-  /// Joins two contiguous tuple ranges (offsets/counts in tuples) of one
-  /// buffer: used when first-pass partitions are already scratchpad-sized.
-  util::Status JoinRange(exec::KernelContext& ctx, const mem::Buffer& rows,
-                         uint64_t r_offset, uint64_t r_count,
-                         uint64_t s_offset, uint64_t s_count,
-                         uint32_t radix_shift, mem::Buffer* result,
-                         uint64_t* result_cursor, uint64_t* matches,
-                         uint64_t* checksum);
-
-  /// Core: joins slice lists (tuple offset, count) over two row buffers.
-  /// Materialized matches are stored from `*result_cursor` on; a match that
-  /// would land past the end of `result` is not stored and the join returns
-  /// ResourceExhausted (repeated build keys can make more matches than the
-  /// result holds).
-  util::Status JoinSlices(
-      exec::KernelContext& ctx, const mem::Buffer& r_rows,
-      const std::vector<std::pair<uint64_t, uint64_t>>& r_slices,
-      const mem::Buffer& s_rows,
-      const std::vector<std::pair<uint64_t, uint64_t>>& s_slices,
-      uint32_t radix_shift, mem::Buffer* result, uint64_t* result_cursor,
-      uint64_t* matches, uint64_t* checksum);
-
-  /// Emit-callback core JoinSlices is built on: same chunked build/probe
-  /// accounting (partition reads, build/probe cycles, tuple counts), but
-  /// every match is handed to `emit(build_value, probe_value)` instead of
-  /// being written to a result buffer. Parallel callers stage matches per
-  /// partition and materialize them in partition order afterwards, so
-  /// result writes stay deterministic across thread counts.
+  /// Joins the pair (r, s): builds the scratchpad table over r, a chunk of
+  /// MaxBuildTuples() tuples at a time, and streams all of s against each
+  /// chunk, accounting the partition reads, build/probe cycles and tuple
+  /// counts on `ctx`. Every match is handed to `emit(build_value,
+  /// probe_value)`; parallel callers stage matches per pair and
+  /// materialize them in pair order afterwards, so result writes stay
+  /// deterministic across thread counts.
   template <typename Emit>
-  void JoinSlicesEmit(
-      exec::KernelContext& ctx, const mem::Buffer& r_rows,
-      const std::vector<std::pair<uint64_t, uint64_t>>& r_slices,
-      const mem::Buffer& s_rows,
-      const std::vector<std::pair<uint64_t, uint64_t>>& s_slices,
-      uint32_t radix_shift, Emit&& emit);
+  void JoinSlicesEmit(exec::KernelContext& ctx, const partition::RowInput& r,
+                      const partition::RowInput& s, uint32_t radix_shift,
+                      Emit&& emit);
 
   /// Maximum build tuples the scratchpad table holds alongside the bucket
   /// heads.
@@ -98,74 +79,67 @@ class ScratchJoiner {
 };
 
 template <typename Emit>
-void ScratchJoiner::JoinSlicesEmit(
-    exec::KernelContext& ctx, const mem::Buffer& r_rows,
-    const std::vector<std::pair<uint64_t, uint64_t>>& r_slices,
-    const mem::Buffer& s_rows,
-    const std::vector<std::pair<uint64_t, uint64_t>>& s_slices,
-    uint32_t radix_shift, Emit&& emit) {
-  const partition::Tuple* r_data = r_rows.as<partition::Tuple>();
-  const partition::Tuple* s_data = s_rows.as<partition::Tuple>();
-
-  uint64_t r_total = 0, s_total = 0;
-  for (const auto& slice : r_slices) r_total += slice.second;
-  for (const auto& slice : s_slices) s_total += slice.second;
+void ScratchJoiner::JoinSlicesEmit(exec::KernelContext& ctx,
+                                   const partition::RowInput& r,
+                                   const partition::RowInput& s,
+                                   uint32_t radix_shift, Emit&& emit) {
+  const uint64_t r_total = r.size();
+  const uint64_t s_total = s.size();
   if (r_total == 0 || s_total == 0) return;
 
-  size_t slice_idx = 0;
-  uint64_t slice_pos = 0;
-  while (slice_idx < r_slices.size()) {
+  for (uint64_t chunk = 0; chunk < r_total; chunk += max_build_tuples_) {
+    const uint64_t built =
+        std::min<uint64_t>(r_total - chunk, max_build_tuples_);
     // --- Build chunk ---
     std::fill(heads_.begin(), heads_.end(), 0u);
     hash::BucketChainTable table(heads_.data(), kBuckets, keys_.data(),
                                  values_.data(), next_.data(),
                                  max_build_tuples_);
-    uint64_t built = 0;
-    while (slice_idx < r_slices.size() && built < max_build_tuples_) {
-      auto [begin, count] = r_slices[slice_idx];
-      uint64_t take =
-          std::min<uint64_t>(count - slice_pos, max_build_tuples_ - built);
-      ctx.ReadSeq(r_rows, (begin + slice_pos) * sizeof(partition::Tuple),
-                  take * sizeof(partition::Tuple));
-      for (uint64_t i = 0; i < take; ++i) {
-        const partition::Tuple& t = r_data[begin + slice_pos + i];
-        table.Insert(t.key, t.value, radix_shift);
+    r.AccountRead(ctx, chunk, chunk + built);
+    r.ForEachRun(chunk, built, [&](const partition::Tuple* src, uint64_t,
+                                   uint64_t count) {
+      for (uint64_t i = 0; i < count; ++i) {
+        table.Insert(src[i].key, src[i].value, radix_shift);
       }
-      built += take;
-      slice_pos += take;
-      if (slice_pos == count) {
-        ++slice_idx;
-        slice_pos = 0;
-      }
-    }
+    });
     ctx.Charge(static_cast<uint64_t>(built * costs_.build_cycles));
 
     // --- Probe chunk: stream all of S against this build chunk ---
-    for (const auto& [begin, count] : s_slices) {
-      ctx.ReadSeq(s_rows, begin * sizeof(partition::Tuple),
-                  count * sizeof(partition::Tuple));
-      for (uint64_t i = begin; i < begin + count; ++i) {
-        const partition::Tuple& t = s_data[i];
-        table.Probe(t.key, radix_shift, [&](int64_t build_val) {
-          emit(build_val, t.value);
+    s.AccountRead(ctx, 0, s_total);
+    s.ForEachRun(0, s_total, [&](const partition::Tuple* src, uint64_t,
+                                 uint64_t count) {
+      for (uint64_t i = 0; i < count; ++i) {
+        table.Probe(src[i].key, radix_shift, [&](int64_t build_val) {
+          emit(build_val, src[i].value);
         });
       }
-    }
+    });
     ctx.Charge(static_cast<uint64_t>(s_total * costs_.probe_cycles));
     ctx.AddTuples(built + s_total);
   }
 }
 
-/// The refined-pair `join` kernel of a two-pass GPU join, launched on
-/// `sms` SMs: one thread block per refined pair q of the layouts builds a
-/// scratchpad table over R_q and probes it with S_q. Matches add to
-/// `matches`/`checksum`. When `result` is non-null each block stages its
-/// matches; once every block has joined, block q's offset from
-/// `*result_cursor` is the sum of the matches of the blocks before it,
-/// and a second set of blocks stores each block's matches at its offset.
-/// Results and accounting are therefore independent of the host thread
-/// count. Returns ResourceExhausted, before storing anything, when the
-/// matches would run past the end of `result`.
+/// The `join` kernel of a partitioned GPU join, launched on `sms` SMs: one
+/// thread block per pair q in [0, pairs) builds a scratchpad table over
+/// R_q and probes it with S_q, where (R_q, S_q) = pair_of(q) is built
+/// inside the block; `radix_shift` counts the hash bits the partitioning
+/// consumed. Matches add to `matches`/`checksum`. When `result` is non-null
+/// each block stages its matches; once every block has joined, block q's
+/// offset from `*result_cursor` is the sum of the matches of the blocks
+/// before it, and a second set of blocks stores each block's matches at
+/// its offset. Results and accounting are therefore independent of the
+/// host thread count. Returns ResourceExhausted, before storing anything,
+/// when the matches would run past the end of `result`.
+util::Status JoinPairs(
+    exec::Device& dev, uint32_t sms, HashScheme scheme, uint32_t pairs,
+    uint32_t radix_shift,
+    const std::function<std::pair<partition::RowInput, partition::RowInput>(
+        uint32_t)>& pair_of,
+    mem::Buffer* result, uint64_t* result_cursor, uint64_t* matches,
+    uint64_t* checksum);
+
+/// JoinPairs over the refined pairs of a two-pass GPU join: pair q is
+/// partition q of (r_rows, r_layout) and of (s_rows, s_layout).
 util::Status JoinRefinedPairs(exec::Device& dev, uint32_t sms,
                               HashScheme scheme, const mem::Buffer& r_rows,
                               const partition::PartitionLayout& r_layout,

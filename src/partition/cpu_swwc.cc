@@ -64,7 +64,7 @@ PartitionRun CpuSwwcPartitioner::PartitionColumns(
 
   // Analytic cost model.
   exec::KernelRecord& rec = run.record;
-  rec.name = opts.name.empty() ? "cpu_swwc" : opts.name;
+  rec.name = opts.name;
   rec.sms = 0;
   const uint64_t in_bytes = n * input.BytesPerTuple();
   const uint64_t out_bytes = n * sizeof(Tuple);

@@ -46,8 +46,7 @@ PartitionRun HierarchicalPartitioner::PartitionColumns(
   const uint32_t fanout = radix.fanout();
   const uint32_t l1_cap =
       SwwcBufferTuples(dev.hw().gpu.scratchpad_bytes, fanout);
-  const uint32_t num_blocks =
-      opts.num_blocks == 0 ? layout.num_blocks() : opts.num_blocks;
+  const uint32_t num_blocks = layout.num_blocks();
   const uint32_t l2_cap = std::max(
       2 * l1_cap, L2BufferTuples(config_, dev.allocator().gpu_free(),
                                  num_blocks, fanout));
@@ -64,10 +63,8 @@ PartitionRun HierarchicalPartitioner::PartitionColumns(
   // behaviour (l2 == l1 eviction is a plain flush).
   const bool have_l2 = l2_storage.ok();
 
-  PartitionOptions o = opts;
-  if (o.name.empty()) o.name = "hierarchical";
   PartitionRun run = internal::RunPartitionKernel(
-      dev, input, layout, o, kPartitionCyclesPerTuple,
+      dev, input, layout, opts, kPartitionCyclesPerTuple,
       [&](exec::KernelContext& ctx, internal::BlockState& st, uint64_t begin,
           uint64_t end) -> uint64_t {
         const uint64_t l1_tuples = static_cast<uint64_t>(fanout) * l1_cap;

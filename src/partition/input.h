@@ -18,7 +18,7 @@
 
 #include "data/relation.h"
 #include "exec/device.h"
-#include "hash/perfect_table.h"
+#include "hash/entry.h"
 #include "mem/buffer.h"
 
 namespace triton::partition {
@@ -168,16 +168,6 @@ class RowInput {
     AccountRead(ctx, begin, end);
   }
 
- private:
-  /// Index of the slice holding flat tuple `i`: the last slice starting at
-  /// or before it, so empty slices are skipped.
-  size_t SliceOf(uint64_t i) const {
-    return static_cast<size_t>(
-               std::upper_bound(starts_.begin(), starts_.end(), i) -
-               starts_.begin()) -
-           1;
-  }
-
   /// Calls fn(src, at, count) for each run of flat tuples [i, i + n) that
   /// is contiguous in storage: `count` tuples at `src` are batch entries
   /// [at, at + count).
@@ -191,6 +181,16 @@ class RowInput {
       fn(rows + slices_[k].first + in_slice, done, take);
       done += take;
     }
+  }
+
+ private:
+  /// Index of the slice holding flat tuple `i`: the last slice starting at
+  /// or before it, so empty slices are skipped.
+  size_t SliceOf(uint64_t i) const {
+    return static_cast<size_t>(
+               std::upper_bound(starts_.begin(), starts_.end(), i) -
+               starts_.begin()) -
+           1;
   }
 
   const mem::Buffer* rows_;

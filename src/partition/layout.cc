@@ -5,11 +5,9 @@
 namespace triton::partition {
 
 PartitionLayout::PartitionLayout(
-    RadixConfig radix, const std::vector<std::vector<uint64_t>>& histograms,
-    uint32_t pad_tuples)
+    RadixConfig radix, const std::vector<std::vector<uint64_t>>& histograms)
     : radix_(radix), num_blocks_(static_cast<uint32_t>(histograms.size())) {
   CHECK_GT(num_blocks_, 0u);
-  CHECK_GT(pad_tuples, 0u);
   const uint32_t fanout = radix_.fanout();
   slice_begin_.resize(static_cast<uint64_t>(fanout) * num_blocks_);
   slice_size_.resize(static_cast<uint64_t>(fanout) * num_blocks_);
@@ -20,7 +18,7 @@ PartitionLayout::PartitionLayout(
     for (uint32_t b = 0; b < num_blocks_; ++b) {
       CHECK_EQ(histograms[b].size(), fanout);
       uint64_t count = histograms[b][p];
-      cursor = util::AlignUp(cursor, pad_tuples);
+      cursor = util::AlignUp(cursor, kSlicePadTuples);
       slice_begin_[Index(p, b)] = cursor;
       slice_size_[Index(p, b)] = count;
       cursor += count;
@@ -28,7 +26,7 @@ PartitionLayout::PartitionLayout(
       data_tuples_ += count;
     }
   }
-  padded_tuples_ = util::AlignUp(cursor, pad_tuples);
+  padded_tuples_ = util::AlignUp(cursor, kSlicePadTuples);
 }
 
 }  // namespace triton::partition

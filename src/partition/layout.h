@@ -22,6 +22,10 @@
 
 namespace triton::partition {
 
+/// Slice alignment in tuples: 8 tuples = 128 bytes, one interconnect
+/// transaction, so buffer flushes stay perfectly coalesced.
+inline constexpr uint32_t kSlicePadTuples = 8;
+
 /// Per-(partition, block) slice table; see file comment.
 class PartitionLayout {
  public:
@@ -29,10 +33,9 @@ class PartitionLayout {
 
   /// Builds the layout from per-block histograms. `histograms[b][p]` is the
   /// number of block-b tuples falling in partition p. Slice starts are
-  /// aligned to `pad_tuples` tuples (1 = no padding).
+  /// aligned to kSlicePadTuples tuples.
   PartitionLayout(RadixConfig radix,
-                  const std::vector<std::vector<uint64_t>>& histograms,
-                  uint32_t pad_tuples);
+                  const std::vector<std::vector<uint64_t>>& histograms);
 
   const RadixConfig& radix() const { return radix_; }
   uint32_t fanout() const { return radix_.fanout(); }

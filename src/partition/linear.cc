@@ -26,10 +26,8 @@ PartitionRun LinearPartitioner::PartitionColumns(
   const uint32_t batch_tuples = static_cast<uint32_t>(
       dev.hw().gpu.scratchpad_bytes / sizeof(Tuple));
 
-  PartitionOptions o = opts;
-  if (o.name.empty()) o.name = "linear";
   return internal::RunPartitionKernel(
-      dev, input, layout, o,
+      dev, input, layout, opts,
       kPartitionCyclesPerTuple + kLinearExtraCyclesPerTuple,
       [&](exec::KernelContext& ctx, internal::BlockState& st, uint64_t begin,
           uint64_t end) -> uint64_t {

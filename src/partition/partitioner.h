@@ -38,8 +38,6 @@ inline constexpr double kPartitionCyclesPerTuple = 9.0;
 struct PartitionOptions {
   /// SMs allocated (0 = all).
   uint32_t sms = 0;
-  /// Thread blocks (0 = one per allocated SM).
-  uint32_t num_blocks = 0;
   /// Kernel name in the device trace.
   std::string name = "partition";
 };
@@ -164,10 +162,8 @@ PartitionRun RunPartitionKernel(exec::Device& dev, const Input& input,
   exec::KernelConfig cfg;
   cfg.name = opts.name;
   cfg.sms = opts.sms == 0 ? dev.hw().gpu.num_sms : opts.sms;
-  const uint32_t num_blocks =
-      opts.num_blocks == 0 ? layout.num_blocks() : opts.num_blocks;
-  CHECK_EQ(num_blocks, layout.num_blocks())
-      << "layout was computed for a different grid";
+  // One block per input chunk the layout's prefix sum counted.
+  const uint32_t num_blocks = layout.num_blocks();
 
   std::vector<uint64_t> block_flushes(num_blocks, 0);
   run.record = dev.Launch(cfg, [&](exec::KernelContext& ctx) {

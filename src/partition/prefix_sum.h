@@ -39,8 +39,6 @@ inline double CpuScanBandwidth(const sim::HwSpec& hw, uint64_t bytes) {
 struct PrefixSumOptions {
   /// SMs allocated (0 = all).
   uint32_t sms = 0;
-  /// Slice alignment in tuples (flush coalescing); 8 tuples = 128 bytes.
-  uint32_t pad_tuples = 8;
   /// Kernel name in the device trace.
   std::string name = "prefix_sum";
 };
@@ -68,7 +66,7 @@ PartitionLayout GpuPrefixSum(exec::Device& dev, const Input& input,
       input.AccountReadKeys(sub, begin, end);
       ComputeBlockHistogram(input, radix, begin, end, histograms[b]);
     });
-    layout = PartitionLayout(radix, histograms, opts.pad_tuples);
+    layout = PartitionLayout(radix, histograms);
     ctx.AddTuples(n);
     ctx.Charge(static_cast<uint64_t>(n * kPrefixSumCyclesPerTuple));
   });
@@ -82,7 +80,7 @@ PartitionLayout CpuPrefixSum(exec::Device& dev, const Input& input,
                              RadixConfig radix, uint32_t num_blocks,
                              const PrefixSumOptions& opts = {}) {
   auto histograms = ComputeHistograms(input, radix, num_blocks);
-  PartitionLayout layout(radix, histograms, opts.pad_tuples);
+  PartitionLayout layout(radix, histograms);
 
   exec::KernelRecord record;
   record.name = opts.name + "_cpu";

@@ -33,10 +33,8 @@ PartitionRun SharedPartitioner::Run(exec::Device& dev, const Input& input,
   const uint32_t fanout = radix.fanout();
   const uint32_t cap = SwwcBufferTuples(dev.hw().gpu.scratchpad_bytes, fanout);
 
-  PartitionOptions o = opts;
-  if (o.name.empty()) o.name = "shared";
   return internal::RunPartitionKernel(
-      dev, input, layout, o, kPartitionCyclesPerTuple,
+      dev, input, layout, opts, kPartitionCyclesPerTuple,
       [&](exec::KernelContext& ctx, internal::BlockState& st, uint64_t begin,
           uint64_t end) -> uint64_t {
         // Block-shared scratchpad buffers: one per partition, `cap` tuples.

@@ -8,10 +8,8 @@ PartitionRun StandardPartitioner::PartitionColumns(
     exec::Device& dev, const ColumnInput& input, const PartitionLayout& layout,
     mem::Buffer& out, const PartitionOptions& opts) {
   const RadixConfig radix = layout.radix();
-  PartitionOptions o = opts;
-  if (o.name.empty()) o.name = "standard";
   return internal::RunPartitionKernel(
-      dev, input, layout, o, kPartitionCyclesPerTuple,
+      dev, input, layout, opts, kPartitionCyclesPerTuple,
       [&](exec::KernelContext& ctx, internal::BlockState& st, uint64_t begin,
           uint64_t end) -> uint64_t {
         // One warp scatters 32 tuples at a time. Lanes whose tuples fall in

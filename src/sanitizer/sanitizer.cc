@@ -146,7 +146,7 @@ void DeviceSanitizer::EndLaunch(const sim::PerfCounters& counters) {
     unchecked.Normalize();
     accounted.Normalize();
     const uint64_t uncovered = unchecked.UncoveredBy(accounted);
-    if (uncovered > tolerance_bytes_) {
+    if (uncovered > 0) {
       // The message reports every stored byte, the covered ones too.
       IntervalLog all_stored = std::move(unchecked);
       for (IntervalLog& log : stored.blocks) all_stored.Append(std::move(log));
@@ -202,7 +202,6 @@ std::unique_ptr<DeviceSanitizer> DeviceSanitizer::Fork() const {
   child->parent_ = this;
   child->scope_ = scope_;
   child->in_launch_ = in_launch_;
-  child->tolerance_bytes_ = tolerance_bytes_;
   return child;
 }
 

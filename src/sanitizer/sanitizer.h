@@ -13,7 +13,7 @@
 //
 //   1. Accounting completeness — functional writes performed through the
 //      checked-access API (KernelContext::Store<T>/StoreRun<T>) must be
-//      covered by accounted traffic within a tolerance, and accounted
+//      covered by accounted traffic, byte for byte, and accounted
 //      regions must lie inside live allocations (catches out-of-bounds
 //      flushes such as a cursor overrunning a partition extent).
 //   2. Scratchpad memcheck — bounds and use-before-init on the per-block
@@ -208,11 +208,6 @@ class DeviceSanitizer : public mem::AllocationObserver {
   /// as a FailedPrecondition status.
   util::Status CheckOk() const;
 
-  /// Bytes of checked functional writes allowed to stay unaccounted per
-  /// buffer and launch before kUnaccountedWrite fires. Default 0: the
-  /// partitioning/join kernels account their flushes exactly.
-  void set_coverage_tolerance(uint64_t bytes) { tolerance_bytes_ = bytes; }
-
  private:
   friend class ScratchpadShadow;
 
@@ -247,7 +242,6 @@ class DeviceSanitizer : public mem::AllocationObserver {
 
   Scope scope_;
   bool in_launch_ = false;
-  uint64_t tolerance_bytes_ = 0;
 
   /// Live allocations keyed by base address. A fork leaves its own empty
   /// and searches its parent's.

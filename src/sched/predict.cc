@@ -81,7 +81,6 @@ TritonPrediction PredictTritonPhases(const sim::HwSpec& hw, uint64_t r_tuples,
   const double cache_avail = gpu_free > reserve ? gpu_free - reserve : 0.0;
   const double cached = std::min(cache_avail, in_bytes);
   const double spilled = in_bytes - cached;
-  pred.cached_fraction = in_bytes > 0.0 ? cached / in_bytes : 0.0;
 
   // --- Pass 1: GPU pulls both base relations over the link, scatters the
   // cached fraction to GPU memory (via the hierarchical L2 staging) and

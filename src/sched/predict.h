@@ -43,8 +43,6 @@ struct TritonPrediction {
   /// Overlapped second pass + join (the max of the bandwidth and compute
   /// lanes, Section 5.2).
   double pipeline_seconds = 0.0;
-  /// Predicted fraction of partitioned state cached in GPU memory.
-  double cached_fraction = 0.0;
 
   double TotalSeconds() const { return front_seconds + pipeline_seconds; }
 };

@@ -2,17 +2,19 @@
 //
 // Many service tenants probe the same dimension table; rebuilding the hash
 // table per request would dominate their cost. SharedBuild keeps one
-// perfect hash table resident on a long-lived private device (its memory
-// held from the MemoryArbiter for the service's lifetime) and executes
-// probe requests in batches: the scheduler coalesces up to
-// probe_batch_limit small requests into a single kernel launch, amortizing
-// the per-dispatch overhead and the launch-time GPU TLB flush across the
-// batch.
+// perfect no-partitioning-join table (join::NpjTable) resident on a
+// long-lived private device (its memory held from the MemoryArbiter for
+// the service's lifetime) and executes probe requests in batches: the
+// scheduler coalesces up to probe_batch_limit small requests into a single
+// probe launch, amortizing the per-dispatch overhead and the launch-time
+// GPU TLB flush across the batch. The build and every probe are the NPJ's
+// own kernels, run as thread blocks; each request is one probe segment.
 //
-// Each batch stages its probe keys inside a mem::Allocator arena
-// (BeginArena/EndArena), so the simulated addresses — and the TLB/counter
-// physics derived from them — are a deterministic function of the batch's
-// own allocation sequence, independent of how many batches ran before it.
+// Each batch stages its probe rows as one relation inside a mem::Allocator
+// arena (BeginArena/EndArena), so the simulated addresses — and the
+// TLB/counter physics derived from them — are a deterministic function of
+// the batch's own allocation sequence, independent of how many batches ran
+// before it.
 
 #ifndef TRITON_SERVE_SHARED_BUILD_H_
 #define TRITON_SERVE_SHARED_BUILD_H_
@@ -23,7 +25,7 @@
 
 #include "data/relation.h"
 #include "exec/device.h"
-#include "mem/buffer.h"
+#include "join/no_partitioning_join.h"
 #include "serve/arbiter.h"
 #include "sim/perf_counters.h"
 #include "util/status.h"
@@ -38,15 +40,9 @@ struct ProbeSpec {
   uint64_t seed = 1;
 };
 
-/// Per-request functional result of a batch.
-struct ProbeResult {
-  uint64_t matches = 0;
-  uint64_t checksum = 0;
-};
-
 /// One executed batch: per-request results plus the launch's modeled cost.
 struct BatchRun {
-  std::vector<ProbeResult> results;
+  std::vector<join::NpjTable::SegmentTotals> results;
   /// Modeled seconds of the single probe launch.
   double elapsed = 0.0;
   /// Counters of the single probe launch (the service attributes them to
@@ -62,9 +58,6 @@ class SharedBuild {
     uint64_t tuples = 0;
     /// Seed of the build relation's deterministic content.
     uint64_t seed = 7;
-    /// CPU-memory headroom reserved for per-batch probe staging; 0 derives
-    /// a default from the machine (1/8 of CPU capacity).
-    uint64_t staging_bytes = 0;
   };
 
   /// Builds the resident table on a private device whose memory is held
@@ -79,8 +72,6 @@ class SharedBuild {
   util::StatusOr<BatchRun> RunBatch(const std::vector<ProbeSpec>& specs);
 
   uint64_t tuples() const { return config_.tuples; }
-  /// Modeled seconds spent building the resident table (paid once).
-  double build_elapsed() const { return build_elapsed_; }
   exec::Device& device() { return *device_; }
 
  private:
@@ -90,8 +81,7 @@ class SharedBuild {
   Reservation reservation_;
   std::unique_ptr<exec::Device> device_;
   data::Relation build_;
-  mem::Buffer table_;
-  double build_elapsed_ = 0.0;
+  join::NpjTable table_;
 };
 
 }  // namespace triton::serve

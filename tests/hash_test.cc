@@ -4,9 +4,9 @@
 #include <vector>
 
 #include "hash/bucket_chain_table.h"
+#include "hash/entry.h"
 #include "hash/hash_fn.h"
 #include "hash/linear_table.h"
-#include "hash/perfect_table.h"
 #include "util/random.h"
 
 namespace triton::hash {
@@ -50,74 +50,73 @@ TEST(HashFnTest, ZeroBitsIsZero) {
   EXPECT_EQ(HashBits(MultiplyShift(77), 0, 0), 0u);
 }
 
-TEST(PerfectTableTest, InsertProbeRoundTrip) {
-  std::vector<Entry> storage(1000);
-  PerfectTable t(storage.data(), 1000);
-  for (int64_t k = 1; k <= 1000; ++k) t.Insert(k, k * 10);
-  for (int64_t k = 1; k <= 1000; ++k) {
-    int64_t v = 0;
-    ASSERT_TRUE(t.Probe(k, &v));
-    EXPECT_EQ(v, k * 10);
-  }
-}
-
-TEST(PerfectTableTest, OutOfDomainProbeMisses) {
-  std::vector<Entry> storage(10);
-  PerfectTable t(storage.data(), 10);
-  t.Insert(5, 50);
-  int64_t v = 0;
-  EXPECT_FALSE(t.Probe(11, &v));
-  EXPECT_FALSE(t.Probe(0, &v));
-  EXPECT_FALSE(t.Probe(4, &v));  // empty slot
-}
-
-TEST(PerfectTableTest, StorageBytesIs16PerKey) {
-  EXPECT_EQ(PerfectTable::StorageBytes(2048), 2048u * 16u);
-}
-
 TEST(LinearTableTest, CapacityIsPowerOfTwoAtHalfLoad) {
   EXPECT_EQ(LinearTable::CapacityFor(1000), 2048u);
   EXPECT_EQ(LinearTable::CapacityFor(1024), 2048u);
   EXPECT_EQ(LinearTable::CapacityFor(1025), 4096u);
 }
 
+// The no-partitioning join's linear-probing loops walk SlotOf/NextSlot
+// over a zeroed slot array. At exactly 50% load, an insert walk to the
+// first empty slot and a probe walk to the key round-trip every key in
+// short chains, and an absent key's walk stops at an empty slot.
 TEST(LinearTableTest, InsertProbeRoundTrip) {
-  uint64_t cap = LinearTable::CapacityFor(5000);
-  std::vector<Entry> storage(cap);
-  LinearTable t(storage.data(), cap);
+  const uint64_t n = 4096;
+  const uint64_t cap = LinearTable::CapacityFor(n);
+  ASSERT_EQ(cap, 2 * n);
+  const LinearTable t(cap);
+  EXPECT_EQ(t.NextSlot(cap - 1), 0u);
+  std::vector<Entry> slots(cap);
   util::Rng rng(5);
   std::map<int64_t, int64_t> ref;
-  while (ref.size() < 5000) {
-    int64_t k = static_cast<int64_t>(rng.NextBounded(1 << 30)) + 1;
-    if (ref.count(k)) continue;
-    ref[k] = k * 3;
-    t.Insert(k, k * 3);
+  while (ref.size() < n) {
+    const int64_t k = static_cast<int64_t>(rng.NextBounded(1 << 30)) + 1;
+    if (!ref.emplace(k, k * 3).second) continue;
+    uint64_t slot = t.SlotOf(k);
+    ASSERT_LT(slot, cap);
+    while (slots[slot].key != 0) slot = t.NextSlot(slot);
+    slots[slot] = {k, k * 3};
   }
+  uint64_t touches = 0;
   for (const auto& [k, v] : ref) {
-    int64_t got = 0;
-    bool found = false;
-    t.Probe(k, &got, &found);
-    ASSERT_TRUE(found) << k;
-    EXPECT_EQ(got, v);
+    uint64_t slot = t.SlotOf(k);
+    for (++touches; slots[slot].key != k; ++touches) {
+      ASSERT_NE(slots[slot].key, 0) << "key " << k << " not found";
+      slot = t.NextSlot(slot);
+    }
+    EXPECT_EQ(slots[slot].value, v);
   }
-  // Missing keys report not-found.
-  int64_t got = 0;
-  bool found = true;
-  t.Probe(-7, &got, &found);
-  EXPECT_FALSE(found);
+  // Successful probes average about 1.5 slots at 50% load.
+  EXPECT_LT(touches, 3 * n);
+  uint64_t slot = t.SlotOf(-7);
+  for (uint64_t walked = 0; slots[slot].key != 0; ++walked) {
+    ASSERT_NE(slots[slot].key, -7);
+    ASSERT_LT(walked, cap);
+    slot = t.NextSlot(slot);
+  }
 }
 
+// Every successful probe walk touches its home slot at least once, and
+// at 50% load the chains over dense keys 1..100 stay short.
 TEST(LinearTableTest, ProbeTouchesAtLeastOneSlot) {
-  uint64_t cap = LinearTable::CapacityFor(100);
-  std::vector<Entry> storage(cap);
-  LinearTable t(storage.data(), cap);
-  for (int64_t k = 1; k <= 100; ++k) t.Insert(k, k);
+  const uint64_t cap = LinearTable::CapacityFor(100);
+  const LinearTable t(cap);
+  std::vector<Entry> slots(cap);
+  for (int64_t k = 1; k <= 100; ++k) {
+    uint64_t slot = t.SlotOf(k);
+    while (slots[slot].key != 0) slot = t.NextSlot(slot);
+    slots[slot] = {k, k};
+  }
   uint64_t total_touches = 0;
   for (int64_t k = 1; k <= 100; ++k) {
-    int64_t v;
-    bool found;
-    total_touches += t.Probe(k, &v, &found);
-    EXPECT_TRUE(found);
+    uint64_t slot = t.SlotOf(k);
+    uint64_t touches = 1;
+    for (; slots[slot].key != k; ++touches) {
+      ASSERT_NE(slots[slot].key, 0) << "key " << k << " not found";
+      slot = t.NextSlot(slot);
+    }
+    EXPECT_EQ(slots[slot].value, k);
+    total_touches += touches;
   }
   EXPECT_GE(total_touches, 100u);
   // At 50% load, average probe chains stay short.

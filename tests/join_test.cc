@@ -11,6 +11,7 @@
 #include "join/cpu_radix_join.h"
 #include "join/no_partitioning_join.h"
 #include "join/scratch_join.h"
+#include "partition/input.h"
 #include "sim/hw_spec.h"
 #include "util/status.h"
 #include "util/units.h"
@@ -258,37 +259,67 @@ TEST_F(JoinTest, NpjLinearProbingKeyZero) {
       << refused.status().ToString();
 }
 
+// A perfect table has one slot per key in 1..|R|: probe keys outside that
+// domain miss without indexing it, and every other probe finds its row.
+TEST_F(JoinTest, NpjPerfectProbesOutsideOneToRMiss) {
+  const uint64_t n = 5000;
+  std::vector<data::Key> dense(n);
+  for (uint64_t i = 0; i < n; ++i) dense[i] = static_cast<data::Key>(i + 1);
+  data::Relation r = MakeRelation(dev_->allocator(), dense);
+  std::vector<data::Key> probes = {0, -3, static_cast<data::Key>(n + 1),
+                                   std::numeric_limits<data::Key>::max()};
+  for (data::Key k = 1; k <= 100; ++k) probes.push_back(k * 50);
+  data::Relation s = MakeRelation(dev_->allocator(), probes);
+  for (ResultMode mode : {ResultMode::kMaterialize, ResultMode::kAggregate}) {
+    NoPartitioningJoin npj(
+        {.scheme = HashScheme::kPerfect, .result_mode = mode});
+    auto run = npj.Run(*dev_, r, s);
+    ASSERT_TRUE(run.ok()) << run.status().ToString();
+    EXPECT_EQ(run->matches, 100u);
+    EXPECT_EQ(run->checksum, ReferenceChecksum(r, s));
+  }
+}
+
 // --- Scratch joiner ---
 
+/// Row-format copy of `rel` (key, first payload) placed at tuple offset
+/// `at` of `rows`.
+void CopyRows(const data::Relation& rel, partition::Tuple* rows,
+              uint64_t at) {
+  for (uint64_t i = 0; i < rel.rows(); ++i) {
+    rows[at + i] = {rel.keys()[i], rel.payload(0)[i]};
+  }
+}
+
 TEST_F(JoinTest, ScratchJoinerChunksOversizedBuildSides) {
-  // A build range far beyond the scratchpad capacity must still produce
-  // exact results via chunked builds.
-  auto buf = dev_->allocator().AllocateCpu(40000 * sizeof(hash::Entry));
+  // A build side far beyond the scratchpad capacity must still produce
+  // exact results via chunked builds, with S re-read once per chunk.
+  const uint64_t n = 20000;
+  auto wl = MakeWorkload(n, n);
+  auto buf = dev_->allocator().AllocateCpu(2 * n * sizeof(partition::Tuple));
   ASSERT_TRUE(buf.ok());
-  auto* rows = buf->as<partition::Tuple>();
-  uint64_t r_n = 20000, s_n = 20000;
-  for (uint64_t i = 0; i < r_n; ++i) {
-    rows[i] = {static_cast<int64_t>(i + 1), static_cast<int64_t>(i * 7)};
-  }
-  for (uint64_t j = 0; j < s_n; ++j) {
-    rows[r_n + j] = {static_cast<int64_t>(j % r_n + 1),
-                     static_cast<int64_t>(j)};
-  }
+  CopyRows(wl.r, buf->as<partition::Tuple>(), 0);
+  CopyRows(wl.s, buf->as<partition::Tuple>(), n);
   ScratchJoiner joiner(HashScheme::kBucketChaining,
                        hw_.gpu.scratchpad_bytes);
-  ASSERT_LT(joiner.MaxBuildTuples(), r_n);
-  uint64_t matches = 0, checksum = 0, cursor = 0;
-  dev_->Launch({.name = "join"}, [&](exec::KernelContext& ctx) {
-    joiner.JoinRange(ctx, *buf, 0, r_n, r_n, s_n, 0, nullptr, &cursor,
-                     &matches, &checksum);
-  });
-  EXPECT_EQ(matches, s_n);
-  uint64_t expect = 0;
-  for (uint64_t j = 0; j < s_n; ++j) {
-    expect += (j % r_n) * 7 + j;
-  }
-  EXPECT_EQ(checksum, expect);
-  dev_->allocator().Free(*buf);
+  ASSERT_LT(joiner.MaxBuildTuples(), n);
+  const uint64_t chunks = (n + joiner.MaxBuildTuples() - 1) /
+                          joiner.MaxBuildTuples();
+  uint64_t matches = 0, checksum = 0;
+  exec::KernelRecord record =
+      dev_->Launch({.name = "join"}, [&](exec::KernelContext& ctx) {
+        joiner.JoinSlicesEmit(
+            ctx, partition::RowInput(&*buf, 0, n),
+            partition::RowInput(&*buf, n, n), /*radix_shift=*/0,
+            [&](int64_t build_val, int64_t probe_val) {
+              ++matches;
+              checksum += static_cast<uint64_t>(build_val) +
+                          static_cast<uint64_t>(probe_val);
+            });
+      });
+  EXPECT_EQ(matches, n);
+  EXPECT_EQ(checksum, ReferenceChecksum(wl.r, wl.s));
+  EXPECT_EQ(record.counters.tuples, n + chunks * n);
 }
 
 // --- CPU radix join ---

@@ -2,7 +2,8 @@
 // the Reporter's determinism contract. The round-trip test is the
 // load-bearing one — it re-measures the same join at 1 and 8 worker
 // threads and demands *byte-identical* serialized reports, which is the
-// property tools/bench_regress.py builds its exact baseline diff on.
+// property tools/bench_regress.py builds its exact baseline diff on. The
+// BenchEnv tests check that the bench flags refuse values no run can use.
 
 #include <gtest/gtest.h>
 
@@ -10,7 +11,9 @@
 #include <cmath>
 #include <limits>
 #include <string>
+#include <vector>
 
+#include "bench/bench_common.h"
 #include "bench/reporter.h"
 #include "core/triton_join.h"
 #include "data/generator.h"
@@ -189,6 +192,41 @@ TEST(ReporterRoundTripTest, ReportContainsModeledQuantitiesOnly) {
   // ...and the absence of volatile host observations (stdout only).
   EXPECT_EQ(report.find("wall"), std::string::npos);
   EXPECT_EQ(report.find("threads"), std::string::npos);
+}
+
+// --- Bench flag validation ---
+
+/// Builds a BenchEnv from `flags`, as a bench's main would.
+void MakeBenchEnv(std::vector<std::string> flags) {
+  flags.insert(flags.begin(), "bench_test");
+  std::vector<char*> argv;
+  for (std::string& f : flags) argv.push_back(f.data());
+  bench::BenchEnv env(static_cast<int>(argv.size()), argv.data(), "test_fig",
+                      "Test figure", "flag validation");
+}
+
+// --threads=-1 would otherwise be cast to 2^32 - 1 worker threads: a count
+// outside [0, kMaxThreads] is refused like an unknown flag, before any
+// worker starts. The child process runs the statement alone
+// ("threadsafe" style), so it starts from a one-thread process.
+TEST(BenchEnvDeathTest, RefusesThreadCountOutsideRange) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  for (const char* flag : {"--threads=-1", "--threads=1025"}) {
+    EXPECT_EXIT(MakeBenchEnv({flag}), ::testing::ExitedWithCode(2),
+                "is outside \\[0, 1024\\]")
+        << flag;
+  }
+}
+
+// A scale below 1 is refused before HwSpec::Scaled, which aborts on it,
+// is reached.
+TEST(BenchEnvDeathTest, RefusesScaleBelowOne) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  for (const char* flag : {"--scale=0", "--scale=-4"}) {
+    EXPECT_EXIT(MakeBenchEnv({flag}), ::testing::ExitedWithCode(2),
+                "is below 1")
+        << flag;
+  }
 }
 
 }  // namespace

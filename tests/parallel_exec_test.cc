@@ -23,7 +23,7 @@
 #include "data/generator.h"
 #include "exec/block_executor.h"
 #include "exec/device.h"
-#include "hash/perfect_table.h"
+#include "hash/entry.h"
 #include "join/common.h"
 #include "join/cpu_partitioned_join.h"
 #include "join/no_partitioning_join.h"
@@ -672,47 +672,89 @@ TEST_F(ParallelIdentityTest, CoProcessingIsThreadCountInvariant) {
   }
 }
 
-// The staged emit path used by the parallel join launches must agree with
-// the direct materializing path tuple for tuple.
-TEST_F(ParallelIdentityTest, JoinSlicesEmitMatchesJoinSlices) {
-  exec::Device dev(hw_, /*sanitize=*/false);
-  auto wl = MakeWorkload(dev.allocator(), 5000, 5000);
-  // Lay both relations out as single slices of their row buffers.
-  auto rows = dev.allocator().AllocateCpu(2 * 5000 * sizeof(Tuple));
-  ASSERT_TRUE(rows.ok());
-  Tuple* data = rows->as<Tuple>();
-  const data::Key* r_keys = wl.r.key_buffer().as<data::Key>();
-  const data::Value* r_vals = wl.r.payload_buffer(0).as<data::Value>();
-  const data::Key* s_keys = wl.s.key_buffer().as<data::Key>();
-  const data::Value* s_vals = wl.s.payload_buffer(0).as<data::Value>();
-  for (uint64_t i = 0; i < 5000; ++i) {
-    data[i] = Tuple{r_keys[i], r_vals[i]};
-    data[5000 + i] = Tuple{s_keys[i], s_vals[i]};
+// Scratchpad-sized pass-1 pairs (`bits2` derives to 0) are joined straight
+// from GPU staging, one `join` block per pair.
+TEST_F(ParallelIdentityTest, DirectCpuPartitionedJoinIsThreadCountInvariant) {
+  auto make = [] {
+    return join::CpuPartitionedJoin(
+        {.result_mode = join::ResultMode::kMaterialize, .bits1 = 8});
+  };
+  {
+    exec::Device dev(hw_, /*sanitize=*/true);
+    auto wl = MakeWorkload(dev.allocator(), 48 * 1024, 64 * 1024);
+    auto run = make().Run(dev, wl.r, wl.s);
+    ASSERT_TRUE(run.ok()) << run.status().ToString();
+    for (const exec::KernelRecord& phase : run->phases) {
+      ASSERT_NE(phase.name, "partition2") << "took the refined path";
+    }
   }
+  JoinResult serial = RunJoin(1, 48 * 1024, 64 * 1024, make);
+  for (uint32_t threads : {2u, 8u}) {
+    JoinResult par = RunJoin(threads, 48 * 1024, 64 * 1024, make);
+    ExpectJoinResultEq(serial, par);
+  }
+}
+
+// The join kernel reads each pair through RowInput views. A pair cut into
+// slices with alignment gaps (and an empty slice) between them must join
+// to the reference answer and read exactly the bytes the same rows staged
+// contiguously do.
+TEST_F(ParallelIdentityTest, JoinSlicesEmitMatchesReferenceOverSlices) {
+  exec::Device dev(hw_, /*sanitize=*/false);
+  const uint64_t n = 5000;
+  auto wl = MakeWorkload(dev.allocator(), n, n);
+  auto flat = dev.allocator().AllocateCpu(2 * n * sizeof(Tuple));
+  auto sliced = dev.allocator().AllocateCpu(4 * n * sizeof(Tuple));
+  ASSERT_TRUE(flat.ok() && sliced.ok());
+  // Copies `rel` to `at` of the flat buffer and, in slices of 700 tuples
+  // 9 tuples apart from `*cursor` on, to the sliced one.
+  auto lay_out = [&](const data::Relation& rel, uint64_t at,
+                     uint64_t* cursor) {
+    std::vector<std::pair<uint64_t, uint64_t>> slices;
+    for (uint64_t i = 0; i < rel.rows(); i += 700) {
+      const uint64_t count = std::min<uint64_t>(700, rel.rows() - i);
+      for (uint64_t j = 0; j < count; ++j) {
+        const Tuple t{rel.keys()[i + j], rel.payload(0)[i + j]};
+        flat->as<Tuple>()[at + i + j] = t;
+        sliced->as<Tuple>()[*cursor + j] = t;
+      }
+      slices.emplace_back(*cursor, count);
+      if (i == 0) slices.emplace_back(*cursor + count, 0);
+      *cursor += count + 9;
+    }
+    return partition::RowInput(&*sliced, std::move(slices));
+  };
+  uint64_t cursor = 0;
+  const partition::RowInput r_sliced = lay_out(wl.r, 0, &cursor);
+  const partition::RowInput s_sliced = lay_out(wl.s, n, &cursor);
   join::ScratchJoiner joiner(join::HashScheme::kBucketChaining,
                              hw_.gpu.scratchpad_bytes);
-  uint64_t direct_matches = 0, direct_checksum = 0;
-  uint64_t emit_matches = 0, emit_checksum = 0;
-  dev.Launch({.name = "join"}, [&](exec::KernelContext& ctx) {
-    uint64_t cursor = 0;
-    EXPECT_TRUE(joiner
-                    .JoinSlices(ctx, *rows, {{0, 5000}}, *rows,
-                                {{5000, 5000}}, /*radix_shift=*/0,
-                                /*result=*/nullptr, &cursor, &direct_matches,
-                                &direct_checksum)
-                    .ok());
-    joiner.JoinSlicesEmit(ctx, *rows, {{0, 5000}}, *rows, {{5000, 5000}},
-                          /*radix_shift=*/0,
-                          [&](int64_t build_val, int64_t probe_val) {
-                            ++emit_matches;
-                            emit_checksum +=
-                                static_cast<uint64_t>(build_val) +
-                                static_cast<uint64_t>(probe_val);
-                          });
-  });
-  EXPECT_EQ(direct_matches, 5000u);
-  EXPECT_EQ(emit_matches, direct_matches);
-  EXPECT_EQ(emit_checksum, direct_checksum);
+  // S is streamed once per build chunk.
+  const uint64_t chunks =
+      (n + joiner.MaxBuildTuples() - 1) / joiner.MaxBuildTuples();
+  auto join_pair = [&](const partition::RowInput& r,
+                       const partition::RowInput& s) {
+    uint64_t matches = 0, checksum = 0;
+    exec::KernelRecord record =
+        dev.Launch({.name = "join"}, [&](exec::KernelContext& ctx) {
+          joiner.JoinSlicesEmit(ctx, r, s, /*radix_shift=*/0,
+                                [&](int64_t build_val, int64_t probe_val) {
+                                  ++matches;
+                                  checksum +=
+                                      static_cast<uint64_t>(build_val) +
+                                      static_cast<uint64_t>(probe_val);
+                                });
+        });
+    EXPECT_EQ(matches, n);
+    EXPECT_EQ(checksum, join::ReferenceChecksum(wl.r, wl.s));
+    EXPECT_EQ(record.counters.tuples, n + chunks * n);
+    return record.counters.link_read_payload;
+  };
+  const uint64_t sliced_bytes = join_pair(r_sliced, s_sliced);
+  EXPECT_EQ(sliced_bytes, (n + chunks * n) * sizeof(Tuple));
+  EXPECT_EQ(join_pair(partition::RowInput(&*flat, 0, n),
+                      partition::RowInput(&*flat, n, n)),
+            sliced_bytes);
 }
 
 // --- No-partitioning join ---
@@ -835,6 +877,65 @@ INSTANTIATE_TEST_SUITE_P(
       name += std::get<2>(info.param) ? "Spilled" : "InCore";
       return name;
     });
+
+// NpjTable::Probe cuts its blocks at every segment end, so each segment's
+// totals are its own rows' join. Segments of 0, 1, 4095, 4096 and 4097 rows
+// and one spanning two waves of probe blocks, under every scheme, at 1, 2
+// and 8 threads; every seventh probe key misses.
+TEST_F(ParallelIdentityTest, NpjProbeSegmentsMatchReference) {
+  constexpr uint64_t kR = 50000;
+  const std::vector<uint64_t> lengths = {0,    1, 4095, 4096, 0,
+                                         4097, 300000, 1};
+  std::vector<uint64_t> ends;
+  uint64_t total = 0;
+  for (uint64_t len : lengths) ends.push_back(total += len);
+  for (join::HashScheme scheme :
+       {join::HashScheme::kPerfect, join::HashScheme::kLinearProbing,
+        join::HashScheme::kBucketChaining}) {
+    sim::PerfCounters serial;
+    for (uint32_t threads : {1u, 2u, 8u}) {
+      SCOPED_TRACE(testing::Message() << join::HashSchemeName(scheme)
+                                      << " at threads " << threads);
+      ThreadsGuard guard(threads);
+      exec::Device dev(hw_, /*sanitize=*/true);
+      auto wl = MakeWorkload(dev.allocator(), kR, total);
+      for (uint64_t j = 0; j < total; j += 7) {
+        wl.s.keys()[j] = static_cast<data::Key>(kR + 1 + j);
+      }
+      auto table = join::NpjTable::Build(
+          dev, wl.r,
+          {.scheme = scheme, .result_mode = join::ResultMode::kAggregate});
+      ASSERT_TRUE(table.ok()) << table.status().ToString();
+      auto totals = table->Probe(dev, wl.s, ends, /*result=*/nullptr);
+      ASSERT_TRUE(totals.ok()) << totals.status().ToString();
+      ASSERT_EQ(totals->size(), ends.size());
+      uint64_t begin = 0;
+      for (size_t i = 0; i < ends.size(); begin = ends[i++]) {
+        uint64_t matches = 0, checksum = 0;
+        if (ends[i] > begin) {
+          mem::Allocator host(hw_);
+          auto seg = data::Relation::AllocateCpu(host, ends[i] - begin);
+          ASSERT_TRUE(seg.ok());
+          for (uint64_t j = begin; j < ends[i]; ++j) {
+            seg->keys()[j - begin] = wl.s.keys()[j];
+            seg->payload(0)[j - begin] = wl.s.payload(0)[j];
+            matches += (j % 7) != 0;
+          }
+          checksum = join::ReferenceChecksum(wl.r, *seg);
+        }
+        EXPECT_EQ((*totals)[i].matches, matches) << "segment " << i;
+        EXPECT_EQ((*totals)[i].checksum, checksum) << "segment " << i;
+      }
+      const sim::PerfCounters& counters = dev.trace().back().counters;
+      if (threads == 1) serial = counters;
+      ExpectCountersEq(counters, serial);
+      table->Free(dev);
+      std::vector<Violation> vs = dev.sanitizer()->TakeViolations();
+      EXPECT_TRUE(vs.empty()) << vs.size() << " violation(s), first: "
+                              << vs.front().message;
+    }
+  }
+}
 
 // --- Sanitizer provenance under parallel execution ---
 

@@ -113,7 +113,8 @@ class PartitionTest : public ::testing::Test {
 
 TEST_F(PartitionTest, LayoutOffsetsArePaddedAndOrdered) {
   std::vector<std::vector<uint64_t>> hist = {{3, 10}, {5, 1}};
-  PartitionLayout layout(RadixConfig{0, 1}, hist, /*pad_tuples=*/8);
+  PartitionLayout layout(RadixConfig{0, 1}, hist);
+  ASSERT_EQ(kSlicePadTuples, 8u);
   EXPECT_EQ(layout.fanout(), 2u);
   EXPECT_EQ(layout.num_blocks(), 2u);
   EXPECT_EQ(layout.SliceBegin(0, 0), 0u);
