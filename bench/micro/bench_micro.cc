@@ -3,8 +3,8 @@
 // Each series exercises one building block of the simulation — bulk TLB
 // translation, link packetization, the SIMD radix inner loop, an
 // end-to-end partition scatter, the per-tuple vs bulk functional-store
-// path, the allocator cycle, and the sanitizer's scratchpad shadow — and
-// records two kinds of results:
+// path, the allocator cycle, the sanitizer's scratchpad shadow and one
+// random access inside thread blocks — and records two kinds of results:
 //
 //   * Modeled quantities (simulated latencies, transaction counts,
 //     checksums, PerfCounters) go through bench::Reporter into
@@ -404,6 +404,56 @@ int Main(int argc, char** argv) {
     });
     host.AddRow({"sanitizer-shadow", std::to_string(slots * rounds),
                  util::FormatDouble(ns, 1)});
+  }
+
+  // --- One random access inside thread blocks, and its replay alone ---
+  // Host rows only: the modeled side is what every NPJ series already
+  // reports. `rand-read-block` is the whole per-access path of a kernel:
+  // ReadRand in a ForEachBlock body (page lookup, packetization, replay-log
+  // append) plus the launching thread's replay of the log through the
+  // shared TLB. `tlb-access` replays the same address stream with
+  // TlbSimulator::Access alone. The buffer spans 4x the L2 TLB coverage,
+  // a quarter of it in GPU memory.
+  {
+    exec::Device dev(env.hw(), /*sanitize=*/false);
+    const uint64_t bytes = 4 * env.hw().tlb.l2_coverage;
+    auto buf = dev.allocator().AllocateInterleaved(bytes, bytes / 4);
+    CHECK_OK(buf.status());
+    const uint32_t blocks = 256;
+    const uint64_t per_block = 4096;
+    const uint64_t ops = blocks * per_block;
+    std::vector<uint64_t> offsets(ops);
+    std::vector<uint64_t> addrs(ops);
+    std::vector<sim::PageLocation> locs(ops);
+    uint64_t state = 0x5eed;
+    for (uint64_t i = 0; i < ops; ++i) {
+      offsets[i] = SplitMix64(state) % (bytes / 16) * 16;
+      addrs[i] = buf->base_addr() + offsets[i];
+      locs[i] = buf->LocationOf(offsets[i]);
+    }
+    double ns = HostNsPerOp(reps, ops, [&] {
+      exec::KernelRecord rec = dev.Launch(
+          {.name = "rand-read-block"}, [&](exec::KernelContext& ctx) {
+            ctx.ForEachBlock(blocks, [&](exec::KernelContext& sub,
+                                         uint32_t b) {
+              for (uint64_t i = b * per_block; i < (b + 1) * per_block; ++i) {
+                sub.ReadRand(*buf, offsets[i], 16);
+              }
+            });
+          });
+      Sink(rec.counters.gpu_tlb_misses);
+    });
+    host.AddRow({"rand-read-block", std::to_string(ops),
+                 util::FormatDouble(ns, 1)});
+    sim::TlbSimulator tlb(env.hw().tlb);
+    ns = HostNsPerOp(reps, ops, [&] {
+      sim::PerfCounters c{};
+      tlb.FlushGpuTlb();  // as every launch does
+      for (uint64_t i = 0; i < ops; ++i) tlb.Access(addrs[i], locs[i], &c);
+      Sink(c.gpu_tlb_misses);
+    });
+    host.AddRow({"tlb-access", std::to_string(ops), util::FormatDouble(ns, 1)});
+    dev.allocator().Free(*buf);
   }
 
   env.Emit(host, "Host-side cost of simulator primitives (ns/op; best of "

@@ -3,6 +3,7 @@
 #include <cmath>
 #include <cstring>
 #include <mutex>
+#include <string>
 #include <unordered_map>
 #include <vector>
 
@@ -95,9 +96,16 @@ void FillPayloads(Relation& rel, uint64_t seed) {
   }
 }
 
+util::Status CheckZipfTheta(double theta) {
+  if (std::isfinite(theta) && theta >= 0.0) return util::Status::OK();
+  return util::Status::InvalidArgument(
+      "zipf_theta must be finite and >= 0, got " + std::to_string(theta));
+}
+
 void FillForeignKeysZipf(Relation& rel, uint64_t fk_domain, double theta,
                          uint64_t seed) {
   CHECK_GT(fk_domain, 0u);
+  CHECK_OK(CheckZipfTheta(theta));
   if (theta <= 0.0) {
     FillForeignKeys(rel, fk_domain, seed);
     return;
@@ -128,6 +136,7 @@ util::StatusOr<Workload> GenerateWorkload(mem::Allocator& alloc,
   if (config.r_tuples == 0 || config.s_tuples == 0) {
     return util::Status::InvalidArgument("relation cardinality must be > 0");
   }
+  TRITON_RETURN_IF_ERROR(CheckZipfTheta(config.zipf_theta));
   Workload wl;
   auto r = Relation::AllocateCpu(alloc, config.r_tuples, config.payload_cols);
   if (!r.ok()) return r.status();

@@ -43,9 +43,15 @@ struct Workload {
 };
 
 /// Generates R with shuffled primary keys 1..r_tuples and S with uniform
-/// foreign keys into R.
+/// (or, for zipf_theta > 0, Zipf-distributed) foreign keys into R. Refuses
+/// an empty side and a zipf_theta that CheckZipfTheta refuses.
 util::StatusOr<Workload> GenerateWorkload(mem::Allocator& alloc,
                                           const WorkloadConfig& config);
+
+/// OK for a finite, non-negative Zipf skew; InvalidArgument otherwise (a
+/// NaN or negative theta would otherwise run uniform keys, +inf would send
+/// every key to 1).
+util::Status CheckZipfTheta(double theta);
 
 /// Fills an already-allocated relation with shuffled primary keys 1..rows.
 void FillPrimaryKeys(Relation& rel, uint64_t seed, bool shuffle);
@@ -56,7 +62,8 @@ void FillForeignKeys(Relation& rel, uint64_t fk_domain, uint64_t seed);
 
 /// Fills an already-allocated relation with Zipf-distributed foreign keys
 /// in [1, fk_domain] with skew parameter `theta` (0 = uniform; ~1 = heavy
-/// skew). Uses the standard approximate inverse-CDF sampler (Gray et al.).
+/// skew; CHECK-fails on a theta CheckZipfTheta refuses). Uses the standard
+/// approximate inverse-CDF sampler (Gray et al.).
 /// Skewed probe sides are an extension beyond the paper's uniform default;
 /// the Triton join handles them via chunked scratchpad builds.
 void FillForeignKeysZipf(Relation& rel, uint64_t fk_domain, double theta,

@@ -24,6 +24,7 @@
 
 #include <atomic>
 #include <condition_variable>
+#include <cstddef>
 #include <cstdint>
 #include <exception>
 #include <functional>
@@ -33,6 +34,11 @@
 #include <vector>
 
 namespace triton::exec {
+
+/// Host cache-line size. A block's output slot is written on every match
+/// by whichever worker runs the block, so slots are aligned to it: blocks
+/// running on different threads never write the same line.
+inline constexpr std::size_t kCacheLineBytes = 64;
 
 /// Persistent worker pool; see file comment.
 class BlockExecutor {

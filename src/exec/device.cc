@@ -20,53 +20,6 @@ uint32_t KernelContext::warp_size() const {
 
 const sim::HwSpec& KernelContext::hw() const { return device_->hw_; }
 
-void KernelContext::Account(uint64_t addr, uint64_t size,
-                            sim::PageLocation loc, bool is_write,
-                            bool is_random, bool replay_tlb) {
-  if (size == 0) return;
-  if (san_ != nullptr) san_->RecordAccounted(addr, size, is_write);
-  if (loc == sim::PageLocation::kGpuMem) {
-    if (is_write) {
-      counters_.gpu_mem_write += size;
-      if (is_random) counters_.gpu_mem_random_write += size;
-    } else {
-      counters_.gpu_mem_read += size;
-    }
-  } else {
-    // CPU-memory access: crosses the interconnect.
-    sim::TxnStats txn =
-        is_random ? device_->packetizer_.Access(addr, size, is_write)
-                  : device_->packetizer_.Bulk(addr, size, is_write);
-    if (is_write) {
-      counters_.link_write_payload += txn.payload;
-      counters_.link_write_physical += txn.physical;
-      counters_.link_write_txns += txn.txns;
-    } else {
-      counters_.link_read_payload += txn.payload;
-      counters_.link_read_physical += txn.physical;
-      counters_.link_read_txns += txn.txns;
-    }
-  }
-  if (is_random && replay_tlb) {
-    SharedTlbAccess(addr, loc, /*with_latency=*/true);
-  }
-}
-
-void KernelContext::SharedTlbAccess(uint64_t addr, sim::PageLocation loc,
-                                    bool with_latency) {
-  if (defer_tlb_) {
-    tlb_log_.push_back({addr, loc,
-                        with_latency ? TlbReplayKind::kLatency
-                                     : TlbReplayKind::kRange});
-    return;
-  }
-  auto tr = device_->tlb_.Access(addr, loc, &counters_);
-  if (with_latency) {
-    random_latency_sum_ += tr.latency;
-    ++random_accesses_;
-  }
-}
-
 void KernelContext::SharedTlbRun(uint64_t addr, uint64_t size,
                                  sim::PageLocation loc, bool with_latency) {
   DCHECK_GT(size, 0u);
@@ -239,20 +192,6 @@ void KernelContext::AccessSeq(const mem::Buffer& buf, uint64_t offset,
                  /*with_latency=*/false);
     pos = run_end;
   }
-}
-
-void KernelContext::ReadRand(const mem::Buffer& buf, uint64_t offset,
-                             uint64_t size) {
-  DCHECK_LE(offset + size, buf.size());
-  Account(buf.base_addr() + offset, size, buf.LocationOf(offset),
-          /*is_write=*/false, /*is_random=*/true);
-}
-
-void KernelContext::WriteRand(const mem::Buffer& buf, uint64_t offset,
-                              uint64_t size) {
-  DCHECK_LE(offset + size, buf.size());
-  Account(buf.base_addr() + offset, size, buf.LocationOf(offset),
-          /*is_write=*/true, /*is_random=*/true);
 }
 
 void KernelContext::Flush(const mem::Buffer& buf, uint64_t offset,

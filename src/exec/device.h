@@ -368,6 +368,72 @@ class Device {
   std::vector<KernelRecord> trace_;
 };
 
+// The per-access accounting path, defined inline here (it needs the
+// complete Device) so every kernel loop that accounts a random access per
+// tuple compiles it into the loop body.
+
+inline void KernelContext::ReadRand(const mem::Buffer& buf, uint64_t offset,
+                                    uint64_t size) {
+  DCHECK_LE(offset + size, buf.size());
+  Account(buf.base_addr() + offset, size, buf.LocationOf(offset),
+          /*is_write=*/false, /*is_random=*/true);
+}
+
+inline void KernelContext::WriteRand(const mem::Buffer& buf, uint64_t offset,
+                                     uint64_t size) {
+  DCHECK_LE(offset + size, buf.size());
+  Account(buf.base_addr() + offset, size, buf.LocationOf(offset),
+          /*is_write=*/true, /*is_random=*/true);
+}
+
+inline void KernelContext::Account(uint64_t addr, uint64_t size,
+                                   sim::PageLocation loc, bool is_write,
+                                   bool is_random, bool replay_tlb) {
+  if (size == 0) return;
+  if (san_ != nullptr) san_->RecordAccounted(addr, size, is_write);
+  if (loc == sim::PageLocation::kGpuMem) {
+    if (is_write) {
+      counters_.gpu_mem_write += size;
+      if (is_random) counters_.gpu_mem_random_write += size;
+    } else {
+      counters_.gpu_mem_read += size;
+    }
+  } else {
+    // CPU-memory access: crosses the interconnect.
+    sim::TxnStats txn =
+        is_random ? device_->packetizer_.Access(addr, size, is_write)
+                  : device_->packetizer_.Bulk(addr, size, is_write);
+    if (is_write) {
+      counters_.link_write_payload += txn.payload;
+      counters_.link_write_physical += txn.physical;
+      counters_.link_write_txns += txn.txns;
+    } else {
+      counters_.link_read_payload += txn.payload;
+      counters_.link_read_physical += txn.physical;
+      counters_.link_read_txns += txn.txns;
+    }
+  }
+  if (is_random && replay_tlb) {
+    SharedTlbAccess(addr, loc, /*with_latency=*/true);
+  }
+}
+
+inline void KernelContext::SharedTlbAccess(uint64_t addr,
+                                           sim::PageLocation loc,
+                                           bool with_latency) {
+  if (defer_tlb_) {
+    tlb_log_.push_back({addr, loc,
+                        with_latency ? TlbReplayKind::kLatency
+                                     : TlbReplayKind::kRange});
+    return;
+  }
+  auto tr = device_->tlb_.Access(addr, loc, &counters_);
+  if (with_latency) {
+    random_latency_sum_ += tr.latency;
+    ++random_accesses_;
+  }
+}
+
 }  // namespace triton::exec
 
 #endif  // TRITON_EXEC_DEVICE_H_

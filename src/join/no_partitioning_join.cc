@@ -5,6 +5,7 @@
 #include <string>
 #include <vector>
 
+#include "exec/block_executor.h"
 #include "hash/entry.h"
 #include "hash/hash_fn.h"
 #include "hash/linear_table.h"
@@ -111,7 +112,7 @@ struct TableView {
 };
 
 /// One probe block's output, appended in block order after its wave.
-struct ProbeBlockOut {
+struct alignas(exec::kCacheLineBytes) ProbeBlockOut {
   uint64_t matches = 0;
   uint64_t checksum = 0;
   /// Materialized <build, probe> payload pairs, in probe order.

@@ -4,6 +4,8 @@
 #include <optional>
 #include <vector>
 
+#include "exec/block_executor.h"
+
 namespace triton::join {
 
 namespace {
@@ -58,7 +60,7 @@ util::Status JoinPairs(
   const uint64_t scratchpad_bytes = dev.hw().gpu.scratchpad_bytes;
   util::Status status;
   dev.Launch({.name = "join", .sms = sms}, [&](exec::KernelContext& ctx) {
-    struct BlockOut {
+    struct alignas(exec::kCacheLineBytes) BlockOut {
       std::vector<partition::Tuple> pairs;
       uint64_t matches = 0;
       uint64_t checksum = 0;

@@ -1,6 +1,7 @@
 #include "mem/allocator.h"
 
 #include <algorithm>
+#include <bit>
 #include <cstdlib>
 #include <cstring>
 #include <map>
@@ -132,7 +133,7 @@ Buffer& Buffer::operator=(Buffer&& other) noexcept {
     }
     data_ = other.data_;
     size_ = other.size_;
-    page_bytes_ = other.page_bytes_;
+    page_ = other.page_;
     gpu_bytes_ = other.gpu_bytes_;
     sim_addr_ = other.sim_addr_;
     placement_ = other.placement_;
@@ -218,8 +219,10 @@ util::StatusOr<Buffer> Allocator::AllocateImpl(uint64_t bytes,
     return util::Status::InvalidArgument("cannot allocate 0 bytes");
   }
   const uint64_t page = hw_.tlb.page_bytes;
-  uint64_t padded = util::AlignUp(bytes, page);
-  uint64_t num_pages = padded / page;
+  // Whole pages; `page` is a power of two at every power-of-two scale but
+  // not in general (HwSpec::Scaled divides by any factor).
+  uint64_t num_pages = util::CeilDiv(bytes, page);
+  uint64_t padded = num_pages * page;
 
   // Count GPU pages in the placement pattern over this allocation.
   uint64_t gpu_pages = 0;
@@ -244,9 +247,13 @@ util::StatusOr<Buffer> Allocator::AllocateImpl(uint64_t bytes,
   }
 
   // Align host allocations to the simulated page size so that TLB-range
-  // arithmetic on real pointers is exact.
-  uint64_t align = std::min<uint64_t>(page, 1 * util::kMiB);
-  HostBlockPool::Block block = HostBlockPool::Get().Acquire(padded, align);
+  // arithmetic on real pointers is exact. aligned_alloc needs a power-of-two
+  // alignment that divides the size, so a page size that is not a power of
+  // two aligns to the largest power of two below it.
+  const uint64_t align =
+      std::bit_floor(std::min<uint64_t>(page, 1 * util::kMiB));
+  HostBlockPool::Block block =
+      HostBlockPool::Get().Acquire(util::AlignUp(padded, align), align);
   void* data = block.data;
   if (data == nullptr) {
     return util::Status::OutOfMemory("host allocation failed for " +
@@ -260,7 +267,7 @@ util::StatusOr<Buffer> Allocator::AllocateImpl(uint64_t bytes,
   Buffer buf;
   buf.data_ = static_cast<uint8_t*>(data);
   buf.size_ = bytes;
-  buf.page_bytes_ = page;
+  buf.page_ = util::Divisor(page);
   buf.gpu_bytes_ = gpu_bytes;
   // Deterministic simulated virtual address: a never-reused bump pointer
   // with the same alignment as the host storage. TLB range ids derive from
@@ -313,7 +320,8 @@ void Allocator::Free(Buffer& buffer) {
   if (buffer.data_ == nullptr) return;
   CHECK(buffer.owner_ == this);
   if (observer_ != nullptr) observer_->OnFree(buffer);
-  uint64_t padded = util::AlignUp(buffer.size_, buffer.page_bytes_);
+  const uint64_t page = buffer.page_bytes();
+  uint64_t padded = util::CeilDiv(buffer.size_, page) * page;
   gpu_used_ -= buffer.gpu_bytes_;
   cpu_used_ -= padded - buffer.gpu_bytes_;
   --live_buffers_;

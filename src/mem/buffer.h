@@ -21,6 +21,7 @@
 #include <memory>
 
 #include "sim/tlb.h"
+#include "util/bits.h"
 #include "util/logging.h"
 
 namespace triton::mem {
@@ -86,14 +87,18 @@ class Buffer {
   }
 
   /// Simulated page size this buffer was allocated with.
-  uint64_t page_bytes() const { return page_bytes_; }
+  uint64_t page_bytes() const { return page_.value(); }
 
   const Placement& placement() const { return placement_; }
 
-  /// Pool owning the page containing byte `offset`.
+  /// Pool owning the page containing byte `offset`. Every random access
+  /// asks this, so uniform placements answer without arithmetic and a
+  /// power-of-two page size takes a shift instead of the division.
   sim::PageLocation LocationOf(uint64_t offset) const {
     DCHECK_LT(offset, size_);
-    return placement_.LocationOfPage(offset / page_bytes_);
+    if (placement_.cpu_pages_per_group == 0) return sim::PageLocation::kGpuMem;
+    if (placement_.gpu_pages_per_group == 0) return sim::PageLocation::kCpuMem;
+    return placement_.LocationOfPage(page_.Divide(offset));
   }
 
   /// Virtual base address used for TLB simulation and traffic accounting.
@@ -113,7 +118,8 @@ class Buffer {
 
   uint8_t* data_ = nullptr;
   uint64_t size_ = 0;
-  uint64_t page_bytes_ = 1;
+  /// Page size.
+  util::Divisor page_{1};
   uint64_t gpu_bytes_ = 0;
   /// Simulated virtual address; 0 = fall back to the host pointer.
   uint64_t sim_addr_ = 0;

@@ -141,6 +141,11 @@ util::Status JoinService::Submit(const Request& request) {
   if (request.kind == RequestKind::kJoin && request.r_tuples == 0) {
     return util::Status::InvalidArgument("join request needs r_tuples > 0");
   }
+  if (request.kind == RequestKind::kAggregate && request.r_tuples == 0) {
+    return util::Status::InvalidArgument(
+        "aggregate request needs a group-key domain (r_tuples > 0)");
+  }
+  TRITON_RETURN_IF_ERROR(data::CheckZipfTheta(request.zipf_theta));
   if (request.r_tuples > kMaxRequestTuples ||
       request.s_tuples > kMaxRequestTuples) {
     return util::Status::InvalidArgument(
@@ -280,10 +285,7 @@ RequestOutcome JoinService::ExecuteQuery(const InFlight& query) {
       out.status = rel.status();
       return out;
     }
-    const uint64_t domain = query.request.r_tuples > 0
-                                ? query.request.r_tuples
-                                : query.request.s_tuples;
-    data::FillForeignKeys(*rel, domain, query.request.seed);
+    data::FillForeignKeys(*rel, query.request.r_tuples, query.request.seed);
     data::FillPayloads(*rel, query.request.seed ^ 0x9e3779b97f4a7c15ULL);
     core::TritonAggregate agg;
     auto run = agg.Run(dev, *rel);

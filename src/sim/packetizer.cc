@@ -6,30 +6,8 @@
 
 namespace triton::sim {
 
-void Packetizer::AddTxn(uint64_t payload_bytes, bool is_write,
-                        TxnStats* out) const {
-  out->txns += 1;
-  out->payload += payload_bytes;
-  if (is_write) {
-    // Writes move data in 32-byte sectors like reads; partial-cacheline
-    // writes additionally need the byte-enable header extension so the
-    // receiver knows which payload bytes are valid — which is why the
-    // paper measures small reads 44-74% faster than small writes.
-    uint64_t padded =
-        std::max<uint64_t>(payload_bytes, spec_.min_read_payload);
-    uint64_t physical = padded + spec_.header_bytes;
-    if (payload_bytes < spec_.max_sm_payload) {
-      physical += spec_.byte_enable_bytes;
-    }
-    out->physical += physical;
-  } else {
-    uint64_t padded = std::max<uint64_t>(payload_bytes, spec_.min_read_payload);
-    out->physical += padded + spec_.header_bytes;
-  }
-}
-
-TxnStats Packetizer::Access(uint64_t addr, uint64_t size,
-                            bool is_write) const {
+TxnStats Packetizer::AccessLines(uint64_t addr, uint64_t size,
+                                 bool is_write) const {
   TxnStats out;
   if (size == 0) return out;
   const uint64_t line = spec_.alignment;

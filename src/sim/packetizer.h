@@ -13,6 +13,7 @@
 #ifndef TRITON_SIM_PACKETIZER_H_
 #define TRITON_SIM_PACKETIZER_H_
 
+#include <algorithm>
 #include <cstdint>
 
 #include "sim/hw_spec.h"
@@ -37,8 +38,17 @@ class Packetizer {
   /// Packetizes a single access issued by SM threads (possibly coalesced
   /// from a warp): `addr` is the starting byte address, `size` the access
   /// size in bytes. The access is split at cacheline boundaries; each piece
-  /// becomes one transaction.
-  TxnStats Access(uint64_t addr, uint64_t size, bool is_write) const;
+  /// becomes one transaction. An access inside one cacheline — every
+  /// per-tuple random access — is one transaction, computed inline.
+  TxnStats Access(uint64_t addr, uint64_t size, bool is_write) const {
+    const uint64_t line = spec_.alignment;
+    if (size == 0 || (addr & (line - 1)) + size > line) {
+      return AccessLines(addr, size, is_write);
+    }
+    TxnStats out;
+    AddTxn(std::min<uint64_t>(size, spec_.max_sm_payload), is_write, &out);
+    return out;
+  }
 
   /// Packetizes a large sequential transfer (e.g. a kernel streaming a
   /// relation chunk) in O(1). Assumes cacheline-aligned bulk interior with
@@ -56,8 +66,25 @@ class Packetizer {
   }
 
  private:
+  /// Access for an access that may span cachelines: one transaction per
+  /// (partial) cacheline touched.
+  TxnStats AccessLines(uint64_t addr, uint64_t size, bool is_write) const;
+
   /// Accounts one transaction with `payload_bytes` of useful data.
-  void AddTxn(uint64_t payload_bytes, bool is_write, TxnStats* out) const;
+  void AddTxn(uint64_t payload_bytes, bool is_write, TxnStats* out) const {
+    out->txns += 1;
+    out->payload += payload_bytes;
+    // Small reads are padded to the minimum payload. Writes move data in
+    // 32-byte sectors like reads; partial-cacheline writes additionally
+    // need the byte-enable header extension so the receiver knows which
+    // payload bytes are valid — which is why the paper measures small reads
+    // 44-74% faster than small writes.
+    out->physical += std::max<uint64_t>(payload_bytes, spec_.min_read_payload) +
+                     spec_.header_bytes;
+    if (is_write && payload_bytes < spec_.max_sm_payload) {
+      out->physical += spec_.byte_enable_bytes;
+    }
+  }
 
   InterconnectSpec spec_;
 };

@@ -7,7 +7,7 @@ namespace triton::sim {
 
 TranslationCache::TranslationCache(uint64_t coverage_bytes,
                                    uint64_t range_bytes, uint32_t ways)
-    : range_bytes_(range_bytes), ways_(ways) {
+    : range_(range_bytes), ways_(ways) {
   CHECK_GT(range_bytes, 0u);
   CHECK_GT(ways, 0u);
   uint64_t entries = coverage_bytes / range_bytes;

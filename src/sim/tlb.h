@@ -20,6 +20,7 @@
 
 #include "sim/hw_spec.h"
 #include "sim/perf_counters.h"
+#include "util/bits.h"
 
 namespace triton::sim {
 
@@ -41,7 +42,7 @@ class TranslationCache {
   bool Access(uint64_t addr) {
     ++lookups_;
     ++clock_;
-    uint64_t range_id = addr / range_bytes_;
+    const uint64_t range_id = range_.Divide(addr);
     // Mix bits so contiguous ranges spread over sets.
     uint64_t h = range_id * 0x9e3779b97f4a7c15ULL;
     uint64_t set = (h >> 32) & (num_sets_ - 1);
@@ -71,12 +72,12 @@ class TranslationCache {
   void Flush();
 
   uint64_t num_entries() const { return num_sets_ * ways_; }
-  uint64_t range_bytes() const { return range_bytes_; }
+  uint64_t range_bytes() const { return range_.value(); }
   uint64_t lookups() const { return lookups_; }
   uint64_t misses() const { return misses_; }
 
  private:
-  uint64_t range_bytes_;
+  util::Divisor range_;
   uint32_t ways_;
   uint64_t num_sets_;  // power of two
   // tags_[set * ways + way]: range id + 1 (0 = invalid).

@@ -44,6 +44,29 @@ constexpr uint64_t ExtractBits(uint64_t x, uint32_t shift, uint32_t bits) {
 /// Ceil division for unsigned integers.
 constexpr uint64_t CeilDiv(uint64_t a, uint64_t b) { return (a + b - 1) / b; }
 
+/// Division by a divisor fixed at construction, for per-access paths: a
+/// shift when the divisor is a power of two (every size at a power-of-two
+/// scale), the division otherwise.
+class Divisor {
+ public:
+  constexpr explicit Divisor(uint64_t divisor)
+      : divisor_(divisor),
+        shift_(IsPowerOfTwo(divisor) ? FloorLog2(divisor) : kNoShift) {}
+
+  constexpr uint64_t value() const { return divisor_; }
+
+  /// x / value().
+  constexpr uint64_t Divide(uint64_t x) const {
+    return shift_ != kNoShift ? x >> shift_ : x / divisor_;
+  }
+
+ private:
+  static constexpr uint32_t kNoShift = 64;
+
+  uint64_t divisor_;
+  uint32_t shift_;
+};
+
 }  // namespace triton::util
 
 #endif  // TRITON_UTIL_BITS_H_

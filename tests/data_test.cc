@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <limits>
 #include <map>
 #include <set>
 #include <vector>
@@ -189,6 +191,28 @@ TEST_F(DataTest, InvalidConfigRejected) {
   cfg.r_tuples = 0;
   cfg.s_tuples = 10;
   EXPECT_FALSE(GenerateWorkload(alloc_, cfg).ok());
+}
+
+// A NaN or negative theta used to run uniform keys and +inf sent every key
+// to 1: each is refused instead of running a workload nobody asked for.
+TEST_F(DataTest, NonFiniteOrNegativeZipfThetaRejected) {
+  for (double theta : {std::nan(""), -1.0, -1e-9,
+                       std::numeric_limits<double>::infinity(),
+                       -std::numeric_limits<double>::infinity()}) {
+    EXPECT_EQ(CheckZipfTheta(theta).code(),
+              util::StatusCode::kInvalidArgument)
+        << theta;
+    WorkloadConfig cfg;
+    cfg.r_tuples = 100;
+    cfg.s_tuples = 100;
+    cfg.zipf_theta = theta;
+    EXPECT_EQ(GenerateWorkload(alloc_, cfg).status().code(),
+              util::StatusCode::kInvalidArgument)
+        << theta;
+  }
+  for (double theta : {0.0, 0.5, 1.0, 1.5}) {
+    EXPECT_TRUE(CheckZipfTheta(theta).ok()) << theta;
+  }
 }
 
 }  // namespace

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <vector>
 
@@ -253,6 +254,42 @@ TEST(ArenaSanitizerTest, ViolationsAreReportedToTheSanitizer) {
         << vs.front().message;
   }
 }
+
+// LocationOf answers uniform buffers without arithmetic and finds the page
+// by a shift when the page size is a power of two (scale 64: 32 KiB), by a
+// division otherwise (scale 96: 21845 B). Either way it must name the page
+// that offset / page_bytes names, at both ends of every page.
+class LocationOfTest : public ::testing::TestWithParam<double> {};
+
+TEST_P(LocationOfTest, MatchesPagePlacementAtEveryPageEdge) {
+  Allocator alloc(HwSpec::Ac922NvLink().Scaled(GetParam()));
+  const uint64_t page = alloc.page_bytes();
+  const uint64_t bytes = 40 * page + page / 3;  // a ragged last page
+  auto buf = alloc.AllocateInterleaved(bytes, bytes / 3);
+  ASSERT_TRUE(buf.ok());
+  ASSERT_EQ(buf->page_bytes(), page);
+  const Placement& placement = buf->placement();
+  ASSERT_GT(placement.gpu_pages_per_group, 0u);
+  ASSERT_GT(placement.cpu_pages_per_group, 0u);
+  for (uint64_t first = 0; first < buf->size(); first += page) {
+    const uint64_t last = std::min(first + page, buf->size()) - 1;
+    for (uint64_t off : {first, last}) {
+      EXPECT_EQ(buf->LocationOf(off), placement.LocationOfPage(off / page))
+          << "offset " << off;
+    }
+  }
+  auto gpu = alloc.AllocateGpu(3 * page);
+  auto cpu = alloc.AllocateCpu(3 * page);
+  ASSERT_TRUE(gpu.ok());
+  ASSERT_TRUE(cpu.ok());
+  for (uint64_t off : {uint64_t{0}, page - 1, page, 3 * page - 1}) {
+    EXPECT_EQ(gpu->LocationOf(off), PageLocation::kGpuMem);
+    EXPECT_EQ(cpu->LocationOf(off), PageLocation::kCpuMem);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(PageSizes, LocationOfTest,
+                         ::testing::Values(64.0, 96.0));
 
 TEST(PlacementTest, LocationPattern) {
   Placement p{1, 2};  // 1 GPU page then 2 CPU pages per group

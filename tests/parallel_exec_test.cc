@@ -39,6 +39,7 @@
 #include "sim/hw_spec.h"
 #include "sim/perf_counters.h"
 #include "sim/tlb.h"
+#include "util/bits.h"
 #include "util/random.h"
 
 namespace triton {
@@ -759,74 +760,111 @@ TEST_F(ParallelIdentityTest, JoinSlicesEmitMatchesReferenceOverSlices) {
 
 // --- No-partitioning join ---
 
+/// One no-partitioning join's outputs, compared across thread counts.
+struct NpjResult {
+  uint64_t matches = 0;
+  uint64_t checksum = 0;
+  std::vector<hash::Entry> rows;
+  sim::PerfCounters totals;
+  std::vector<exec::KernelRecord> phases;
+  double elapsed = 0.0;
+};
+
+// |R| != |S|, so the result buffer is the only freed buffer of |S| x 16
+// bytes. Both sides exceed one wave of probe and build blocks.
+constexpr uint64_t kNpjR = 270000;
+constexpr uint64_t kNpjS = 300000;
+
+/// Runs `npj` on |R| = kNpjR, |S| = kNpjS at `threads` threads with the
+/// sanitizer on, checking the matches, a materialized result's rows and
+/// that `spilled` tables reached the link.
+NpjResult RunNpj(const sim::HwSpec& hw,
+                 const join::NoPartitioningJoinConfig& npj_config, bool spilled,
+                 uint32_t threads) {
+  ThreadsGuard guard(threads);
+  exec::Device dev(hw, /*sanitize=*/true);
+  ResultCapture capture(dev.sanitizer(), kNpjS * sizeof(hash::Entry));
+  dev.allocator().set_observer(&capture);
+  data::WorkloadConfig cfg;
+  cfg.r_tuples = kNpjR;
+  cfg.s_tuples = kNpjS;
+  auto wl = data::GenerateWorkload(dev.allocator(), cfg);
+  CHECK_OK(wl.status());
+  join::NoPartitioningJoin npj(npj_config);
+  auto run = npj.Run(dev, wl->r, wl->s);
+  CHECK_OK(run.status());
+  if (spilled) {
+    EXPECT_GT(run->totals.link_read_txns, 0u) << "table did not spill";
+  }
+  NpjResult res;
+  res.matches = run->matches;
+  res.checksum = run->checksum;
+  res.totals = run->totals;
+  res.phases = run->phases;
+  res.elapsed = run->elapsed;
+  if (npj_config.result_mode == join::ResultMode::kMaterialize) {
+    res.rows = capture.captured();
+    // PK/FK: row j pairs probe tuple j with the build tuple of its key.
+    std::vector<data::Value> payload_of(kNpjR + 1);
+    for (uint64_t i = 0; i < kNpjR; ++i) {
+      payload_of[wl->r.keys()[i]] = wl->r.payload(0)[i];
+    }
+    EXPECT_EQ(res.rows.size(), kNpjS);
+    uint64_t wrong = 0;
+    for (uint64_t j = 0; j < std::min<uint64_t>(kNpjS, res.rows.size());
+         ++j) {
+      wrong += res.rows[j].key != payload_of[wl->s.keys()[j]] ||
+               res.rows[j].value != wl->s.payload(0)[j];
+    }
+    EXPECT_EQ(wrong, 0u) << "rows out of probe order at threads " << threads;
+  }
+  EXPECT_EQ(res.matches, kNpjS);
+  std::vector<Violation> vs = dev.sanitizer()->TakeViolations();
+  EXPECT_TRUE(vs.empty()) << vs.size() << " violation(s) at threads "
+                          << threads << ", first: " << vs.front().message;
+  dev.allocator().set_observer(dev.sanitizer());
+  return res;
+}
+
+/// Expects `par` to equal `serial` in rows, counters and modeled time.
+void ExpectSameNpjRun(const NpjResult& par, const NpjResult& serial) {
+  EXPECT_EQ(par.matches, serial.matches);
+  EXPECT_EQ(par.checksum, serial.checksum);
+  ASSERT_EQ(par.rows.size(), serial.rows.size());
+  for (size_t i = 0; i < serial.rows.size(); ++i) {
+    ASSERT_EQ(par.rows[i].key, serial.rows[i].key) << "row " << i;
+    ASSERT_EQ(par.rows[i].value, serial.rows[i].value) << "row " << i;
+  }
+  ExpectCountersEq(par.totals, serial.totals);
+  ASSERT_EQ(par.phases.size(), serial.phases.size());
+  for (size_t p = 0; p < serial.phases.size(); ++p) {
+    const exec::KernelRecord& a = par.phases[p];
+    const exec::KernelRecord& b = serial.phases[p];
+    EXPECT_EQ(a.name, b.name);
+    EXPECT_EQ(a.sms, b.sms);
+    ExpectCountersEq(a.counters, b.counters);
+    EXPECT_EQ(a.time.compute, b.time.compute) << a.name;
+    EXPECT_EQ(a.time.gpu_mem, b.time.gpu_mem) << a.name;
+    EXPECT_EQ(a.time.cpu_mem, b.time.cpu_mem) << a.name;
+    EXPECT_EQ(a.time.link, b.time.link) << a.name;
+    EXPECT_EQ(a.time.tlb, b.time.tlb) << a.name;
+    EXPECT_EQ(a.time.latency, b.time.latency) << a.name;
+  }
+  EXPECT_EQ(par.elapsed, serial.elapsed);
+}
+
 /// (scheme, result mode, table spilled past GPU memory).
 using NpjCase = std::tuple<join::HashScheme, join::ResultMode, bool>;
 
 class NpjIdentityTest : public ::testing::TestWithParam<NpjCase> {
  protected:
-  // |R| != |S|, so the result buffer is the only freed buffer of
-  // |S| x 16 bytes. Both sides exceed one wave of probe and build blocks.
-  static constexpr uint64_t kR = 270000;
-  static constexpr uint64_t kS = 300000;
-
-  struct NpjResult {
-    uint64_t matches = 0;
-    uint64_t checksum = 0;
-    std::vector<hash::Entry> rows;
-    sim::PerfCounters totals;
-    std::vector<exec::KernelRecord> phases;
-    double elapsed = 0.0;
-  };
-
   NpjResult Run(uint32_t threads) {
     const auto [scheme, mode, spilled] = GetParam();
     // Spilled: 4 MiB of GPU memory and a 256-entry L2 TLB of 8 KiB ranges,
     // so every table spills and its spilled part spans far more ranges
     // than the TLB holds: hits and misses depend on replay order.
-    const sim::HwSpec hw =
-        sim::HwSpec::Ac922NvLink().Scaled(spilled ? 4096 : 64);
-    ThreadsGuard guard(threads);
-    exec::Device dev(hw, /*sanitize=*/true);
-    ResultCapture capture(dev.sanitizer(), kS * sizeof(hash::Entry));
-    dev.allocator().set_observer(&capture);
-    data::WorkloadConfig cfg;
-    cfg.r_tuples = kR;
-    cfg.s_tuples = kS;
-    auto wl = data::GenerateWorkload(dev.allocator(), cfg);
-    CHECK_OK(wl.status());
-    join::NoPartitioningJoin npj({.scheme = scheme, .result_mode = mode});
-    auto run = npj.Run(dev, wl->r, wl->s);
-    CHECK_OK(run.status());
-    if (spilled) {
-      EXPECT_GT(run->totals.link_read_txns, 0u) << "table did not spill";
-    }
-    NpjResult res;
-    res.matches = run->matches;
-    res.checksum = run->checksum;
-    res.totals = run->totals;
-    res.phases = run->phases;
-    res.elapsed = run->elapsed;
-    if (mode == join::ResultMode::kMaterialize) {
-      res.rows = capture.captured();
-      // PK/FK: row j pairs probe tuple j with the build tuple of its key.
-      std::vector<data::Value> payload_of(kR + 1);
-      for (uint64_t i = 0; i < kR; ++i) {
-        payload_of[wl->r.keys()[i]] = wl->r.payload(0)[i];
-      }
-      EXPECT_EQ(res.rows.size(), kS);
-      uint64_t wrong = 0;
-      for (uint64_t j = 0; j < std::min<uint64_t>(kS, res.rows.size()); ++j) {
-        wrong += res.rows[j].key != payload_of[wl->s.keys()[j]] ||
-                 res.rows[j].value != wl->s.payload(0)[j];
-      }
-      EXPECT_EQ(wrong, 0u) << "rows out of probe order at threads " << threads;
-    }
-    EXPECT_EQ(res.matches, kS);
-    std::vector<Violation> vs = dev.sanitizer()->TakeViolations();
-    EXPECT_TRUE(vs.empty()) << vs.size() << " violation(s) at threads "
-                            << threads << ", first: " << vs.front().message;
-    dev.allocator().set_observer(dev.sanitizer());
-    return res;
+    return RunNpj(sim::HwSpec::Ac922NvLink().Scaled(spilled ? 4096 : 64),
+                  {.scheme = scheme, .result_mode = mode}, spilled, threads);
   }
 };
 
@@ -834,30 +872,27 @@ TEST_P(NpjIdentityTest, IsThreadCountInvariant) {
   const NpjResult serial = Run(1);
   for (uint32_t threads : {2u, 8u}) {
     SCOPED_TRACE(testing::Message() << "threads " << threads);
-    const NpjResult par = Run(threads);
-    EXPECT_EQ(par.matches, serial.matches);
-    EXPECT_EQ(par.checksum, serial.checksum);
-    ASSERT_EQ(par.rows.size(), serial.rows.size());
-    for (size_t i = 0; i < serial.rows.size(); ++i) {
-      ASSERT_EQ(par.rows[i].key, serial.rows[i].key) << "row " << i;
-      ASSERT_EQ(par.rows[i].value, serial.rows[i].value) << "row " << i;
-    }
-    ExpectCountersEq(par.totals, serial.totals);
-    ASSERT_EQ(par.phases.size(), serial.phases.size());
-    for (size_t p = 0; p < serial.phases.size(); ++p) {
-      const exec::KernelRecord& a = par.phases[p];
-      const exec::KernelRecord& b = serial.phases[p];
-      EXPECT_EQ(a.name, b.name);
-      EXPECT_EQ(a.sms, b.sms);
-      ExpectCountersEq(a.counters, b.counters);
-      EXPECT_EQ(a.time.compute, b.time.compute) << a.name;
-      EXPECT_EQ(a.time.gpu_mem, b.time.gpu_mem) << a.name;
-      EXPECT_EQ(a.time.cpu_mem, b.time.cpu_mem) << a.name;
-      EXPECT_EQ(a.time.link, b.time.link) << a.name;
-      EXPECT_EQ(a.time.tlb, b.time.tlb) << a.name;
-      EXPECT_EQ(a.time.latency, b.time.latency) << a.name;
-    }
-    EXPECT_EQ(par.elapsed, serial.elapsed);
+    ExpectSameNpjRun(Run(threads), serial);
+  }
+}
+
+// At scale 96 neither the page (21845 B) nor the translation range
+// (349525 B) is a power of two, so every page lookup of the interleaved
+// table and every TLB lookup takes the division fallback instead of the
+// shift.
+TEST(NpjFallbackTest, OutOfCoreAtNonPowerOfTwoScaleIsThreadCountInvariant) {
+  const sim::HwSpec hw = sim::HwSpec::Ac922NvLink().Scaled(96);
+  ASSERT_FALSE(util::IsPowerOfTwo(hw.tlb.page_bytes));
+  ASSERT_FALSE(util::IsPowerOfTwo(hw.tlb.l2_entry_range));
+  // A third of the linear-probing table in GPU memory: interleaved pages.
+  const join::NoPartitioningJoinConfig config{
+      .scheme = join::HashScheme::kLinearProbing,
+      .cache_bytes =
+          join::NpjTableBytes(join::HashScheme::kLinearProbing, kNpjR) / 3};
+  const NpjResult serial = RunNpj(hw, config, /*spilled=*/true, 1);
+  for (uint32_t threads : {2u, 8u}) {
+    SCOPED_TRACE(testing::Message() << "threads " << threads);
+    ExpectSameNpjRun(RunNpj(hw, config, /*spilled=*/true, threads), serial);
   }
 }
 

@@ -9,7 +9,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "data/relation.h"
@@ -246,6 +248,34 @@ TEST(ServeAdmissionTest, MalformedRequestsRejected) {
   // No shared build configured.
   EXPECT_EQ(service.Submit(probe).code(),
             util::StatusCode::kFailedPrecondition);
+}
+
+// A zipf_theta that is NaN, negative or infinite would run a different
+// workload than asked (uniform keys, or every key 1), and an aggregate
+// without a group-key domain used to borrow s_tuples: none is admitted.
+TEST(ServeAdmissionTest, RequestsForAnotherWorkloadRejected) {
+  JoinService service(TestHw(), ServiceConfig{});
+  ASSERT_TRUE(service.init_status().ok());
+  for (double theta : {std::nan(""), -1.0,
+                       std::numeric_limits<double>::infinity()}) {
+    for (RequestKind kind : {RequestKind::kJoin, RequestKind::kAggregate}) {
+      Request req;
+      req.kind = kind;
+      req.r_tuples = 1000;
+      req.s_tuples = 1000;
+      req.zipf_theta = theta;
+      EXPECT_EQ(service.Submit(req).code(), util::StatusCode::kInvalidArgument)
+          << serve::RequestKindName(kind) << " theta " << theta;
+    }
+  }
+  Request no_domain;
+  no_domain.kind = RequestKind::kAggregate;
+  no_domain.r_tuples = 0;
+  no_domain.s_tuples = 1000;
+  EXPECT_EQ(service.Submit(no_domain).code(),
+            util::StatusCode::kInvalidArgument);
+  ASSERT_TRUE(service.Drain().ok());
+  EXPECT_TRUE(service.outcomes().empty());
 }
 
 // 2^61 + 1 eight-byte keys wrap a 64-bit byte count to 8 bytes. Such a

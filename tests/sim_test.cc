@@ -1,10 +1,17 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cstdint>
+#include <deque>
+#include <vector>
+
 #include "sim/cost_model.h"
 #include "sim/hw_spec.h"
 #include "sim/packetizer.h"
 #include "sim/perf_counters.h"
 #include "sim/tlb.h"
+#include "util/random.h"
 #include "util/units.h"
 
 namespace triton::sim {
@@ -159,7 +166,113 @@ TEST_F(PacketizerTest, EfficiencyGrowsWithGranularityUntil128) {
                    128.0 / 144.0);
 }
 
+// An access inside one cacheline takes Access's inline one-transaction
+// path; a longer one takes the per-line loop. Both must match this
+// reference: one transaction per (partial) cacheline touched.
+TxnStats PerLineReference(const InterconnectSpec& spec, uint64_t addr,
+                          uint64_t size, bool is_write) {
+  TxnStats out;
+  const uint64_t end = addr + size;
+  for (uint64_t pos = addr; pos < end;) {
+    const uint64_t next = std::min(end, (pos / spec.alignment + 1) *
+                                            spec.alignment);
+    const uint64_t payload =
+        std::min<uint64_t>(next - pos, spec.max_sm_payload);
+    out.txns += 1;
+    out.payload += payload;
+    out.physical += std::max<uint64_t>(payload, spec.min_read_payload) +
+                    spec.header_bytes;
+    if (is_write && payload < spec.max_sm_payload) {
+      out.physical += spec.byte_enable_bytes;
+    }
+    pos = next;
+  }
+  return out;
+}
+
+TEST_F(PacketizerTest, AccessMatchesPerLineReference) {
+  for (bool is_write : {false, true}) {
+    for (uint64_t size : {1, 16, 127, 128, 129, 4096}) {
+      for (uint64_t offset : {0, 8, 112, 127}) {
+        const uint64_t addr = 5 * 128 + offset;
+        const TxnStats got = pkt_.Access(addr, size, is_write);
+        const TxnStats want = PerLineReference(spec_, addr, size, is_write);
+        EXPECT_EQ(got.txns, want.txns)
+            << size << " B at +" << offset << " write " << is_write;
+        EXPECT_EQ(got.payload, want.payload)
+            << size << " B at +" << offset << " write " << is_write;
+        EXPECT_EQ(got.physical, want.physical)
+            << size << " B at +" << offset << " write " << is_write;
+      }
+    }
+  }
+}
+
 // --- TranslationCache / TlbSimulator ---
+
+/// Test-local model of one TranslationCache level: the same range id and
+/// set hash, each set a most-recently-used-first list of at most `ways`
+/// range ids.
+class LruModel {
+ public:
+  LruModel(uint64_t coverage_bytes, uint64_t range_bytes, uint32_t ways)
+      : range_bytes_(range_bytes), ways_(ways) {
+    const uint64_t entries =
+        std::max<uint64_t>(coverage_bytes / range_bytes, ways);
+    num_sets_ = std::bit_ceil(std::max<uint64_t>(entries / ways, 1));
+    sets_.resize(num_sets_);
+  }
+
+  bool Access(uint64_t addr) {
+    const uint64_t id = addr / range_bytes_;
+    std::deque<uint64_t>& set =
+        sets_[((id * 0x9e3779b97f4a7c15ULL) >> 32) & (num_sets_ - 1)];
+    auto it = std::find(set.begin(), set.end(), id);
+    const bool hit = it != set.end();
+    if (hit) set.erase(it);
+    else if (set.size() == ways_) set.pop_back();
+    set.push_front(id);
+    return hit;
+  }
+
+ private:
+  uint64_t range_bytes_;
+  uint32_t ways_;
+  uint64_t num_sets_;
+  std::vector<std::deque<uint64_t>> sets_;
+};
+
+// The range id comes from a shift when the range is a power of two
+// (scale 64: 512 KiB) and from a division otherwise (scale 96: 349525 B).
+// A seeded stream over twice the coverage, half of it re-touching a recent
+// address, must hit exactly where the model hits.
+class TranslationCacheModelTest : public ::testing::TestWithParam<double> {};
+
+TEST_P(TranslationCacheModelTest, HitSequenceMatchesLruModel) {
+  const TlbSpec spec = HwSpec::Ac922NvLink().Scaled(GetParam()).tlb;
+  for (uint32_t ways : {8u, 16u}) {
+    TranslationCache tc(spec.l2_coverage, spec.l2_entry_range, ways);
+    LruModel model(spec.l2_coverage, spec.l2_entry_range, ways);
+    util::Rng rng(static_cast<uint64_t>(GetParam()) + ways);
+    const uint64_t span = 2 * spec.l2_coverage;
+    uint64_t addr = 0, misses = 0;
+    const uint64_t lookups = 100000;
+    for (uint64_t i = 0; i < lookups; ++i) {
+      addr = rng.NextBounded(2) == 0 ? rng.NextBounded(span)
+                                     : (addr + rng.NextBounded(4096)) % span;
+      const bool want = model.Access(addr);
+      misses += !want;
+      ASSERT_EQ(tc.Access(addr), want) << "lookup " << i << " at " << addr;
+    }
+    EXPECT_EQ(tc.lookups(), lookups);
+    EXPECT_EQ(tc.misses(), misses);
+    EXPECT_GT(misses, lookups / 10);
+    EXPECT_LT(misses, lookups * 9 / 10);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(RangeSizes, TranslationCacheModelTest,
+                         ::testing::Values(64.0, 96.0));
 
 TEST(TranslationCacheTest, HitsAfterInsert) {
   TranslationCache tc(/*coverage=*/64 * kMiB, /*range=*/1 * kMiB);
