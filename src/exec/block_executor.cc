@@ -76,18 +76,68 @@ void BlockExecutor::RunBlock(const std::function<void(uint32_t)>& fn,
   done_[b].store(1, std::memory_order_release);
 }
 
-void BlockExecutor::DrainBatch(const std::function<void(uint32_t)>& fn,
-                               uint32_t num_blocks, Order order) {
-  if (order == Order::kSequential) {
-    // The whole batch is one claim: whoever wins it runs every block.
-    if (next_block_.fetch_add(1, std::memory_order_relaxed) != 0) return;
-    for (uint32_t b = 0; b < num_blocks; ++b) RunBlock(fn, b);
-    return;
+bool BlockExecutor::TryLaneStep(const Batch& batch, uint32_t& cursor) {
+  for (uint32_t i = 0; i < batch.lanes; ++i) {
+    const uint32_t l = (cursor + i) % batch.lanes;
+    Lane& lane = lanes_[l];
+    const uint32_t first = lane.next.load(std::memory_order_acquire);
+    if (first >= batch.num_blocks ||
+        done_[first].load(std::memory_order_acquire) == 0 ||
+        lane.busy.exchange(true, std::memory_order_acquire)) {
+      continue;
+    }
+    // Holding the lane: its `next` cannot move under us, but it may have
+    // moved between the check above and the exchange.
+    const uint32_t begin = lane.next.load(std::memory_order_relaxed);
+    uint32_t end = begin;
+    while (end < batch.num_blocks &&
+           done_[end].load(std::memory_order_acquire) != 0) {
+      ++end;
+    }
+    if (end > begin) {
+      try {
+        (*batch.lane_step)(l, begin, end);
+      } catch (...) {
+        if (lane.error == nullptr) lane.error = std::current_exception();
+      }
+      lane.next.store(end, std::memory_order_release);
+    }
+    lane.busy.store(false, std::memory_order_release);
+    if (end > begin) {
+      cursor = l + 1;
+      return true;
+    }
   }
-  while (true) {
-    const uint32_t b = next_block_.fetch_add(1, std::memory_order_relaxed);
-    if (b >= num_blocks) return;
-    RunBlock(fn, b);
+  return false;
+}
+
+bool BlockExecutor::LanesDone(const Batch& batch) const {
+  for (uint32_t l = 0; l < batch.lanes; ++l) {
+    if (lanes_[l].next.load(std::memory_order_acquire) < batch.num_blocks) {
+      return false;
+    }
+  }
+  return true;
+}
+
+void BlockExecutor::DrainBatch(const Batch& batch) {
+  uint32_t cursor = 0;
+  if (batch.order == Order::kSequential) {
+    // The whole chain is one claim: whoever wins it runs every block, and
+    // takes no lane step until the chain ends (it is the critical path).
+    if (next_block_.fetch_add(1, std::memory_order_relaxed) == 0) {
+      for (uint32_t b = 0; b < batch.num_blocks; ++b) RunBlock(*batch.fn, b);
+    }
+  } else {
+    while (true) {
+      if (TryLaneStep(batch, cursor)) continue;
+      const uint32_t b = next_block_.fetch_add(1, std::memory_order_relaxed);
+      if (b >= batch.num_blocks) break;
+      RunBlock(*batch.fn, b);
+    }
+  }
+  while (!LanesDone(batch)) {
+    if (!TryLaneStep(batch, cursor)) std::this_thread::yield();
   }
 }
 
@@ -99,13 +149,11 @@ void BlockExecutor::WorkerLoop() {
                   [&] { return shutdown_ || batch_id_ != seen_batch; });
     if (shutdown_) return;
     seen_batch = batch_id_;
-    if (batch_fn_ == nullptr) continue;  // batch already fully reduced
-    const std::function<void(uint32_t)>* fn = batch_fn_;
-    const uint32_t num_blocks = batch_blocks_;
-    const Order order = batch_order_;
+    if (batch_.fn == nullptr) continue;  // batch already fully reduced
+    const Batch batch = batch_;
     ++active_workers_;
     lock.unlock();
-    DrainBatch(*fn, num_blocks, order);
+    DrainBatch(batch);
     lock.lock();
     if (--active_workers_ == 0) done_cv_.notify_all();
   }
@@ -114,24 +162,35 @@ void BlockExecutor::WorkerLoop() {
 void BlockExecutor::Run(uint32_t num_blocks,
                         const std::function<void(uint32_t)>& fn,
                         const std::function<void(uint32_t)>& reduce,
-                        Order order) {
+                        Order order, uint32_t lanes,
+                        const LaneStep& lane_step) {
+  CHECK_LE(lanes, kMaxLanes);
+  if (!lane_step) lanes = 0;
   if (num_blocks == 0) return;
   if (threads_ == 1 || num_blocks == 1 || workers_.empty()) {
-    std::exception_ptr error;
+    std::exception_ptr error, lane_error;
     for (uint32_t b = 0; b < num_blocks; ++b) {
       try {
         fn(b);
       } catch (...) {
         if (error == nullptr) error = std::current_exception();
       }
+      for (uint32_t l = 0; l < lanes; ++l) {
+        try {
+          lane_step(l, b, b + 1);
+        } catch (...) {
+          if (lane_error == nullptr) lane_error = std::current_exception();
+        }
+      }
       if (reduce) reduce(b);
     }
+    if (error == nullptr) error = lane_error;
     if (error != nullptr) std::rethrow_exception(error);
     return;
   }
   {
     std::lock_guard<std::mutex> lock(mu_);
-    CHECK(batch_fn_ == nullptr) << "BlockExecutor::Run is not reentrant";
+    CHECK(batch_.fn == nullptr) << "BlockExecutor::Run is not reentrant";
     if (capacity_ < num_blocks) {
       capacity_ = std::max(num_blocks, 2 * capacity_);
       done_ = std::make_unique<std::atomic<uint8_t>[]>(capacity_);
@@ -141,21 +200,35 @@ void BlockExecutor::Run(uint32_t num_blocks,
       done_[b].store(0, std::memory_order_relaxed);
       errors_[b] = nullptr;
     }
-    batch_fn_ = &fn;
-    batch_blocks_ = num_blocks;
-    batch_order_ = order;
+    for (uint32_t l = 0; l < lanes; ++l) {
+      lanes_[l].next.store(0, std::memory_order_relaxed);
+      lanes_[l].error = nullptr;
+    }
+    batch_ = {.fn = &fn,
+              .lane_step = &lane_step,
+              .num_blocks = num_blocks,
+              .lanes = lanes,
+              .order = order};
     next_block_.store(0, std::memory_order_relaxed);
     ++batch_id_;
   }
   work_cv_.notify_all();
+  const Batch batch = batch_;
 
-  // Reduce block `next` as soon as it is done; otherwise help run blocks
-  // (any-order batches only), and once none are left to claim, wait.
+  // Reduce every block that finished and passed all lanes; otherwise take
+  // a ready lane step, else help run blocks (any-order batches only), and
+  // once none are left to claim, wait.
   std::exception_ptr error;
   bool reducing = static_cast<bool>(reduce);
   bool claiming = order == Order::kAny;
+  uint32_t cursor = 0;
   for (uint32_t next = 0; next < num_blocks;) {
-    if (done_[next].load(std::memory_order_acquire) != 0) {
+    uint32_t passed = num_blocks;
+    for (uint32_t l = 0; l < lanes; ++l) {
+      passed = std::min(passed,
+                        lanes_[l].next.load(std::memory_order_acquire));
+    }
+    if (next < passed && done_[next].load(std::memory_order_acquire) != 0) {
       if (error == nullptr) error = errors_[next];
       if (reducing) {
         try {
@@ -168,6 +241,7 @@ void BlockExecutor::Run(uint32_t num_blocks,
       ++next;
       continue;
     }
+    if (TryLaneStep(batch, cursor)) continue;
     if (claiming) {
       const uint32_t b = next_block_.fetch_add(1, std::memory_order_relaxed);
       if (b < num_blocks) {
@@ -181,8 +255,10 @@ void BlockExecutor::Run(uint32_t num_blocks,
   {
     std::unique_lock<std::mutex> lock(mu_);
     done_cv_.wait(lock, [&] { return active_workers_ == 0; });
-    batch_fn_ = nullptr;
-    batch_blocks_ = 0;
+    batch_ = {};
+  }
+  for (uint32_t l = 0; l < lanes && error == nullptr; ++l) {
+    error = lanes_[l].error;
   }
   if (error != nullptr) std::rethrow_exception(error);
 }

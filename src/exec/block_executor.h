@@ -4,20 +4,27 @@
 // (one input chunk and one output slice set per block); the executor maps
 // those blocks onto persistent host worker threads. Determinism is the
 // contract: blocks may run in any order on any thread, so they must touch
-// only per-block state. The shared-device effects of a block — TLB replay,
-// sanitizer shadow state, counters — are applied by a reduce step that
-// Run calls on the launching thread for every block in block order, as
-// soon as that block and all blocks before it have finished, while later
-// blocks still run (KernelContext::ForEachBlock). Workers publish a
-// finished block with one release store of its done flag; the launching
-// thread claims blocks itself whenever no finished block is waiting to be
-// reduced.
+// only per-block state. The shared-device effects of a block are applied
+// after it, in block order, in two steps (KernelContext::ForEachBlock):
+//
+//   - Replay lanes. A batch may have lanes, each an ordered pass over the
+//     finished blocks (one TLB shard each). Lane l's step covers every
+//     block that finished after its previous step, up to the first
+//     unfinished block, in block order; at most one thread runs a lane at
+//     a time. Any thread but the one running an in-order chain takes a
+//     ready lane step before it claims another block.
+//   - The reduction. reduce(b) runs on the launching thread once block b
+//     finished and every lane has passed it, in block order, while later
+//     blocks and lane steps still run.
+//
+// Workers publish a finished block with one release store of its done
+// flag, and a lane's progress with one release store of its next block.
 //
 // The pool size comes from, in decreasing precedence: SetThreads() (the
 // --threads bench flag), the TRITON_THREADS environment variable, and
 // std::thread::hardware_concurrency(), and never exceeds kMaxThreads. One
-// thread means inline execution with zero synchronization: each block is
-// reduced right after it runs.
+// thread means inline execution with zero synchronization: each block's
+// lane steps and reduction run right after it.
 
 #ifndef TRITON_EXEC_BLOCK_EXECUTOR_H_
 #define TRITON_EXEC_BLOCK_EXECUTOR_H_
@@ -33,12 +40,9 @@
 #include <thread>
 #include <vector>
 
-namespace triton::exec {
+#include "util/bits.h"
 
-/// Host cache-line size. A block's output slot is written on every match
-/// by whichever worker runs the block, so slots are aligned to it: blocks
-/// running on different threads never write the same line.
-inline constexpr std::size_t kCacheLineBytes = 64;
+namespace triton::exec {
 
 /// Persistent worker pool; see file comment.
 class BlockExecutor {
@@ -49,6 +53,13 @@ class BlockExecutor {
   /// Largest pool size: a request beyond it is a caller's bug (a negative
   /// count cast to unsigned), never a machine to use.
   static constexpr uint32_t kMaxThreads = 1024;
+
+  /// Most replay lanes one batch may have.
+  static constexpr uint32_t kMaxLanes = 8;
+
+  /// A lane step: step(lane, first, last) handles blocks [first, last) of
+  /// lane `lane`, in block order.
+  using LaneStep = std::function<void(uint32_t, uint32_t, uint32_t)>;
 
   BlockExecutor();
   ~BlockExecutor();
@@ -71,29 +82,61 @@ class BlockExecutor {
     kAny,
     /// One pool thread runs the blocks one after another in ascending
     /// order (each starts after the previous one returned and sees its
-    /// writes), while the calling thread reduces the finished ones.
+    /// writes) and takes no lane step meanwhile; the other threads run the
+    /// lanes and the calling thread reduces.
     kSequential,
   };
 
-  /// Runs fn(b) for every b in [0, num_blocks) and, if `reduce` is
-  /// non-empty, reduce(b) on the calling thread for every b in ascending
-  /// order, each as soon as blocks 0..b have finished. Under Order::kAny
-  /// block-to-thread assignment is nondeterministic, so fn must only touch
-  /// per-block state; reduce(b) must not touch state that blocks after b
-  /// use. Returns when every block ran and was reduced. A block that
-  /// throws is still reduced; the first exception in block order is
-  /// rethrown here after all workers have drained.
+  /// Runs fn(b) for every b in [0, num_blocks); for each of `lanes` lanes
+  /// (at most kMaxLanes) runs lane_step over every block, in ordered steps
+  /// after the blocks finished; and, if `reduce` is non-empty, runs
+  /// reduce(b) on the calling thread for every b in ascending order, each
+  /// as soon as blocks 0..b have finished and every lane has passed b.
+  /// Under Order::kAny block-to-thread assignment is nondeterministic, so
+  /// fn must only touch per-block state; a lane step may touch its lane's
+  /// state and its blocks' state for that lane; reduce(b) must not touch
+  /// state that blocks or lane steps after b use. Returns when every block
+  /// ran, passed every lane and was reduced. A block that throws still
+  /// passes the lanes and is reduced; the first exception in block order
+  /// (else the first a lane step threw) is rethrown here after all workers
+  /// have drained.
   void Run(uint32_t num_blocks, const std::function<void(uint32_t)>& fn,
            const std::function<void(uint32_t)>& reduce = {},
-           Order order = Order::kAny);
+           Order order = Order::kAny, uint32_t lanes = 0,
+           const LaneStep& lane_step = {});
 
  private:
+  /// What a worker needs of the current batch.
+  struct Batch {
+    const std::function<void(uint32_t)>* fn = nullptr;
+    const LaneStep* lane_step = nullptr;
+    uint32_t num_blocks = 0;
+    uint32_t lanes = 0;
+    Order order = Order::kAny;
+  };
+
+  /// One replay lane's progress, on a cache line of its own.
+  struct alignas(util::kCacheLineBytes) Lane {
+    /// First block the lane has not handled; written only by its holder.
+    std::atomic<uint32_t> next{0};
+    /// Set while one thread runs the lane.
+    std::atomic<bool> busy{false};
+    /// First exception a step of this lane threw.
+    std::exception_ptr error;
+  };
+
   void WorkerLoop();
-  /// Claims and runs blocks of the current batch until none are left.
-  void DrainBatch(const std::function<void(uint32_t)>& fn, uint32_t num_blocks,
-                  Order order);
+  /// A worker's share of a batch: claims and runs blocks (taking ready
+  /// lane steps first) until none are left, then runs lane steps until
+  /// every lane has passed every block.
+  void DrainBatch(const Batch& batch);
   /// Runs block b, keeps its exception, and publishes its done flag.
   void RunBlock(const std::function<void(uint32_t)>& fn, uint32_t b);
+  /// Runs one ready lane step, trying lanes from `cursor` on (which it
+  /// advances). Returns false when no lane had a step ready.
+  bool TryLaneStep(const Batch& batch, uint32_t& cursor);
+  /// Whether every lane has passed every block of the batch.
+  bool LanesDone(const Batch& batch) const;
   void StopWorkers();
   void StartWorkers(uint32_t workers);
 
@@ -102,18 +145,21 @@ class BlockExecutor {
 
   // All fields below are guarded by mu_, except that during a batch the
   // block runners and the calling thread share next_block_ (the atomic
-  // claim counter) and block b's done flag and error slot (written by its
-  // runner before the flag's release store, read after its acquire load).
+  // claim counter), block b's done flag and error slot (written by its
+  // runner before the flag's release store, read after its acquire load)
+  // and the lanes (a lane's holder writes its state between the acquire
+  // and the release of its busy flag, and publishes its progress with a
+  // release store of `next`).
   std::mutex mu_;
   std::condition_variable work_cv_;
   std::condition_variable done_cv_;
   bool shutdown_ = false;
   /// Incremented per Run() batch; workers wake when it changes.
   uint64_t batch_id_ = 0;
-  uint32_t batch_blocks_ = 0;
-  Order batch_order_ = Order::kAny;
-  const std::function<void(uint32_t)>* batch_fn_ = nullptr;
+  /// The current batch; batch_.fn is null between batches.
+  Batch batch_;
   std::atomic<uint32_t> next_block_{0};
+  Lane lanes_[kMaxLanes];
   /// Per-block done flags and exceptions of the current batch; grown (never
   /// shrunk) and reset before each batch is published.
   std::unique_ptr<std::atomic<uint8_t>[]> done_;

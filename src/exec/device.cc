@@ -3,9 +3,13 @@
 #include <algorithm>
 
 #include "exec/block_executor.h"
+#include "util/bits.h"
 #include "util/logging.h"
 
 namespace triton::exec {
+
+static_assert(sim::TlbSimulator::kMaxShards <= BlockExecutor::kMaxLanes,
+              "one replay lane per TLB shard");
 
 KernelContext::KernelContext(Device* device, const KernelConfig& config)
     : device_(device), config_(config), san_(device->san_.get()) {}
@@ -25,10 +29,10 @@ void KernelContext::SharedTlbRun(uint64_t addr, uint64_t size,
   DCHECK_GT(size, 0u);
   if (defer_tlb_) {
     const uint64_t range = device_->hw_.tlb.l2_entry_range;
-    const TlbReplayKind kind =
-        with_latency ? TlbReplayKind::kLatency : TlbReplayKind::kRange;
+    const sim::TlbLogKind kind =
+        with_latency ? sim::TlbLogKind::kLatency : sim::TlbLogKind::kRange;
     for (uint64_t r = addr / range; r <= (addr + size - 1) / range; ++r) {
-      tlb_log_.push_back({r * range, loc, kind});
+      LogTlb(r * range, loc, kind);
     }
     return;
   }
@@ -40,7 +44,8 @@ void KernelContext::SharedTlbRun(uint64_t addr, uint64_t size,
   }
 }
 
-void KernelContext::ResetForBlock(Device* device, const KernelConfig& config) {
+void KernelContext::ResetForBlock(Device* device, const KernelConfig& config,
+                                  bool lane_logs) {
   device_ = device;
   config_ = config;
   san_ = nullptr;
@@ -49,21 +54,23 @@ void KernelContext::ResetForBlock(Device* device, const KernelConfig& config) {
   random_latency_sum_ = 0.0;
   random_accesses_ = 0;
   defer_tlb_ = true;
-  tlb_log_.clear();
+  lane_logs_ = lane_logs;
+  for (auto& log : tlb_logs_) log.clear();
+  latency_shards_.clear();
 }
 
 sim::TranslationResult KernelContext::EscalateMiss(uint64_t addr,
                                                    sim::PageLocation loc,
                                                    sim::PerfCounters* counters) {
   // Only deferred sub-contexts hand themselves out as escalation sinks;
-  // the log replays through TlbSimulator::EscalateMiss at reduction. The
+  // a replay lane escalates the logged miss in the shared TLB's shard. The
   // counters pointer is this context's own shard, so the increments can
   // wait for the replay too. Callers discard the result (see
   // TlbEscalationSink).
   DCHECK(defer_tlb_);
   DCHECK_EQ(counters, &counters_);
   (void)counters;
-  tlb_log_.push_back({addr, loc, TlbReplayKind::kEscalation});
+  LogTlb(addr, loc, sim::TlbLogKind::kEscalation);
   return sim::TranslationResult{};
 }
 
@@ -72,24 +79,34 @@ sim::TlbEscalationSink* KernelContext::escalation_sink() {
   return &device_->tlb_;
 }
 
-void KernelContext::ReplayDeferredLog() {
-  for (const auto& e : tlb_log_) {
-    switch (e.kind) {
-      case TlbReplayKind::kRange:
-        device_->tlb_.Access(e.addr, e.loc, &counters_);
-        break;
-      case TlbReplayKind::kLatency: {
-        auto tr = device_->tlb_.Access(e.addr, e.loc, &counters_);
-        random_latency_sum_ += tr.latency;
-        ++random_accesses_;
-        break;
-      }
-      case TlbReplayKind::kEscalation:
-        device_->tlb_.EscalateMiss(e.addr, e.loc, &counters_);
-        break;
+void KernelContext::ReduceBlock(KernelContext& sub) {
+  sim::TlbSimulator& tlb = device_->tlb_;
+  if (!sub.lane_logs_) {
+    // The serial path: one log in issue order, replayed and summed here.
+    const std::vector<uint64_t>& log = sub.tlb_logs_[0];
+    uint64_t accesses = 0;
+    const double sum =
+        tlb.Replay(log.data(), log.size(), &counters_, &accesses);
+    if (accesses > 0) {
+      random_latency_sum_ += sum;
+      random_accesses_ += accesses;
     }
+  } else if (!sub.latency_shards_.empty()) {
+    // The lanes left each kLatency entry's outcome code at the front of
+    // its shard's log. Summed in issue order from zero, then added: the
+    // sums serial execution forms.
+    size_t next[sim::TlbSimulator::kMaxShards] = {};
+    double sum = 0.0;
+    for (uint8_t shard : sub.latency_shards_) {
+      sum += tlb.LatencyOf(sub.tlb_logs_[shard][next[shard]++]);
+    }
+    random_latency_sum_ += sum;
+    random_accesses_ += sub.latency_shards_.size();
   }
-  tlb_log_.clear();
+  counters_.Merge(sub.counters_);
+  if (san_ != nullptr) san_->MergeBlock(*sub.san_fork_);
+  sub.san_fork_.reset();
+  sub.san_ = nullptr;
 }
 
 void KernelContext::ForEachBlock(
@@ -108,6 +125,20 @@ void KernelContext::RunBlocks(
     uint32_t num_blocks, bool in_order,
     const std::function<void(KernelContext&, uint32_t)>& body) {
   CHECK(!defer_tlb_) << "ForEachBlock cannot nest inside a block";
+  if (num_blocks == 0) return;
+  // Lanes pay off only when replay is heavy: they cost the blocks a shard
+  // lookup per access and a hand-off per lane and run of finished blocks,
+  // while a lookup that hits the L2 TLB replays in a few nanoseconds. So a
+  // batch runs with lanes only when this launch's previous batch missed
+  // the L2 TLB at least kLaneMinMeanMisses times per block. Otherwise (and
+  // in a launch's first batch) its blocks log in issue order and the
+  // reduction replays each block's log itself, routing each access to its
+  // shard (the serial path).
+  constexpr uint64_t kLaneMinMeanMisses = 1024;
+  sim::TlbSimulator& tlb = device_->tlb_;
+  const uint32_t lanes =
+      batch_mean_misses_ >= kLaneMinMeanMisses ? tlb.num_shards() : 0;
+  const uint64_t misses_before = counters_.gpu_tlb_misses;
   // Sub-context arena: one frame per ForEachBlock, recycled across
   // launches. This mirrors the mem::Allocator BeginArena/EndArena frame
   // discipline for *host* objects — a launch used to heap-allocate one
@@ -132,7 +163,7 @@ void KernelContext::RunBlocks(
   }
   for (uint32_t b = 0; b < num_blocks; ++b) {
     KernelContext& sub = *arena[b];
-    sub.ResetForBlock(device_, config_);
+    sub.ResetForBlock(device_, config_, /*lane_logs=*/lanes > 0);
     if (san_ != nullptr) {
       sub.san_fork_ = san_->Fork();
       sub.san_ = sub.san_fork_.get();
@@ -140,12 +171,18 @@ void KernelContext::RunBlocks(
   }
   const std::unique_ptr<KernelContext>* subs = arena.data();
   // Each block checks its own write coverage on its own thread, right
-  // after its body. Deterministic reduction, on this thread while later
-  // blocks run: replay each block's shared-TLB log and merge its counter
-  // shard and sanitizer state, strictly in block order. This is the only
-  // place shared TLB state advances for these blocks, and the replay order
-  // equals the serial execution order, so every counter and latency is
-  // bit-identical to a single-threaded run.
+  // after its body. Lane l then replays shard l of the finished blocks'
+  // TLB logs in block order, into counters of its own: the only place
+  // shared TLB state advances for these blocks. Each shard sees its
+  // accesses in serial execution order, so every hit, miss and victim is
+  // the serial one. The reduction, on this thread in block order, merges
+  // each block's counters and sanitizer state and adds its latencies in
+  // issue order, so every counter and sum is bit-identical to a
+  // single-threaded run.
+  struct alignas(util::kCacheLineBytes) LaneCounters {
+    sim::PerfCounters counters;
+  };
+  std::array<LaneCounters, sim::TlbSimulator::kMaxShards> lane_counters;
   BlockExecutor::Global().Run(
       num_blocks,
       [subs, &body](uint32_t b) {
@@ -153,18 +190,23 @@ void KernelContext::RunBlocks(
         body(sub, b);
         if (sub.san_ != nullptr) sub.san_->FinishBlock();
       },
-      [this, subs](uint32_t b) {
-        KernelContext& sub = *subs[b];
-        sub.ReplayDeferredLog();
-        counters_.Merge(sub.counters_);
-        random_latency_sum_ += sub.random_latency_sum_;
-        random_accesses_ += sub.random_accesses_;
-        if (san_ != nullptr) san_->MergeBlock(*sub.san_fork_);
-        sub.san_fork_.reset();
-        sub.san_ = nullptr;
-      },
+      [this, subs](uint32_t b) { ReduceBlock(*subs[b]); },
       in_order ? BlockExecutor::Order::kSequential
-               : BlockExecutor::Order::kAny);
+               : BlockExecutor::Order::kAny,
+      lanes,
+      [subs, &tlb, &lane_counters](uint32_t shard, uint32_t first,
+                                   uint32_t last) {
+        for (uint32_t b = first; b < last; ++b) {
+          std::vector<uint64_t>& log = subs[b]->tlb_logs_[shard];
+          tlb.ReplayShard(shard, log.data(), log.size(),
+                          &lane_counters[shard].counters);
+        }
+      });
+  for (uint32_t l = 0; l < lanes; ++l) {
+    counters_.Merge(lane_counters[l].counters);
+  }
+  batch_mean_misses_ =
+      (counters_.gpu_tlb_misses - misses_before) / num_blocks;
 }
 
 void KernelContext::AccessSeq(const mem::Buffer& buf, uint64_t offset,
@@ -209,8 +251,8 @@ void KernelContext::Flush(const mem::Buffer& buf, uint64_t offset,
   // ...but replay the TLB once per translation range touched: a flush that
   // straddles a range boundary needs both translations, which the plain
   // WriteRand path (one replay at the start address) under-counts. Inside
-  // ForEachBlock the replay is deferred to the block-ordered reduction, so
-  // a block never touches the shared TLB itself.
+  // ForEachBlock the replay is deferred to the replay lanes, so a block
+  // never touches the shared TLB itself.
   SharedTlbRun(addr, size, loc, /*with_latency=*/true);
 }
 

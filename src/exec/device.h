@@ -13,20 +13,27 @@
 // through KernelContext::ForEachBlock, which executes blocks on the
 // process-wide exec::BlockExecutor worker pool. Each block receives a
 // private sub-context that shards the counters, defers every shared-TLB
-// access into a replay log, and forks the sanitizer's shadow state. The
-// launching thread reduces the blocks strictly in block order — replays
-// each log through the shared sim::TlbSimulator and merges each shard —
-// as soon as a block and all blocks before it have finished, while later
-// blocks still run. Blocks never touch the shared TLB or sanitizer; one
-// reducing thread advances them, in block order, so results, counters and
-// violation provenance are bit-identical for any thread count (one thread
-// reduces each block right after it runs). Kernels whose functional
-// result depends on block order use ForEachBlockInOrder instead. The
-// allocator and the trace must not be used inside a block.
+// access into one replay log per TLB shard (sim::TlbSimulator), and forks
+// the sanitizer's shadow state. Blocks never touch the shared TLB or
+// sanitizer. One replay lane per TLB shard replays that shard's logs of
+// the finished blocks in block order, on whichever pool thread is free,
+// while later blocks still run; the shards own disjoint TLB state, so the
+// lanes run concurrently. (Lanes pay off only for heavy replay: in a
+// launch's first batch, and after a batch with few L2 TLB misses per
+// block, the reduction replays instead.) The
+// launching thread then reduces each block in block order: it merges the
+// counter shard, adds the block's random-access latencies in issue order
+// and merges its sanitizer state. Results,
+// counters, latency sums and violation provenance are therefore
+// bit-identical for any thread count (one thread replays and reduces each
+// block right after it runs). Kernels whose functional result depends on
+// block order use ForEachBlockInOrder instead. The allocator and the trace
+// must not be used inside a block.
 
 #ifndef TRITON_EXEC_DEVICE_H_
 #define TRITON_EXEC_DEVICE_H_
 
+#include <array>
 #include <cstdint>
 #include <cstring>
 #include <functional>
@@ -86,30 +93,30 @@ class KernelContext : private sim::TlbEscalationSink {
 
   /// Runs body(sub, b) for every block b in [0, num_blocks) on the global
   /// exec::BlockExecutor, in any order on any thread. Each block gets a
-  /// private sub-context (sharded counters, deferred shared-TLB log, forked
-  /// sanitizer state). The calling thread reduces the shards into this
-  /// context strictly in block order, each as soon as its block and all
-  /// blocks before it have finished, while later blocks still run; so
-  /// counters and sanitizer provenance are bit-identical to serial
-  /// execution for any thread count. The body must route all accounting
-  /// through its sub-context and must not touch the Device's allocator,
-  /// trace, shared TLB or sanitizer.
+  /// private sub-context (sharded counters, deferred shared-TLB logs,
+  /// forked sanitizer state). Replay lanes replay the logs shard by shard
+  /// in block order, and the calling thread reduces the sub-contexts into
+  /// this context strictly in block order, while later blocks still run;
+  /// so counters, latency sums and sanitizer provenance are bit-identical
+  /// to serial execution for any thread count. The body must route all
+  /// accounting through its sub-context and must not touch the Device's
+  /// allocator, trace, shared TLB or sanitizer.
   void ForEachBlock(uint32_t num_blocks,
                     const std::function<void(KernelContext&, uint32_t)>& body);
 
   /// ForEachBlock for kernels whose functional result depends on block
   /// order (a hash-table build whose insertion order decides the layout):
   /// the blocks run one after another in ascending order on one pool
-  /// thread — each sees the previous one's writes — while the calling
-  /// thread reduces the finished ones. With one thread each block is
-  /// reduced right after it runs.
+  /// thread — each sees the previous one's writes — while the other
+  /// threads replay and the calling thread reduces the finished ones. With
+  /// one thread each block is replayed and reduced right after it runs.
   void ForEachBlockInOrder(
       uint32_t num_blocks,
       const std::function<void(KernelContext&, uint32_t)>& body);
 
   /// Escalation target for block-local TLBs (sim::BlockTlb): inside a
-  /// ForEachBlock sub-context this logs the miss for ordered replay at
-  /// reduction; on a top-level context it is the shared device TLB.
+  /// ForEachBlock sub-context this logs the miss for ordered replay; on a
+  /// top-level context it is the shared device TLB.
   sim::TlbEscalationSink* escalation_sink();
 
   // --- Sequential (streamed, perfectly coalesced) traffic ---
@@ -247,21 +254,6 @@ class KernelContext : private sim::TlbEscalationSink {
  private:
   friend class Device;
 
-  /// One deferred shared-TLB access, replayed in block order at reduction.
-  enum class TlbReplayKind : uint8_t {
-    /// Sequential range translation (ReadSeq/WriteSeq); latency discarded.
-    kRange,
-    /// Random access or flush replay; latency accumulated at replay.
-    kLatency,
-    /// Full miss escalated by a block-local sim::BlockTlb.
-    kEscalation,
-  };
-  struct TlbReplayEntry {
-    uint64_t addr;
-    sim::PageLocation loc;
-    TlbReplayKind kind;
-  };
-
   /// ReadSeq and WriteSeq: accounts a sequential access of [offset,
   /// offset+size) of `buf`, one run per stretch of same-location pages.
   void AccessSeq(const mem::Buffer& buf, uint64_t offset, uint64_t size,
@@ -288,19 +280,25 @@ class KernelContext : private sim::TlbEscalationSink {
   void SharedTlbRun(uint64_t addr, uint64_t size, sim::PageLocation loc,
                     bool with_latency);
 
-  /// Reinitializes this context as a deferring sub-context of `device`,
+  /// Appends one deferred shared-TLB access to the sub-context's logs.
+  void LogTlb(uint64_t addr, sim::PageLocation loc, sim::TlbLogKind kind);
+
+  /// Reinitializes this context as a deferring sub-context of `device`
+  /// that logs for replay lanes (`lane_logs`) or for the reduction,
   /// keeping allocated log capacity (sub-context recycling, see the
   /// context arena in device.cc).
-  void ResetForBlock(Device* device, const KernelConfig& config);
+  void ResetForBlock(Device* device, const KernelConfig& config,
+                     bool lane_logs);
 
   /// sim::TlbEscalationSink: logs a block-local TLB miss for ordered
   /// replay. Only reachable on deferred sub-contexts via escalation_sink().
   sim::TranslationResult EscalateMiss(uint64_t addr, sim::PageLocation loc,
                                       sim::PerfCounters* counters) override;
 
-  /// Replays this sub-context's deferred log through the shared device TLB
-  /// (called by the parent during the block-ordered reduction).
-  void ReplayDeferredLog();
+  /// Reduces sub-context `sub` into this context: replays its log if the
+  /// batch has no replay lanes, adds its random-access latencies in issue
+  /// order, and merges its counters and sanitizer state.
+  void ReduceBlock(KernelContext& sub);
 
   /// Shared body of ForEachBlock / ForEachBlockInOrder.
   void RunBlocks(uint32_t num_blocks, bool in_order,
@@ -312,9 +310,20 @@ class KernelContext : private sim::TlbEscalationSink {
   sim::PerfCounters counters_;
   double random_latency_sum_ = 0.0;
   uint64_t random_accesses_ = 0;
-  /// True on ForEachBlock sub-contexts: shared-TLB accesses go to the log.
+  /// True on ForEachBlock sub-contexts: shared-TLB accesses go to the logs.
   bool defer_tlb_ = false;
-  std::vector<TlbReplayEntry> tlb_log_;
+  /// A sub-context's deferred shared-TLB accesses (sim::TlbLogEntry
+  /// values), in issue order. For replay lanes (`lane_logs_`) there is one
+  /// log per TLB shard, whose kLatency entries the lane replaces by their
+  /// outcome codes, and latency_shards_ holds the shard of each kLatency
+  /// entry in issue order, the order their latencies are added in.
+  /// Otherwise tlb_logs_[0] holds every access, for the reduction.
+  bool lane_logs_ = false;
+  std::array<std::vector<uint64_t>, sim::TlbSimulator::kMaxShards> tlb_logs_;
+  std::vector<uint8_t> latency_shards_;
+  /// L2 TLB misses per block of this launch context's last ForEachBlock
+  /// batch, which decides whether the next one runs replay lanes.
+  uint64_t batch_mean_misses_ = 0;
   /// Owned sanitizer fork backing san_ on sub-contexts.
   std::unique_ptr<sanitizer::DeviceSanitizer> san_fork_;
 };
@@ -418,13 +427,21 @@ inline void KernelContext::Account(uint64_t addr, uint64_t size,
   }
 }
 
+inline void KernelContext::LogTlb(uint64_t addr, sim::PageLocation loc,
+                                  sim::TlbLogKind kind) {
+  const uint32_t shard = lane_logs_ ? device_->tlb_.ShardOf(addr) : 0;
+  tlb_logs_[shard].push_back(sim::TlbLogEntry(addr, loc, kind));
+  if (lane_logs_ && kind == sim::TlbLogKind::kLatency) {
+    latency_shards_.push_back(static_cast<uint8_t>(shard));
+  }
+}
+
 inline void KernelContext::SharedTlbAccess(uint64_t addr,
                                            sim::PageLocation loc,
                                            bool with_latency) {
   if (defer_tlb_) {
-    tlb_log_.push_back({addr, loc,
-                        with_latency ? TlbReplayKind::kLatency
-                                     : TlbReplayKind::kRange});
+    LogTlb(addr, loc,
+           with_latency ? sim::TlbLogKind::kLatency : sim::TlbLogKind::kRange);
     return;
   }
   auto tr = device_->tlb_.Access(addr, loc, &counters_);

@@ -112,7 +112,7 @@ struct TableView {
 };
 
 /// One probe block's output, appended in block order after its wave.
-struct alignas(exec::kCacheLineBytes) ProbeBlockOut {
+struct alignas(util::kCacheLineBytes) ProbeBlockOut {
   uint64_t matches = 0;
   uint64_t checksum = 0;
   /// Materialized <build, probe> payload pairs, in probe order.

@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "exec/block_executor.h"
+#include "util/bits.h"
 
 namespace triton::join {
 
@@ -60,7 +61,7 @@ util::Status JoinPairs(
   const uint64_t scratchpad_bytes = dev.hw().gpu.scratchpad_bytes;
   util::Status status;
   dev.Launch({.name = "join", .sms = sms}, [&](exec::KernelContext& ctx) {
-    struct alignas(exec::kCacheLineBytes) BlockOut {
+    struct alignas(util::kCacheLineBytes) BlockOut {
       std::vector<partition::Tuple> pairs;
       uint64_t matches = 0;
       uint64_t checksum = 0;

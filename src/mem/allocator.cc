@@ -11,6 +11,8 @@
 #include <utility>
 #include <vector>
 
+#include <sys/mman.h>
+
 #include "util/bits.h"
 #include "util/logging.h"
 #include "util/units.h"
@@ -31,14 +33,21 @@ namespace {
 #define TRITON_HOST_BLOCK_POOL 1
 #endif
 
+/// Blocks at least this large get 2 MiB alignment and transparent huge
+/// pages, where the kernel offers them on request (madvise mode): a random
+/// slot access into a large table then rarely needs a host page walk.
+constexpr uint64_t kHugePageMinBytes = 32 * util::kMiB;
+constexpr uint64_t kHugePageBytes = 2 * util::kMiB;
+
 /// Process-wide pool of host storage blocks backing simulated buffers.
 /// Benches and the serve layer tear whole Devices down between cells and
 /// re-allocate the same buffer sizes immediately after; recycling the host
-/// blocks avoids re-faulting gigabytes per cell (and preserves huge-page
-/// backing once established). Host pointers are invisible to the model —
-/// simulated addresses come from the allocator's deterministic bump
-/// pointer — so pooling cannot change modeled physics. Disabled under
-/// ASan/TSan so lifetime bugs stay visible to the sanitizers.
+/// blocks avoids re-faulting gigabytes per cell, and keeps the huge pages
+/// that blocks of kHugePageMinBytes or more are advised to use. Host
+/// pointers are invisible to the model — simulated addresses come from the
+/// allocator's deterministic bump pointer — so neither pooling nor huge
+/// pages can change modeled physics. Disabled under ASan/TSan so lifetime
+/// bugs stay visible to the sanitizers (they keep plain allocations).
 class HostBlockPool {
  public:
   struct Block {
@@ -63,7 +72,7 @@ class HostBlockPool {
         return {p};
       }
     }
-    void* p = std::aligned_alloc(align, bytes);
+    void* p = AllocateNew(bytes, align);
     if (p != nullptr) {
       std::lock_guard<std::mutex> lock(mu_);
       live_.emplace(p, std::pair<uint64_t, uint64_t>{bytes, align});
@@ -97,6 +106,20 @@ class HostBlockPool {
 
  private:
   static constexpr uint64_t kMaxPooledBytes = 2ull << 30;
+
+  /// A new block; a large one is padded to whole huge pages, aligned to
+  /// one and advised to use them.
+  static void* AllocateNew(uint64_t bytes, uint64_t align) {
+#ifdef MADV_HUGEPAGE
+    if (bytes >= kHugePageMinBytes) {
+      const uint64_t huge_bytes = util::AlignUp(bytes, kHugePageBytes);
+      void* p = std::aligned_alloc(kHugePageBytes, huge_bytes);
+      if (p != nullptr) madvise(p, huge_bytes, MADV_HUGEPAGE);
+      return p;
+    }
+#endif
+    return std::aligned_alloc(align, bytes);
+  }
 
   std::mutex mu_;
   uint64_t pooled_bytes_ = 0;

@@ -43,7 +43,7 @@ struct SliceProbe {
 };
 
 /// Outcome of one CPU probe block, reduced in (pair, slice) order.
-struct alignas(exec::kCacheLineBytes) ProbeOutcome {
+struct alignas(util::kCacheLineBytes) ProbeOutcome {
   uint64_t matches = 0;
   uint64_t checksum = 0;
   std::vector<partition::Tuple> rows;

@@ -2,10 +2,18 @@
 
 #include <utility>
 
+#include "data/relation.h"
+#include "util/bits.h"
 #include "util/logging.h"
 #include "util/units.h"
 
 namespace triton::serve {
+
+uint64_t KeyPayloadColumnsBytes(uint64_t tuples, uint64_t page_bytes) {
+  return (util::CeilDiv(tuples * data::kKeyBytes, page_bytes) +
+          util::CeilDiv(tuples * data::kValueBytes, page_bytes)) *
+         page_bytes;
+}
 
 Reservation& Reservation::operator=(Reservation&& other) noexcept {
   if (this != &other) {

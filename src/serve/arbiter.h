@@ -36,6 +36,11 @@ struct ResourceRequest {
   uint64_t scratchpad_bytes = 0;
 };
 
+/// CPU bytes the allocator takes for the key and payload columns of a
+/// `tuples`-row relation: each column padded to whole pages of
+/// `page_bytes`, which need not be a power of two (e.g. at scale 96).
+uint64_t KeyPayloadColumnsBytes(uint64_t tuples, uint64_t page_bytes);
+
 /// RAII grant handed out by MemoryArbiter::Reserve; returns its budgets on
 /// destruction (or an explicit Release). Move-only.
 class Reservation {

@@ -12,7 +12,6 @@
 #include "join/common.h"
 #include "join/cpu_radix_join.h"
 #include "sched/coprocess_scheduler.h"
-#include "util/bits.h"
 #include "util/logging.h"
 
 namespace triton::serve {
@@ -103,9 +102,7 @@ ResourceRequest JoinService::EstimateFootprint(const Request& request) const {
       // Staged keys + payloads, plus page-rounding slack. The staging
       // physically comes from the shared build's carve; this reservation
       // is the admission-control account of it.
-      need.cpu_bytes =
-          2 * util::AlignUp(request.s_tuples * sizeof(data::Key), page) +
-          page;
+      need.cpu_bytes = KeyPayloadColumnsBytes(request.s_tuples, page) + page;
       break;
     case RequestKind::kJoin: {
       const uint64_t input =

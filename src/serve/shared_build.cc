@@ -5,7 +5,6 @@
 
 #include "data/generator.h"
 #include "join/no_partitioning_join.h"
-#include "util/bits.h"
 #include "util/random.h"
 
 namespace triton::serve {
@@ -18,8 +17,7 @@ util::StatusOr<std::unique_ptr<SharedBuild>> SharedBuild::Create(
   const uint64_t page = hw.tlb.page_bytes;
   const uint64_t table_bytes =
       join::NpjTableBytes(join::HashScheme::kPerfect, config.tuples);
-  const uint64_t build_bytes =
-      2 * util::AlignUp(config.tuples * sizeof(data::Key), page);
+  const uint64_t build_bytes = KeyPayloadColumnsBytes(config.tuples, page);
   // CPU-memory headroom for the per-batch probe staging.
   const uint64_t staging = hw.cpu_mem.capacity / 8;
 

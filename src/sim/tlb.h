@@ -15,14 +15,22 @@
 #ifndef TRITON_SIM_TLB_H_
 #define TRITON_SIM_TLB_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
 #include "sim/hw_spec.h"
 #include "sim/perf_counters.h"
 #include "util/bits.h"
+#include "util/logging.h"
 
 namespace triton::sim {
+
+/// Multiplicative hash of a translation range id. Every set-associative
+/// level picks its set from the bits of this hash above bit 31.
+inline uint64_t RangeHash(uint64_t range_id) {
+  return range_id * 0x9e3779b97f4a7c15ULL;
+}
 
 /// One set-associative translation cache level.
 ///
@@ -31,9 +39,17 @@ namespace triton::sim {
 class TranslationCache {
  public:
   /// Creates a cache covering `coverage_bytes` with entries spanning
-  /// `range_bytes` each. `ways` is the set associativity.
+  /// `range_bytes` each. `ways` is the set associativity. With `shards` > 1
+  /// the object is one shard of that cache: it holds the sets whose index
+  /// has one fixed value in its low log2(shards) bits, and must only see
+  /// addresses that map to them (TlbSimulator routes them). `shards` must
+  /// be a power of two no larger than NumSets().
   TranslationCache(uint64_t coverage_bytes, uint64_t range_bytes,
-                   uint32_t ways = 8);
+                   uint32_t ways = 8, uint32_t shards = 1);
+
+  /// Sets of an unsharded cache of this shape (a power of two).
+  static uint64_t NumSets(uint64_t coverage_bytes, uint64_t range_bytes,
+                          uint32_t ways);
 
   /// Looks up the range containing `addr`; inserts it on miss.
   /// Returns true on hit. Defined inline: this is the innermost call of
@@ -44,8 +60,7 @@ class TranslationCache {
     ++clock_;
     const uint64_t range_id = range_.Divide(addr);
     // Mix bits so contiguous ranges spread over sets.
-    uint64_t h = range_id * 0x9e3779b97f4a7c15ULL;
-    uint64_t set = (h >> 32) & (num_sets_ - 1);
+    uint64_t set = (RangeHash(range_id) >> set_shift_) & (num_sets_ - 1);
     uint64_t base = set * ways_;
     uint64_t tag = range_id + 1;
 
@@ -77,12 +92,22 @@ class TranslationCache {
   uint64_t misses() const { return misses_; }
 
  private:
+  /// Unused words at the end of each array: one host cache line, so that
+  /// arrays allocated one after another (a TlbSimulator's shards, which
+  /// different threads write) never share a line that both write.
+  static constexpr uint64_t kPadWords = util::kCacheLineBytes / 8;
+
   util::Divisor range_;
   uint32_t ways_;
   uint64_t num_sets_;  // power of two
+  // The set index is taken from the range hash above this bit: 32, plus
+  // log2(shards) bits that name the shard.
+  uint32_t set_shift_;
   // tags_[set * ways + way]: range id + 1 (0 = invalid).
   std::vector<uint64_t> tags_;
-  // lru_[set * ways + way]: logical timestamp of last use.
+  // stamp_[set * ways + way]: logical timestamp of last use. LRU compares
+  // stamps within one set only, so a shard's own clock picks the victims
+  // that one clock over the whole cache would.
   std::vector<uint64_t> stamp_;
   uint64_t clock_ = 0;
   uint64_t lookups_ = 0;
@@ -119,8 +144,8 @@ struct TranslationRunResult {
 /// hands full misses to a sink. During serial execution the sink is the
 /// Device's TlbSimulator directly; under parallel block execution it is a
 /// per-block deferring sink (exec::KernelContext) that logs the escalation.
-/// Blocks never touch the shared TlbSimulator: the one reducing thread
-/// replays their logs through it, in block order.
+/// Blocks never touch the shared TlbSimulator: replay lanes replay their
+/// logs through it, shard by shard, each shard in block order.
 class TlbEscalationSink {
  public:
   virtual ~TlbEscalationSink() = default;
@@ -132,9 +157,47 @@ class TlbEscalationSink {
                                          PerfCounters* counters) = 0;
 };
 
+/// What a deferred shared-TLB access does at replay (see TlbLogEntry).
+enum class TlbLogKind : uint64_t {
+  /// Sequential range translation (ReadSeq/WriteSeq); latency discarded.
+  kRange = 0,
+  /// Random access or flush; its latency joins the random-access sums.
+  kLatency = 1,
+  /// Full miss escalated by a block-local BlockTlb (EscalateMiss).
+  kEscalation = 2,
+};
+
+/// One deferred shared-TLB access packed into 8 bytes: the simulated
+/// address in bits 0-60 (simulated addresses start at 2^40 and stay far
+/// below 2^61), the kind in bits 61-62 and the pool in bit 63.
+inline uint64_t TlbLogEntry(uint64_t addr, PageLocation loc, TlbLogKind kind) {
+  DCHECK_LT(addr, uint64_t{1} << 61);
+  return addr | static_cast<uint64_t>(kind) << 61 |
+         static_cast<uint64_t>(loc == PageLocation::kCpuMem) << 63;
+}
+
+/// The address of a TlbLogEntry.
+inline uint64_t TlbLogAddr(uint64_t entry) {
+  return entry & ((uint64_t{1} << 61) - 1);
+}
+
 /// Two-level translation hierarchy: GPU L2 TLB + IOMMU-side cache.
+///
+/// Its state is cut into shards: every level picks its set from the same
+/// range hash, so the low log2(num_shards()) bits of the set index name a
+/// shard that owns whole sets at every level, and accesses to different
+/// shards never touch the same state. Serial calls (Access, TranslateRun,
+/// EscalateMiss) route each access to its shard; replay lanes
+/// (exec::KernelContext::ForEachBlock) replay one shard each, concurrently,
+/// through ReplayShard. Either way every hit, miss and LRU victim equals
+/// that of one unsharded hierarchy fed the same accesses in the same order
+/// per shard.
 class TlbSimulator : public TlbEscalationSink {
  public:
+  /// Most shards the state is cut into; a spec whose smallest level has
+  /// fewer sets gets that many.
+  static constexpr uint32_t kMaxShards = 8;
+
   explicit TlbSimulator(const TlbSpec& spec);
 
   /// Translates an access to `addr` in the given memory pool, updating
@@ -157,26 +220,87 @@ class TlbSimulator : public TlbEscalationSink {
   TranslationResult EscalateMiss(uint64_t addr, PageLocation loc,
                                  PerfCounters* counters) override;
 
-  /// A translation request arriving at the CPU's IOMMU: counted as an
-  /// IOMMU request; an IOTLB hit costs the L3 TLB* latency, a miss is a
-  /// full page table walk.
-  TranslationResult IommuAccess(uint64_t addr, PerfCounters* counters);
-
-  /// Flushes the GPU L2 TLB only (happens at each kernel launch).
+  /// Flushes the GPU L2 TLB of every shard (happens at each kernel launch).
   void FlushGpuTlb();
 
   const TlbSpec& spec() const { return spec_; }
 
+  // --- Sharded replay ---
+
+  uint32_t num_shards() const { return shard_mask_ + 1; }
+
+  /// The shard owning the translation range of `addr`.
+  uint32_t ShardOf(uint64_t addr) const {
+    return ShardOfRange(range_.Divide(addr));
+  }
+  /// The shard owning translation range `range_id` (addr / range size).
+  uint32_t ShardOfRange(uint64_t range_id) const {
+    return static_cast<uint32_t>(RangeHash(range_id) >> 32) & shard_mask_;
+  }
+
+  /// Replays `count` TlbLogEntry values, all of shard `shard`, in order,
+  /// adding the TLB counts to `counters`. Then overwrites log[0, k) with
+  /// the outcome codes of the k kLatency entries among them, in order
+  /// (see LatencyOf). Threads may replay different shards concurrently.
+  void ReplayShard(uint32_t shard, uint64_t* log, size_t count,
+                   PerfCounters* counters);
+
+  /// Replays `count` TlbLogEntry values of any shards in order, as the
+  /// serial calls would, adding the TLB counts to `counters`. Returns the
+  /// kLatency entries' latencies summed in order from zero, and their
+  /// number in *latency_entries.
+  double Replay(const uint64_t* log, size_t count, PerfCounters* counters,
+                uint64_t* latency_entries);
+
+  /// The latency of an outcome code that ReplayShard wrote.
+  double LatencyOf(uint64_t outcome) const { return latency_[outcome]; }
+
  private:
+  /// Which latency an access pays (Figure 7).
+  enum Outcome : uint8_t {
+    kGpuHit,
+    kGpuMiss,
+    kCpuHit,
+    kCpuIotlb,
+    kCpuWalk,
+    kNumOutcomes
+  };
+
+  /// The sets of one shard at every level, with their LRU clocks and hit
+  /// counts, on cache lines of their own (so lanes never share a line).
+  struct alignas(util::kCacheLineBytes) Shard {
+    Shard(const TlbSpec& spec, uint32_t shards);
+
+    Outcome Access(uint64_t addr, PageLocation loc, PerfCounters* counters);
+    Outcome EscalateMiss(uint64_t addr, PageLocation loc,
+                         PerfCounters* counters);
+    /// A translation request arriving at the CPU's IOMMU: counted as an
+    /// IOMMU request; an IOTLB hit costs the L3 TLB* latency, a miss is a
+    /// full page table walk.
+    Outcome IommuAccess(uint64_t addr, PerfCounters* counters);
+
+    TranslationCache l2;
+    // The 32 GiB "L3 TLB*" layer of Figure 7b. The paper's IOMMU counters
+    // show that accesses within this reach do not generate IOMMU requests,
+    // so it is modelled GPU-side; it survives kernel launches.
+    TranslationCache l3;
+    // IOMMU-side IOTLB: requests that hit here are counted but avoid the
+    // full page table walk.
+    TranslationCache iommu_iotlb;
+  };
+
+  TranslationResult Result(Outcome outcome) const;
+
+  /// Replays one TlbLogEntry in `shard`, which owns its address; returns
+  /// its outcome if it is a kLatency entry, else kNumOutcomes.
+  static Outcome ReplayEntry(Shard& shard, uint64_t entry,
+                             PerfCounters* counters);
+
   TlbSpec spec_;
-  TranslationCache l2_;
-  // The 32 GiB "L3 TLB*" layer of Figure 7b. The paper's IOMMU counters
-  // show that accesses within this reach do not generate IOMMU requests,
-  // so it is modelled GPU-side; it survives kernel launches.
-  TranslationCache l3_;
-  // IOMMU-side IOTLB: requests that hit here are counted but avoid the
-  // full page table walk.
-  TranslationCache iommu_iotlb_;
+  util::Divisor range_;
+  uint32_t shard_mask_;
+  double latency_[kNumOutcomes];
+  std::vector<Shard> shards_;
 };
 
 }  // namespace triton::sim

@@ -4,7 +4,10 @@
 #define TRITON_UTIL_BITS_H_
 
 #include <bit>
+#include <cstddef>
 #include <cstdint>
+
+#include "util/logging.h"
 
 namespace triton::util {
 
@@ -26,13 +29,16 @@ constexpr uint32_t CeilLog2(uint64_t x) {
   return x <= 1 ? 0 : FloorLog2(x - 1) + 1;
 }
 
-/// Rounds x up to the next multiple of `align` (a power of two).
+/// Rounds x up to the next multiple of `align`, which must be a power of
+/// two (round to any other multiple with CeilDiv).
 constexpr uint64_t AlignUp(uint64_t x, uint64_t align) {
+  DCHECK(IsPowerOfTwo(align)) << "AlignUp to " << align;
   return (x + align - 1) & ~(align - 1);
 }
 
-/// Rounds x down to a multiple of `align` (a power of two).
+/// Rounds x down to a multiple of `align`, which must be a power of two.
 constexpr uint64_t AlignDown(uint64_t x, uint64_t align) {
+  DCHECK(IsPowerOfTwo(align)) << "AlignDown to " << align;
   return x & ~(align - 1);
 }
 
@@ -66,6 +72,11 @@ class Divisor {
   uint64_t divisor_;
   uint32_t shift_;
 };
+
+/// Host cache-line size. State that different threads write — a block's
+/// output slot, a TLB shard, a replay lane — is aligned to it, so no two
+/// threads write the same line.
+inline constexpr std::size_t kCacheLineBytes = 64;
 
 }  // namespace triton::util
 

@@ -10,6 +10,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cstring>
 #include <memory>
 #include <sstream>
 #include <stdexcept>
@@ -40,6 +41,7 @@
 #include "sim/perf_counters.h"
 #include "sim/tlb.h"
 #include "util/bits.h"
+#include "tests/tlb_reference.h"
 #include "util/random.h"
 
 namespace triton {
@@ -166,6 +168,76 @@ TEST(BlockExecutorTest, ExceptionPropagatesAndPoolStaysUsable) {
   EXPECT_EQ(total.load(), 20);
 }
 
+// Replay lanes: every lane handles every block exactly once, in block
+// order, after the block ran; reduce(b) runs in block order and sees every
+// lane past b; with more than one thread, the thread running an in-order
+// chain takes no lane step while the chain runs. TSan checks that a lane's state and a block's
+// per-lane slots are never written by two threads at once.
+TEST(BlockExecutorTest, LanesStepInBlockOrderBeforeReduce) {
+  constexpr uint32_t kBlocks = 300;
+  constexpr uint32_t kLanes = exec::BlockExecutor::kMaxLanes;
+  using Order = exec::BlockExecutor::Order;
+  for (uint32_t threads : {1u, 2u, 3u, 8u}) {
+    for (Order order : {Order::kAny, Order::kSequential}) {
+      SCOPED_TRACE(testing::Message()
+                   << "threads " << threads << ", "
+                   << (order == Order::kAny ? "any order" : "in order"));
+      ThreadsGuard guard(threads);
+      std::vector<uint32_t> ran(kBlocks, 0);
+      std::vector<uint32_t> lane_next(kLanes, 0);
+      std::vector<std::vector<uint32_t>> passed(
+          kLanes, std::vector<uint32_t>(kBlocks, 0));
+      std::atomic<bool> chain_running{false};
+      std::atomic<std::thread::id> chain_thread{};
+      std::atomic<uint32_t> chain_lane_steps{0};
+      uint32_t reduced = 0;
+      exec::BlockExecutor::Global().Run(
+          kBlocks,
+          [&](uint32_t b) {
+            if (order == Order::kSequential && b == 0) {
+              chain_thread = std::this_thread::get_id();
+              chain_running = true;
+            }
+            ran[b] = 1;
+            if (b % 7 == 0) std::this_thread::sleep_for(
+                std::chrono::microseconds(20));
+            if (order == Order::kSequential && b == kBlocks - 1) {
+              chain_running = false;
+            }
+          },
+          [&](uint32_t b) {
+            EXPECT_EQ(b, reduced++);
+            EXPECT_EQ(ran[b], 1u);
+            for (uint32_t l = 0; l < kLanes; ++l) {
+              EXPECT_EQ(passed[l][b], 1u) << "lane " << l << " block " << b;
+            }
+          },
+          order, kLanes,
+          [&](uint32_t l, uint32_t first, uint32_t last) {
+            if (chain_running &&
+                chain_thread.load() == std::this_thread::get_id()) {
+              ++chain_lane_steps;
+            }
+            EXPECT_EQ(first, lane_next[l]);
+            EXPECT_LT(first, last);
+            for (uint32_t b = first; b < last; ++b) {
+              EXPECT_EQ(ran[b], 1u);
+              ++passed[l][b];
+            }
+            lane_next[l] = last;
+          });
+      EXPECT_EQ(reduced, kBlocks);
+      // (One thread runs each block's lane steps inline, right after it.)
+      if (threads > 1) {
+        EXPECT_EQ(chain_lane_steps.load(), 0u);
+      }
+      for (uint32_t l = 0; l < kLanes; ++l) {
+        EXPECT_EQ(lane_next[l], kBlocks);
+      }
+    }
+  }
+}
+
 // --- Block-ordered reduction contract ---
 //
 // Blocks never touch the shared TLB or sanitizer; the launching thread
@@ -173,8 +245,9 @@ TEST(BlockExecutorTest, ExceptionPropagatesAndPoolStaysUsable) {
 
 // 16 blocks of random accesses over a 16 MiB CPU buffer on a GPU whose L2
 // TLB holds 256 ranges of 8 KiB: hits and misses depend on replay order,
-// and the launch's counters must equal a standalone TlbSimulator fed the
-// same addresses in block order, in either mode and at any thread count.
+// and the launch's counters must equal the unsharded reference TLB
+// (tests/tlb_reference.h) fed the same addresses in block order, in either
+// mode and at any thread count.
 TEST(BlockReductionContractTest, ReplayMatchesStandaloneTlbInBlockOrder) {
   constexpr uint32_t kBlocks = 16;
   constexpr uint32_t kAccessesPerBlock = 500;
@@ -190,7 +263,7 @@ TEST(BlockReductionContractTest, ReplayMatchesStandaloneTlbInBlockOrder) {
 
   auto expected_in = [&](const std::vector<uint32_t>& block_order,
                          uint64_t base) {
-    sim::TlbSimulator tlb(hw.tlb);
+    testing_ref::TlbReference tlb(hw.tlb);
     sim::PerfCounters c;
     for (uint32_t b : block_order) {
       for (uint32_t i = 0; i < kAccessesPerBlock; ++i) {
@@ -241,6 +314,254 @@ TEST(BlockReductionContractTest, ReplayMatchesStandaloneTlbInBlockOrder) {
     }
   }
 }
+
+// --- Sharded replay lanes against the unsharded reference ---
+
+/// One accounted operation of the differential stream below.
+struct TlbOp {
+  enum Kind { kRand, kSeq, kFlush, kEscalate } kind;
+  uint32_t buf;
+  uint64_t offset;
+  uint64_t size;
+};
+
+/// `n` seeded operations over `bufs`, mixing random reads (kLatency log
+/// entries), sequential reads and flushes spanning several translation
+/// ranges (kRange / kLatency runs) and escalated misses (kEscalation).
+std::vector<TlbOp> SeededOps(uint64_t seed, uint32_t n,
+                             const std::vector<const mem::Buffer*>& bufs,
+                             uint64_t range) {
+  util::Rng rng(seed);
+  std::vector<TlbOp> ops(n);
+  for (TlbOp& op : ops) {
+    const uint64_t kind = rng.NextBounded(10);
+    op.kind = kind < 6   ? TlbOp::kRand
+              : kind < 7 ? TlbOp::kSeq
+              : kind < 8 ? TlbOp::kFlush
+                         : TlbOp::kEscalate;
+    op.buf = static_cast<uint32_t>(rng.NextBounded(bufs.size()));
+    const uint64_t bytes = bufs[op.buf]->size();
+    op.size = op.kind == TlbOp::kRand || op.kind == TlbOp::kEscalate
+                  ? 16
+                  : 1 + rng.NextBounded(3 * range);
+    op.offset = rng.NextBounded(bytes - op.size) / 16 * 16;
+  }
+  return ops;
+}
+
+/// Issues `op` on a kernel context (top-level or block sub-context).
+void IssueOp(exec::KernelContext& ctx, const TlbOp& op,
+             const mem::Buffer& buf) {
+  switch (op.kind) {
+    case TlbOp::kRand:
+      ctx.ReadRand(buf, op.offset, op.size);
+      break;
+    case TlbOp::kSeq:
+      ctx.ReadSeq(buf, op.offset, op.size);
+      break;
+    case TlbOp::kFlush:
+      ctx.Flush(buf, op.offset, op.size);
+      break;
+    case TlbOp::kEscalate:
+      ctx.escalation_sink()->EscalateMiss(buf.base_addr() + op.offset,
+                                          buf.LocationOf(op.offset),
+                                          &ctx.counters());
+      break;
+  }
+}
+
+/// The reference's view of `op`: its shared-TLB accesses in issue order,
+/// with the latency of each kLatency access appended to `latencies`.
+void ReferenceOp(testing_ref::TlbReference& ref, const TlbOp& op,
+                 const mem::Buffer& buf, sim::PerfCounters* c,
+                 std::vector<double>* latencies) {
+  const uint64_t addr = buf.base_addr() + op.offset;
+  const sim::PageLocation loc = buf.LocationOf(op.offset);
+  std::vector<double> discarded;
+  switch (op.kind) {
+    case TlbOp::kRand:
+      latencies->push_back(ref.Access(addr, loc, c).latency);
+      break;
+    case TlbOp::kSeq: {
+      // One run per stretch of same-location pages, as ReadSeq accounts.
+      const uint64_t page = buf.page_bytes();
+      const uint64_t end = op.offset + op.size;
+      for (uint64_t pos = op.offset; pos < end;) {
+        const sim::PageLocation run_loc = buf.LocationOf(pos);
+        uint64_t run_end = pos;
+        while (run_end < end && buf.LocationOf(run_end) == run_loc) {
+          run_end = std::min(end, (run_end / page + 1) * page);
+        }
+        ref.TranslateRun(buf.base_addr() + pos, run_end - pos, run_loc, c,
+                         &discarded);
+        pos = run_end;
+      }
+      break;
+    }
+    case TlbOp::kFlush:
+      ref.TranslateRun(addr, op.size, loc, c, latencies);
+      break;
+    case TlbOp::kEscalate:
+      ref.EscalateMiss(addr, loc, c);
+      break;
+  }
+}
+
+uint64_t Bits(double x) {
+  uint64_t bits;
+  std::memcpy(&bits, &x, sizeof(bits));
+  return bits;
+}
+
+// Two launches (the L2 TLB flushed at each) over GPU, CPU and interleaved
+// buffers. Each runs serial operations on the launch context, then four
+// batches of 24 blocks of seeded operations, then serial operations
+// again. The batches' blocks issue 2000, 2000, 3 and 2000 operations, so
+// batches run with replay lanes (the second and third, each after a batch
+// with many TLB misses) and with the reduction replaying (the first, and
+// the fourth after a batch with few; see KernelContext::RunBlocks). Every
+// launch's TLB counters and the bytes of its random-access latency sum
+// must equal the unsharded reference fed the same accesses in block
+// order; afterwards a serial stream must see the reference's outcomes
+// (the TLB states are equal). Specs give the shared TLB 1, 2, 4 and 8
+// shards (the smallest level's sets: 1, 2 and 4 L2 sets, of which the last
+// also cuts the L3*/IOTLB levels to 4 sets, then the 32/64-set default);
+// both block orders run at 1, 2, 3 and 8 threads.
+class ShardedReplayTest
+    : public ::testing::TestWithParam<std::tuple<uint64_t, uint64_t>> {};
+
+TEST_P(ShardedReplayTest, MatchesUnshardedReference) {
+  constexpr uint32_t kBlocks = 24;
+  constexpr uint32_t kSerialOps = 40;
+  const auto [l2_sets, iotlb_sets] = GetParam();
+  sim::HwSpec hw = sim::HwSpec::Ac922NvLink().Scaled(4096);
+  hw.tlb = testing_ref::WithSets(hw.tlb, l2_sets, iotlb_sets);
+  const uint64_t range = hw.tlb.l2_entry_range;
+  for (bool in_order : {false, true}) {
+    for (uint32_t threads : {1u, 2u, 3u, 8u}) {
+      SCOPED_TRACE(testing::Message()
+                   << (in_order ? "in order" : "any order") << ", threads "
+                   << threads);
+      ThreadsGuard guard(threads);
+      exec::Device dev(hw, /*sanitize=*/false);
+      ASSERT_EQ(dev.tlb().num_shards(), l2_sets != 0 ? l2_sets : 8);
+      auto gpu = dev.allocator().AllocateGpu(1 << 20);
+      auto cpu = dev.allocator().AllocateCpu(12 << 20);
+      auto mixed = dev.allocator().AllocateInterleaved(6 << 20, 2 << 20);
+      ASSERT_TRUE(gpu.ok() && cpu.ok() && mixed.ok());
+      const std::vector<const mem::Buffer*> bufs = {&*gpu, &*cpu, &*mixed};
+      testing_ref::TlbReference ref(hw.tlb);
+      for (uint64_t launch = 0; launch < 2; ++launch) {
+        SCOPED_TRACE(testing::Message() << "launch " << launch);
+        const auto before = SeededOps(launch * 1000 + 100, kSerialOps, bufs,
+                                      range);
+        const auto after = SeededOps(launch * 1000 + 200, kSerialOps, bufs,
+                                     range);
+        constexpr uint32_t kOpsPerBlock[] = {2000, 2000, 3, 2000};
+        std::vector<std::vector<std::vector<TlbOp>>> batches;
+        for (uint32_t ops : kOpsPerBlock) {
+          std::vector<std::vector<TlbOp>>& blocks = batches.emplace_back();
+          for (uint32_t b = 0; b < kBlocks; ++b) {
+            blocks.push_back(SeededOps(launch * 1000 + batches.size() * 100 +
+                                           b,
+                                       ops, bufs, range));
+          }
+        }
+        double got_sum = 0.0;
+        uint64_t got_accesses = 0;
+        const exec::KernelRecord rec =
+            dev.Launch({.name = "replay"}, [&](exec::KernelContext& ctx) {
+              for (const TlbOp& op : before) IssueOp(ctx, op, *bufs[op.buf]);
+              for (const auto& blocks : batches) {
+                auto body = [&](exec::KernelContext& sub, uint32_t b) {
+                  for (const TlbOp& op : blocks[b]) {
+                    IssueOp(sub, op, *bufs[op.buf]);
+                  }
+                };
+                if (in_order) {
+                  ctx.ForEachBlockInOrder(kBlocks, body);
+                } else {
+                  ctx.ForEachBlock(kBlocks, body);
+                }
+              }
+              for (const TlbOp& op : after) IssueOp(ctx, op, *bufs[op.buf]);
+              got_sum = ctx.random_latency_sum();
+              got_accesses = ctx.random_accesses();
+            });
+
+        // The reference adds latencies the way the launch context does: a
+        // serial random read adds its own, a serial flush its run's sum,
+        // and each block the sum of its accesses' latencies.
+        ref.FlushGpuTlb();
+        sim::PerfCounters want;
+        double want_sum = 0.0;
+        uint64_t want_accesses = 0;
+        auto serial = [&](const std::vector<TlbOp>& ops) {
+          for (const TlbOp& op : ops) {
+            std::vector<double> lat;
+            ReferenceOp(ref, op, *bufs[op.buf], &want, &lat);
+            double run = 0.0;
+            for (double l : lat) run += l;
+            if (!lat.empty()) want_sum += run;
+            want_accesses += lat.size();
+          }
+        };
+        serial(before);
+        for (const auto& blocks : batches) {
+          for (const std::vector<TlbOp>& block : blocks) {
+            std::vector<double> lat;
+            for (const TlbOp& op : block) {
+              ReferenceOp(ref, op, *bufs[op.buf], &want, &lat);
+            }
+            double block_sum = 0.0;
+            for (double l : lat) block_sum += l;
+            if (!lat.empty()) want_sum += block_sum;
+            want_accesses += lat.size();
+          }
+        }
+        serial(after);
+        EXPECT_EQ(rec.counters.gpu_tlb_lookups, want.gpu_tlb_lookups);
+        EXPECT_EQ(rec.counters.gpu_tlb_misses, want.gpu_tlb_misses);
+        EXPECT_EQ(rec.counters.l3_hits, want.l3_hits);
+        EXPECT_EQ(rec.counters.iommu_requests, want.iommu_requests);
+        EXPECT_EQ(rec.counters.iommu_walks, want.iommu_walks);
+        EXPECT_EQ(Bits(got_sum), Bits(want_sum))
+            << got_sum << " vs " << want_sum;
+        EXPECT_EQ(got_accesses, want_accesses);
+        EXPECT_GT(want.l3_hits, 0u);
+        EXPECT_GT(want.iommu_walks, 0u);
+      }
+      // The TLB states are equal: a serial stream sees the same outcomes.
+      sim::PerfCounters got_c, want_c;
+      for (const TlbOp& op : SeededOps(7, 2000, bufs, range)) {
+        const mem::Buffer& buf = *bufs[op.buf];
+        const uint64_t addr = buf.base_addr() + op.offset;
+        const sim::PageLocation loc = buf.LocationOf(op.offset);
+        const sim::TranslationResult r = dev.tlb().Access(addr, loc, &got_c);
+        const sim::TranslationResult w = ref.Access(addr, loc, &want_c);
+        ASSERT_EQ(r.l2_hit, w.l2_hit) << "at " << addr;
+        ASSERT_EQ(r.iotlb_hit, w.iotlb_hit) << "at " << addr;
+        ASSERT_EQ(Bits(r.latency), Bits(w.latency)) << "at " << addr;
+      }
+      dev.allocator().Free(*mixed);
+      dev.allocator().Free(*cpu);
+      dev.allocator().Free(*gpu);
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Shards, ShardedReplayTest,
+    ::testing::Values(std::make_tuple(uint64_t{1}, uint64_t{0}),
+                      std::make_tuple(uint64_t{2}, uint64_t{0}),
+                      std::make_tuple(uint64_t{4}, uint64_t{4}),
+                      std::make_tuple(uint64_t{0}, uint64_t{0})),
+    [](const auto& info) {
+      const uint64_t l2 = std::get<0>(info.param);
+      const uint64_t iotlb = std::get<1>(info.param);
+      return "L2Sets" + std::to_string(l2 != 0 ? l2 : 32) + "IotlbSets" +
+             std::to_string(iotlb != 0 ? iotlb : 64);
+    });
 
 // In-order blocks run strictly one after another: each one checks and
 // bumps a plain counter, which TSan would report if two blocks overlapped

@@ -16,6 +16,7 @@
 
 #include "data/relation.h"
 #include "exec/block_executor.h"
+#include "exec/device.h"
 #include "serve/arbiter.h"
 #include "serve/join_service.h"
 #include "serve/shared_build.h"
@@ -308,6 +309,28 @@ TEST(ServeAdmissionTest, TupleCountsWhoseByteSizesOverflowRejected) {
 }
 
 // --- Memory arbiter ---
+
+// The probe reservation and the shared build size a relation's key and
+// payload columns with KeyPayloadColumnsBytes. At scale 96 the page is
+// 21845 bytes, not a power of two: the size must still cover the whole
+// pages the allocator takes for those columns.
+TEST(ServeArbiterTest, ColumnReservationsCoverWholePagesAtScale96) {
+  const sim::HwSpec hw = sim::HwSpec::Ac922NvLink().Scaled(96);
+  const uint64_t page = hw.tlb.page_bytes;
+  ASSERT_EQ(page, 21845u);
+  for (uint64_t tuples : {uint64_t{1}, uint64_t{3}, page / 8, page / 8 + 1,
+                          uint64_t{100000}}) {
+    SCOPED_TRACE(testing::Message() << tuples << " tuples");
+    exec::Device dev(hw);
+    const uint64_t before = dev.allocator().cpu_used();
+    auto rel = data::Relation::AllocateCpu(dev.allocator(), tuples);
+    ASSERT_TRUE(rel.ok()) << rel.status().ToString();
+    EXPECT_EQ(serve::KeyPayloadColumnsBytes(tuples, page),
+              dev.allocator().cpu_used() - before);
+  }
+  // At a power-of-two page the size is the old page-aligned one.
+  EXPECT_EQ(serve::KeyPayloadColumnsBytes(3, 4096), 2u * 4096);
+}
 
 TEST(ServeArbiterTest, ExhaustionReturnsResourceExhaustedAndRetryWorks) {
   MemoryArbiter arbiter(TestHw());

@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <cstdint>
-#include <deque>
+#include <tuple>
 #include <vector>
 
 #include "sim/cost_model.h"
@@ -11,6 +11,7 @@
 #include "sim/packetizer.h"
 #include "sim/perf_counters.h"
 #include "sim/tlb.h"
+#include "tests/tlb_reference.h"
 #include "util/random.h"
 #include "util/units.h"
 
@@ -210,37 +211,7 @@ TEST_F(PacketizerTest, AccessMatchesPerLineReference) {
 
 // --- TranslationCache / TlbSimulator ---
 
-/// Test-local model of one TranslationCache level: the same range id and
-/// set hash, each set a most-recently-used-first list of at most `ways`
-/// range ids.
-class LruModel {
- public:
-  LruModel(uint64_t coverage_bytes, uint64_t range_bytes, uint32_t ways)
-      : range_bytes_(range_bytes), ways_(ways) {
-    const uint64_t entries =
-        std::max<uint64_t>(coverage_bytes / range_bytes, ways);
-    num_sets_ = std::bit_ceil(std::max<uint64_t>(entries / ways, 1));
-    sets_.resize(num_sets_);
-  }
-
-  bool Access(uint64_t addr) {
-    const uint64_t id = addr / range_bytes_;
-    std::deque<uint64_t>& set =
-        sets_[((id * 0x9e3779b97f4a7c15ULL) >> 32) & (num_sets_ - 1)];
-    auto it = std::find(set.begin(), set.end(), id);
-    const bool hit = it != set.end();
-    if (hit) set.erase(it);
-    else if (set.size() == ways_) set.pop_back();
-    set.push_front(id);
-    return hit;
-  }
-
- private:
-  uint64_t range_bytes_;
-  uint32_t ways_;
-  uint64_t num_sets_;
-  std::vector<std::deque<uint64_t>> sets_;
-};
+using testing_ref::LruModel;
 
 // The range id comes from a shift when the range is a power of two
 // (scale 64: 512 KiB) and from a division otherwise (scale 96: 349525 B).
@@ -356,6 +327,77 @@ TEST(TlbSimulatorTest, CpuMemoryMissEscalatesToIommu) {
   EXPECT_TRUE(third.l2_hit);
   EXPECT_DOUBLE_EQ(third.latency, spec.cpu_mem_hit_latency);
 }
+
+// The sharded TLB against the unsharded reference: a seeded stream of GPU
+// and CPU pages mixing Access, TranslateRun, EscalateMiss and L2 flushes
+// gives identical outcomes, latencies and counters. The specs cut the
+// smallest level to 1, 2, 4 and 8 sets (the L2 or the IOTLB), and keep the
+// 32/64-set default, so the simulator runs with 1, 2, 4 and 8 shards.
+class ShardedTlbTest
+    : public ::testing::TestWithParam<std::tuple<uint64_t, uint64_t>> {};
+
+TEST_P(ShardedTlbTest, MatchesUnshardedReference) {
+  const auto [l2_sets, iotlb_sets] = GetParam();
+  const TlbSpec spec = testing_ref::WithSets(
+      HwSpec::Ac922NvLink().Scaled(4096).tlb, l2_sets, iotlb_sets);
+  TlbSimulator tlb(spec);
+  testing_ref::TlbReference ref(spec);
+  const uint64_t smallest = std::min(
+      TranslationCache::NumSets(spec.l2_coverage, spec.l2_entry_range, 8),
+      TranslationCache::NumSets(spec.iotlb_coverage, spec.l2_entry_range,
+                                16));
+  EXPECT_EQ(tlb.num_shards(),
+            std::min<uint64_t>(TlbSimulator::kMaxShards, smallest));
+  PerfCounters got, want;
+  util::Rng rng(l2_sets * 131 + iotlb_sets);
+  const uint64_t span = 4 * spec.iotlb_coverage;
+  const uint64_t range = spec.l2_entry_range;
+  for (int i = 0; i < 40000; ++i) {
+    const uint64_t addr = (uint64_t{1} << 40) + rng.NextBounded(span);
+    const PageLocation loc =
+        rng.NextBounded(3) == 0 ? PageLocation::kGpuMem : PageLocation::kCpuMem;
+    const uint64_t op = rng.NextBounded(100);
+    if (op < 1) {
+      tlb.FlushGpuTlb();
+      ref.FlushGpuTlb();
+    } else if (op < 15) {
+      const uint64_t size = 1 + rng.NextBounded(4 * range);
+      std::vector<double> lat;
+      ref.TranslateRun(addr, size, loc, &want, &lat);
+      double want_sum = 0.0;
+      for (double l : lat) want_sum += l;
+      const TranslationRunResult run = tlb.TranslateRun(addr, size, loc, &got);
+      ASSERT_EQ(run.accesses, lat.size()) << "op " << i;
+      ASSERT_EQ(run.latency_sum, want_sum) << "op " << i;
+    } else {
+      const bool escalate = op < 30;
+      const TranslationResult r = escalate ? tlb.EscalateMiss(addr, loc, &got)
+                                           : tlb.Access(addr, loc, &got);
+      const TranslationResult w = escalate ? ref.EscalateMiss(addr, loc, &want)
+                                           : ref.Access(addr, loc, &want);
+      ASSERT_EQ(r.l2_hit, w.l2_hit) << "op " << i;
+      ASSERT_EQ(r.iotlb_hit, w.iotlb_hit) << "op " << i;
+      ASSERT_EQ(r.latency, w.latency) << "op " << i;
+    }
+  }
+  EXPECT_EQ(got.gpu_tlb_lookups, want.gpu_tlb_lookups);
+  EXPECT_EQ(got.gpu_tlb_misses, want.gpu_tlb_misses);
+  EXPECT_EQ(got.l3_hits, want.l3_hits);
+  EXPECT_EQ(got.iommu_requests, want.iommu_requests);
+  EXPECT_EQ(got.iommu_walks, want.iommu_walks);
+  // The stream exercises every outcome.
+  EXPECT_GT(want.l3_hits, 0u);
+  EXPECT_GT(want.iommu_walks, 0u);
+  EXPECT_LT(want.iommu_walks, want.iommu_requests);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    SmallestLevelSets, ShardedTlbTest,
+    ::testing::Values(std::make_tuple(uint64_t{1}, uint64_t{0}),
+                      std::make_tuple(uint64_t{2}, uint64_t{0}),
+                      std::make_tuple(uint64_t{0}, uint64_t{4}),
+                      std::make_tuple(uint64_t{8}, uint64_t{0}),
+                      std::make_tuple(uint64_t{0}, uint64_t{0})));
 
 // --- CostModel ---
 

@@ -76,6 +76,15 @@ TEST(BitsTest, Alignment) {
   EXPECT_EQ(AlignDown(255, 128), 128u);
 }
 
+// AlignUp masks, which only rounds to a power of two: at a 21845-byte
+// page (scale 96) it would return 3 for 3. Dev builds refuse such an
+// alignment; rounding to any multiple is CeilDiv's job.
+TEST(BitsDeathTest, AlignmentToNonPowerOfTwoFailsInDevBuilds) {
+  EXPECT_DEBUG_DEATH(AlignUp(3, 21845), "AlignUp to 21845");
+  EXPECT_DEBUG_DEATH(AlignDown(21846, 21845), "AlignDown to 21845");
+  EXPECT_EQ(CeilDiv(3, 21845) * 21845, 21845u);
+}
+
 TEST(BitsTest, ExtractBits) {
   EXPECT_EQ(ExtractBits(0b110101, 0, 3), 0b101u);
   EXPECT_EQ(ExtractBits(0b110101, 3, 3), 0b110u);

@@ -13,10 +13,13 @@
 #
 # Each run appends one line to <dir>/runs.tsv and prints it: pair, side,
 # workload, host_mtuples_per_s ("failed(<code>)" when run.sh failed; its
-# log is under <dir>/logs), and the run's child CPU seconds (user +
-# system), so wall-clock gains can be told from a busier machine. The
-# script ends with bench/host/compare.py <dir>/A <dir>/B and, per
-# workload, the number of pairs in which B's host_mtuples_per_s beat A's.
+# log is under <dir>/logs), the run's child CPU seconds (user + system),
+# and the machine's steal time during the run (seconds of CPU time the
+# hypervisor gave to other guests, from /proc/stat), so wall-clock gains
+# can be told from a busier machine. The script ends with
+# bench/host/compare.py <dir>/A <dir>/B and, per workload, the number of
+# pairs in which B's host_mtuples_per_s beat A's and each side's median
+# steal seconds per run.
 #
 # Defaults: --seconds 10, --seed 42, all four workloads, --trace 0, <dir> a
 # new directory under ${TMPDIR:-/tmp}. The exit status is compare.py's.
@@ -24,7 +27,7 @@
 set -euo pipefail
 
 usage() {
-  sed -n '2,22p' "${BASH_SOURCE[0]}" | sed 's/^# \{0,1\}//' >&2
+  sed -n '2,25p' "${BASH_SOURCE[0]}" | sed 's/^# \{0,1\}//' >&2
   exit 2
 }
 
@@ -66,26 +69,35 @@ for tree in "$parent" "$root"; do
   fi
 done
 
+# Machine-wide steal time so far, in clock ticks (the 8th value of the
+# aggregate "cpu" line of /proc/stat).
+steal_ticks() { awk '$1 == "cpu" { print $9; exit }' /proc/stat; }
+clk_tck=$(getconf CLK_TCK)
+
 # run_one <pair> <side> <workload>
 run_one() {
-  local pair=$1 side=$2 workload=$3 tree=$root code=0 cpu mtuples
+  local pair=$1 side=$2 workload=$3 tree=$root code=0 cpu mtuples steal
   [ "$side" = A ] && tree=$parent
   local log="$out/logs/$pair-$side-$workload.log"
   local TIMEFORMAT='%U %S'
+  local steal_before
+  steal_before=$(steal_ticks)
   { time bash "$tree/bench/host/run.sh" --workload "$workload" \
       --seed "$seed" --seconds "$seconds" --trace "$trace" \
       --out "$out/$side" > "$log" 2>&1; } 2> "$log.time" || code=$?
+  steal=$(awk -v a="$steal_before" -v b="$(steal_ticks)" -v hz="$clk_tck" \
+    'BEGIN { printf "%.2f", (b - a) / hz }')
   cpu=$(awk '{ printf "%.2f", $1 + $2 }' "$log.time")
   mtuples=$(tail -n 1 "$log" | python3 -c '
 import json, sys
 m = json.load(sys.stdin)["metrics"].get("host_mtuples_per_s")
 print("%.3f" % m["value"] if m else "-")' 2> /dev/null) || mtuples="-"
   [ "$code" = 0 ] || mtuples="failed($code)"
-  printf '%s\t%s\t%s\t%s\t%s\n' "$pair" "$side" "$workload" "$mtuples" \
-    "$cpu" | tee -a "$out/runs.tsv"
+  printf '%s\t%s\t%s\t%s\t%s\t%s\n' "$pair" "$side" "$workload" \
+    "$mtuples" "$cpu" "$steal" | tee -a "$out/runs.tsv"
 }
 
-printf 'pair\tside\tworkload\thost_mtuples_per_s\tcpu_s\n' |
+printf 'pair\tside\tworkload\thost_mtuples_per_s\tcpu_s\tsteal_s\n' |
   tee "$out/runs.tsv"
 for pair in $(seq 1 "$pairs"); do
   order="A B"
@@ -100,12 +112,14 @@ done
 status=0
 python3 "$root/bench/host/compare.py" "$out/A" "$out/B" || status=$?
 python3 - "$out/runs.tsv" <<'EOF'
-import collections, csv, sys
+import collections, csv, statistics, sys
 
 runs = collections.defaultdict(dict)
+steal = collections.defaultdict(list)
 with open(sys.argv[1]) as f:
     for row in csv.DictReader(f, delimiter="\t"):
         runs[(row["workload"], row["pair"])][row["side"]] = row
+        steal[(row["workload"], row["side"])].append(float(row["steal_s"]))
 won = collections.Counter()
 total = collections.Counter()
 for (workload, _), sides in runs.items():
@@ -117,8 +131,9 @@ for (workload, _), sides in runs.items():
     won[workload] += b > a
 print()
 for workload in total:
+    a, b = (statistics.median(steal[(workload, side)]) for side in "AB")
     print(f"{workload}: B won {won[workload]}/{total[workload]} pairs "
-          "on host_mtuples_per_s")
+          f"on host_mtuples_per_s; median steal_s A {a:.2f}, B {b:.2f}")
 EOF
 echo "results in $out"
 exit $status
