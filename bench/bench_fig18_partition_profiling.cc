@@ -68,8 +68,7 @@ int Main(int argc, char** argv) {
       uint32_t blocks =
           algo.p == &hierarchical
               ? partition::HierarchicalRecommendedBlocks(
-                    {}, env.hw(), dev.allocator().gpu_free(),
-                    radix.fanout())
+                    env.hw(), dev.allocator().gpu_free(), radix.fanout())
               : env.hw().gpu.num_sms;
       partition::PartitionLayout layout =
           CpuPrefixSum(dev, input, radix, blocks);

@@ -72,7 +72,7 @@ int main(int argc, char** argv) {
     uint32_t blocks =
         algo.p == &hierarchical
             ? partition::HierarchicalRecommendedBlocks(
-                  {}, hw, dev.allocator().gpu_free(), radix.fanout())
+                  hw, dev.allocator().gpu_free(), radix.fanout())
             : hw.gpu.num_sms;
     partition::PartitionLayout layout =
         CpuPrefixSum(dev, input, radix, blocks);

@@ -46,8 +46,6 @@ util::StatusOr<AggregateRun> TritonAggregate::Run(exec::Device& dev,
   // Radix bits: the join's derivation with only one relation flowing.
   uint32_t bits1, bits2;
   TritonJoin::DeriveBits(hw, r.rows(), 0, &bits1, &bits2);
-  if (config_.bits1 != 0) bits1 = config_.bits1;
-  if (config_.bits2 != 0) bits2 = config_.bits2;
   partition::RadixConfig radix1{0, bits1};
   partition::RadixConfig radix2 = radix1.Next(bits2);
 
@@ -121,16 +119,10 @@ util::StatusOr<AggregateRun> TritonAggregate::Run(exec::Device& dev,
         sub.Charge(static_cast<uint64_t>(part_n * kAggregateCyclesPerTuple));
         sub.AddTuples(part_n);
         block_groups[q] = table.size();
-        if (!config_.distinct_only) {
-          for (uint32_t e = 0; e < table.size(); ++e) {
-            block_checksums[q] += static_cast<uint64_t>(keys[e]) * 31 +
-                                  static_cast<uint64_t>(sums[e]);
-          }
-          // Grouped results stream back to CPU memory.
-        } else {
-          for (uint32_t e = 0; e < table.size(); ++e) {
-            block_checksums[q] += static_cast<uint64_t>(keys[e]);
-          }
+        // Grouped results stream back to CPU memory.
+        for (uint32_t e = 0; e < table.size(); ++e) {
+          block_checksums[q] += static_cast<uint64_t>(keys[e]) * 31 +
+                                static_cast<uint64_t>(sums[e]);
         }
       });
       for (uint32_t q = 0; q < fan2; ++q) {

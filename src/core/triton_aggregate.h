@@ -9,8 +9,8 @@
 // GPU memory — followed by a scratchpad hash aggregation per partition
 // instead of a build/probe. Grouped results stream back to CPU memory.
 //
-// Supported aggregates: SUM(value) and COUNT(*) per key, and DISTINCT key
-// counting (duplicate elimination).
+// Supported aggregates: SUM(value) and COUNT(*) per key; the group count
+// is the DISTINCT key count (duplicate elimination).
 
 #ifndef TRITON_CORE_TRITON_AGGREGATE_H_
 #define TRITON_CORE_TRITON_AGGREGATE_H_
@@ -28,15 +28,8 @@ namespace triton::core {
 
 /// Configuration of the aggregation operator.
 struct TritonAggregateConfig {
-  /// First-pass radix bits (0 = derive from the input size).
-  uint32_t bits1 = 0;
-  /// Second-pass radix bits (0 = derive; partitions must fit scratchpad).
-  uint32_t bits2 = 0;
   /// GPU cache budget for partitioned state (as in the Triton join).
   uint64_t cache_bytes = UINT64_MAX;
-  /// If true, only distinct keys are counted (duplicate elimination);
-  /// grouped sums are not materialized.
-  bool distinct_only = false;
 };
 
 /// Result of one aggregation run.
@@ -57,7 +50,7 @@ struct AggregateRun {
   }
 };
 
-/// SUM/COUNT GROUP BY key (or DISTINCT key) over one relation.
+/// SUM/COUNT GROUP BY key over one relation.
 class TritonAggregate {
  public:
   explicit TritonAggregate(TritonAggregateConfig config = {})

@@ -37,8 +37,6 @@ util::StatusOr<join::JoinRun> TritonJoin::Run(exec::Device& dev,
 
   uint32_t bits1, bits2;
   DeriveBits(hw, r.rows(), s.rows(), &bits1, &bits2);
-  if (config_.bits1 != 0) bits1 = config_.bits1;
-  if (config_.bits2 != 0) bits2 = config_.bits2;
   stats_.bits1 = bits1;
   stats_.bits2 = bits2;
 

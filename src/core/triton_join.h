@@ -42,10 +42,6 @@ struct TritonJoinConfig {
   /// paper measures them within 0-2% for partitioned joins.
   join::HashScheme scheme = join::HashScheme::kBucketChaining;
   join::ResultMode result_mode = join::ResultMode::kMaterialize;
-  /// First-pass radix bits (0 = derive; the paper uses 6-10).
-  uint32_t bits1 = 0;
-  /// Second-pass radix bits (0 = derive; the paper uses 9).
-  uint32_t bits2 = 0;
   /// Prefix sums on the CPU (default; 1.1x faster end-to-end, Figure 20)
   /// or on the GPU.
   bool gpu_prefix_sum = false;

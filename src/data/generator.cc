@@ -40,7 +40,7 @@ constexpr uint64_t kMaxCachedWorkloadBytes = 512ull << 20;
 bool SameConfig(const WorkloadConfig& a, const WorkloadConfig& b) {
   return a.r_tuples == b.r_tuples && a.s_tuples == b.s_tuples &&
          a.payload_cols == b.payload_cols && a.seed == b.seed &&
-         a.shuffle_keys == b.shuffle_keys && a.zipf_theta == b.zipf_theta;
+         a.zipf_theta == b.zipf_theta;
 }
 
 void CopyInto(Relation& rel, const std::vector<Key>& keys,
@@ -63,16 +63,14 @@ void CopyOut(const Relation& rel, std::vector<Key>& keys,
 
 }  // namespace
 
-void FillPrimaryKeys(Relation& rel, uint64_t seed, bool shuffle) {
+void FillPrimaryKeys(Relation& rel, uint64_t seed) {
   Key* keys = rel.keys();
   const uint64_t n = rel.rows();
   for (uint64_t i = 0; i < n; ++i) keys[i] = static_cast<Key>(i + 1);
-  if (shuffle) {
-    util::Rng rng(seed ^ 0xfeedbeefULL);
-    for (uint64_t i = n; i > 1; --i) {
-      uint64_t j = rng.NextBounded(i);
-      std::swap(keys[i - 1], keys[j]);
-    }
+  util::Rng rng(seed ^ 0xfeedbeefULL);
+  for (uint64_t i = n; i > 1; --i) {
+    uint64_t j = rng.NextBounded(i);
+    std::swap(keys[i - 1], keys[j]);
   }
 }
 
@@ -160,7 +158,7 @@ util::StatusOr<Workload> GenerateWorkload(mem::Allocator& alloc,
     }
   }
   if (!hit) {
-    FillPrimaryKeys(wl.r, config.seed, config.shuffle_keys);
+    FillPrimaryKeys(wl.r, config.seed);
     if (config.zipf_theta > 0.0) {
       FillForeignKeysZipf(wl.s, config.r_tuples, config.zipf_theta,
                           config.seed + 1);

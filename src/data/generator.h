@@ -26,8 +26,6 @@ struct WorkloadConfig {
   uint32_t payload_cols = 1;
   /// RNG seed; distinct runs in a bench vary this.
   uint64_t seed = 42;
-  /// If true, the primary keys are randomly shuffled (the paper's default).
-  bool shuffle_keys = true;
   /// Zipf skew of the foreign keys (0 = the paper's uniform default).
   double zipf_theta = 0.0;
 };
@@ -54,7 +52,7 @@ util::StatusOr<Workload> GenerateWorkload(mem::Allocator& alloc,
 util::Status CheckZipfTheta(double theta);
 
 /// Fills an already-allocated relation with shuffled primary keys 1..rows.
-void FillPrimaryKeys(Relation& rel, uint64_t seed, bool shuffle);
+void FillPrimaryKeys(Relation& rel, uint64_t seed);
 
 /// Fills an already-allocated relation with uniform foreign keys in
 /// [1, fk_domain].

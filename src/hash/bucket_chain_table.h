@@ -41,15 +41,7 @@ class BucketChainTable {
     DCHECK(util::IsPowerOfTwo(num_buckets));
   }
 
-  /// Scratchpad bytes needed for a table of `max_entries` entries.
-  static uint64_t StorageBytes(uint32_t num_buckets, uint32_t max_entries) {
-    return num_buckets * sizeof(uint32_t) +
-           static_cast<uint64_t>(max_entries) *
-               (sizeof(int64_t) * 2 + sizeof(uint32_t));
-  }
-
   uint32_t size() const { return size_; }
-  uint32_t num_buckets() const { return num_buckets_; }
 
   /// Bucket a key belongs to. Uses hash bits disjoint from the radix
   /// partitioning bits: partitioning consumes the top `radix_shift` bits.
@@ -94,12 +86,6 @@ class BucketChainTable {
       if (keys_[cur - 1] == key) return cur - 1;
     }
     return UINT32_MAX;
-  }
-
-  /// Resets the table for reuse with another partition.
-  void Clear() {
-    for (uint32_t b = 0; b < num_buckets_; ++b) heads_[b] = 0;
-    size_ = 0;
   }
 
  private:

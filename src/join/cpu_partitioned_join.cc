@@ -39,14 +39,12 @@ util::StatusOr<JoinRun> CpuPartitionedJoin::Run(exec::Device& dev,
   JoinRun run;
   const uint64_t total_bytes =
       (r.rows() + s.rows()) * sizeof(partition::Tuple);
-  ScratchJoiner joiner(config_.scheme, dev.hw().gpu.scratchpad_bytes);
-  const uint32_t bits1 = config_.bits1 != 0
-                             ? config_.bits1
-                             : DeriveBits1(dev.hw(), total_bytes);
-  uint32_t total_bits =
+  constexpr HashScheme kScheme = HashScheme::kBucketChaining;
+  ScratchJoiner joiner(kScheme, dev.hw().gpu.scratchpad_bytes);
+  const uint32_t bits1 = DeriveBits1(dev.hw(), total_bytes);
+  const uint32_t total_bits =
       std::max(DeriveTotalBits(r.rows(), joiner.MaxBuildTuples()), bits1);
-  const uint32_t bits2 =
-      config_.bits2 != 0 ? config_.bits2 : total_bits - bits1;
+  const uint32_t bits2 = total_bits - bits1;
 
   dev.ClearTrace();
   partition::RadixConfig radix1{0, bits1};
@@ -124,7 +122,7 @@ util::StatusOr<JoinRun> CpuPartitionedJoin::Run(exec::Device& dev,
       // Partitions are already scratchpad-sized: join the staged pair
       // directly, as one block.
       util::Status st = JoinPairs(
-          dev, /*sms=*/0, config_.scheme, /*pairs=*/1, bits1,
+          dev, /*sms=*/0, kScheme, /*pairs=*/1, bits1,
           [&](uint32_t) { return std::make_pair(r_rows, s_rows); },
           result->valid() ? &*result : nullptr, &result_cursor, &matches,
           &checksum);
@@ -153,7 +151,7 @@ util::StatusOr<JoinRun> CpuPartitionedJoin::Run(exec::Device& dev,
 
     // --- Join the refined pairs ---
     util::Status st = JoinRefinedPairs(
-        dev, /*sms=*/0, config_.scheme, *r2, r_layout2, *s2, s_layout2,
+        dev, /*sms=*/0, kScheme, *r2, r_layout2, *s2, s_layout2,
         result->valid() ? &*result : nullptr, &result_cursor, &matches,
         &checksum);
     if (!st.ok()) return st;

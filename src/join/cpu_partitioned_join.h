@@ -24,13 +24,7 @@ namespace triton::join {
 
 /// Configuration of the CPU-partitioned join strategy.
 struct CpuPartitionedJoinConfig {
-  HashScheme scheme = HashScheme::kBucketChaining;
   ResultMode result_mode = ResultMode::kMaterialize;
-  /// First-pass radix bits; 0 = derive so a partition pair fits in half
-  /// the GPU memory.
-  uint32_t bits1 = 0;
-  /// Second-pass (GPU) radix bits; 0 = derive so partitions fit scratchpad.
-  uint32_t bits2 = 0;
 };
 
 /// CPU-partitioned GPU join; see file comment.

@@ -12,13 +12,14 @@
 
 namespace triton::join {
 
+uint64_t CpuLlcPartitionTuples(const sim::CpuSpec& cpu) {
+  return std::max<uint64_t>(cpu.llc_per_core / (2 * sizeof(partition::Tuple)),
+                            1024);
+}
+
 uint32_t CpuRadixBits(const sim::CpuSpec& cpu, uint64_t r_tuples) {
-  // Each partition's hash table (~16 bytes/tuple) should fit in half the
-  // per-core LLC share.
-  uint64_t target_tuples =
-      std::max<uint64_t>(cpu.llc_per_core / (2 * sizeof(partition::Tuple)),
-                         1024);
-  uint32_t bits = util::CeilLog2(util::CeilDiv(r_tuples, target_tuples));
+  uint32_t bits =
+      util::CeilLog2(util::CeilDiv(r_tuples, CpuLlcPartitionTuples(cpu)));
   return std::clamp(bits, 6u, 20u);
 }
 
@@ -38,8 +39,7 @@ util::StatusOr<JoinRun> CpuRadixJoin::Run(exec::Device& dev,
   // single-/two-pass switch lands where the paper measures it.
   const uint64_t paper_r = static_cast<uint64_t>(
       static_cast<double>(r.rows()) * dev.hw().scale);
-  const uint32_t bits =
-      config_.bits != 0 ? config_.bits : CpuRadixBits(cpu, paper_r);
+  const uint32_t bits = CpuRadixBits(cpu, paper_r);
   partition::RadixConfig radix{0, bits};
   const uint32_t num_blocks = cpu.cores;
 

@@ -30,13 +30,16 @@ struct CpuRadixJoinConfig {
   /// 6-16% faster in the paper).
   HashScheme scheme = HashScheme::kBucketChaining;
   ResultMode result_mode = ResultMode::kMaterialize;
-  /// Radix bits; 0 = derive from |R| and the LLC (the paper's 12-14 bits).
-  uint32_t bits = 0;
   /// Processor model; null = the device's host CPU (POWER9).
   const sim::CpuSpec* cpu = nullptr;
 };
 
-/// Radix bits the CPU join needs so each partition's table fits the LLC.
+/// Build tuples per LLC-resident partition: its hash table (~16 bytes per
+/// tuple) fits half the per-core LLC share, and it holds at least 1024.
+uint64_t CpuLlcPartitionTuples(const sim::CpuSpec& cpu);
+
+/// Radix bits the CPU join needs so each partition's table fits the LLC
+/// (the paper's 12-14 bits).
 uint32_t CpuRadixBits(const sim::CpuSpec& cpu, uint64_t r_tuples);
 
 /// Chip-wide join rate (tuples/s) over cache-resident partitions: every

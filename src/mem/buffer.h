@@ -42,12 +42,6 @@ struct Placement {
     return gpu_pages_per_group + cpu_pages_per_group;
   }
 
-  /// Fraction of pages that are GPU-resident.
-  double GpuFraction() const {
-    return static_cast<double>(gpu_pages_per_group) /
-           static_cast<double>(group_size());
-  }
-
   /// Location of the `page_index`-th page. Within each group the GPU pages
   /// come first, evenly spreading GPU pages through the array.
   sim::PageLocation LocationOfPage(uint64_t page_index) const {

@@ -9,35 +9,38 @@
 
 namespace triton::partition {
 
-uint32_t L2BufferTuples(const HierarchicalConfig& config, uint64_t gpu_free,
-                        uint32_t num_blocks, uint32_t fanout) {
-  uint64_t budget = static_cast<uint64_t>(
-      static_cast<double>(gpu_free) * config.gpu_budget_fraction);
-  uint64_t per_buffer = budget / (static_cast<uint64_t>(num_blocks) * fanout *
-                                  sizeof(Tuple));
+namespace {
+
+constexpr double kFlushCycles = 8.0;
+
+/// GPU memory for L2 buffers: half the memory free at launch. The Triton
+/// join leaves the rest to the cache and the second pass.
+uint64_t L2Budget(uint64_t gpu_free) { return gpu_free / 2; }
+
+/// Per-(block, partition) L2 buffer capacity in tuples, within
+/// [8, 4096] (64 KiB).
+uint32_t L2BufferTuples(uint64_t gpu_free, uint32_t num_blocks,
+                        uint32_t fanout) {
+  constexpr uint64_t kMinL2Tuples = 8, kMaxL2Tuples = 4096;
+  uint64_t per_buffer = L2Budget(gpu_free) /
+                        (static_cast<uint64_t>(num_blocks) * fanout *
+                         sizeof(Tuple));
   if (per_buffer >= 8) per_buffer -= per_buffer % 8;
-  per_buffer = std::clamp<uint64_t>(per_buffer, config.min_l2_tuples,
-                                    config.max_l2_tuples);
+  per_buffer = std::clamp(per_buffer, kMinL2Tuples, kMaxL2Tuples);
   return static_cast<uint32_t>(per_buffer);
 }
 
-uint32_t HierarchicalRecommendedBlocks(const HierarchicalConfig& config,
-                                       const sim::HwSpec& hw,
+}  // namespace
+
+uint32_t HierarchicalRecommendedBlocks(const sim::HwSpec& hw,
                                        uint64_t gpu_free, uint32_t fanout) {
-  uint64_t budget = static_cast<uint64_t>(
-      static_cast<double>(gpu_free) * config.gpu_budget_fraction);
+  const uint64_t budget = L2Budget(gpu_free);
   // Each block wants >= 256-tuple (4 KiB) L2 buffers per partition.
   uint64_t per_block = static_cast<uint64_t>(fanout) * 256 * sizeof(Tuple);
   uint64_t blocks = per_block > 0 ? budget / per_block : hw.gpu.num_sms;
   return static_cast<uint32_t>(
       std::clamp<uint64_t>(blocks, 1, hw.gpu.num_sms));
 }
-
-namespace {
-
-constexpr double kFlushCycles = 8.0;
-
-}  // namespace
 
 PartitionRun HierarchicalPartitioner::PartitionColumns(
     exec::Device& dev, const ColumnInput& input, const PartitionLayout& layout,
@@ -48,8 +51,8 @@ PartitionRun HierarchicalPartitioner::PartitionColumns(
       SwwcBufferTuples(dev.hw().gpu.scratchpad_bytes, fanout);
   const uint32_t num_blocks = layout.num_blocks();
   const uint32_t l2_cap = std::max(
-      2 * l1_cap, L2BufferTuples(config_, dev.allocator().gpu_free(),
-                                 num_blocks, fanout));
+      2 * l1_cap, L2BufferTuples(dev.allocator().gpu_free(), num_blocks,
+                                 fanout));
 
   // L2 buffers live in GPU memory; allocate (and account) them for real so
   // capacity pressure on the GPU is honest. One buffer per (block,

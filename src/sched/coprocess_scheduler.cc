@@ -107,25 +107,22 @@ util::StatusOr<join::JoinRun> CoProcessScheduler::Run(
   join::JoinRun run;
   stats_ = CoProcessStats();
   const sim::HwSpec& hw = dev.hw();
-  const uint32_t sms = config_.sms == 0 ? hw.gpu.num_sms : config_.sms;
 
   uint32_t bits1, bits2;
   DeriveBits(hw, r.rows(), s.rows(), &bits1, &bits2);
-  if (config_.bits1 != 0) bits1 = config_.bits1;
-  if (config_.bits2 != 0) bits2 = config_.bits2;
   stats_.bits1 = bits1;
   stats_.bits2 = bits2;
 
   partition::RadixConfig radix1{0, bits1};
-  const uint32_t depth = std::max(config_.staging_depth, 1u);
 
   dev.ClearTrace();
 
   // --- Shared front, exactly the Triton join's (the build side crosses
   // the link once, whatever the split). The pipeline reservation holds
-  // `depth` staging slots plus the refined pair's double buffer ---
+  // kStagingDepth staging slots plus the refined pair's double buffer ---
   auto front = core::RunFront(dev, radix1, {&r, &s},
-                              {.sms = sms, .reserve_pairs = depth + 2});
+                              {.sms = hw.gpu.num_sms,
+                               .reserve_pairs = kStagingDepth + 2});
   if (!front.ok()) return front.status();
   stats_.cached_fraction = front->cached_fraction;
   stats_.spilled_bytes = front->spilled_bytes;
@@ -149,16 +146,14 @@ util::StatusOr<join::JoinRun> CoProcessScheduler::Run(
   // --- Initial split from the cost model: equalize the predicted
   // finishing times of the two sides, i.e. f = rho_cpu / (rho_cpu +
   // rho_gpu) over the backends' predicted tuple rates ---
-  stats_.predicted_cpu_seconds =
-      PredictCpuRadixSeconds(hw, r.rows(), s.rows(), config_.scheme);
+  stats_.predicted_cpu_seconds = PredictCpuRadixSeconds(hw, r.rows(), s.rows());
   stats_.predicted_gpu_seconds = PredictTritonSeconds(hw, r.rows(), s.rows());
   double cpu_rate = 0.0, gpu_rate = 0.0;
   {
     const uint64_t avg_r = std::max<uint64_t>(r.rows() >> bits1, 1);
     const uint64_t avg_s = std::max<uint64_t>(s.rows() >> bits1, 1);
-    CpuPairCost pc = PredictCpuPairCost(hw, avg_r, avg_s,
-                                        stats_.cached_fraction,
-                                        config_.scheme);
+    CpuPairCost pc =
+        PredictCpuPairCost(hw, avg_r, avg_s, stats_.cached_fraction);
     if (pc.Seconds() > 0.0) {
       cpu_rate = static_cast<double>(avg_r + avg_s) / pc.Seconds();
     }
@@ -176,15 +171,14 @@ util::StatusOr<join::JoinRun> CoProcessScheduler::Run(
   stats_.initial_cpu_fraction = f;
   util::Lcg64 rng(config_.seed);
 
-  // --- Bounded staging queue through the interconnect: `depth` GPU-side
+  // --- Bounded staging queue through the interconnect: kStagingDepth
   // slots, reused round-robin; slot lifetime is enforced by the pipeline
   // time model (BoundedPipelineSeconds) ---
-  auto staging = core::AllocateStaging(dev, *front, depth);
+  auto staging = core::AllocateStaging(dev, *front, kStagingDepth);
   if (!staging.ok()) return staging.status();
   const core::PairBody gpu_body{
       .radix2 = radix1.Next(bits2),
-      .sms = sms,
-      .scheme = config_.scheme,
+      .sms = hw.gpu.num_sms,
       .staging = staging->valid() ? &*staging : nullptr,
       .result = result->valid() ? &*result : nullptr};
 
@@ -246,10 +240,7 @@ util::StatusOr<join::JoinRun> CoProcessScheduler::Run(
   // CPU side's functional joins on the executor pool, then reduce
   // everything in pair order (records, results, pipeline lanes) ---
   const uint32_t wave_pairs =
-      config_.wave_pairs != 0
-          ? config_.wave_pairs
-          : std::clamp<uint32_t>(
-                static_cast<uint32_t>(pairs.size() / 8), 4, 64);
+      std::clamp<uint32_t>(static_cast<uint32_t>(pairs.size() / 8), 4, 64);
   size_t done = 0;
   while (done < pairs.size()) {
     const size_t wave_end = std::min(pairs.size(), done + wave_pairs);
@@ -301,8 +292,8 @@ util::StatusOr<join::JoinRun> CoProcessScheduler::Run(
       ++wave.pairs;
       if (to_cpu[i - done]) {
         const size_t k = cpu_k++;
-        const CpuPairCost cost = PredictCpuPairCost(
-            hw, pd.r_n, pd.s_n, stats_.cached_fraction, config_.scheme);
+        const CpuPairCost cost =
+            PredictCpuPairCost(hw, pd.r_n, pd.s_n, stats_.cached_fraction);
         const uint64_t pair_bytes = pd.tuples() * sizeof(partition::Tuple);
         const uint64_t link_payload = static_cast<uint64_t>(
             static_cast<double>(pair_bytes) * stats_.cached_fraction);
@@ -349,7 +340,7 @@ util::StatusOr<join::JoinRun> CoProcessScheduler::Run(
         // GPU side: Triton's pair body, staging the pair into its
         // bounded-queue slot when pass-1 state spilled.
         const uint64_t slot_base =
-            (stats_.gpu_pairs % depth) * front->max_pair;
+            (stats_.gpu_pairs % kStagingDepth) * front->max_pair;
         core::Lanes lanes;
         util::Status st = core::JoinPair(dev, *front, pd.p, gpu_body,
                                          slot_base, &totals, &lanes);
@@ -391,7 +382,7 @@ util::StatusOr<join::JoinRun> CoProcessScheduler::Run(
   stats_.front_seconds =
       run.PhaseTime("prefix_sum1") + run.PhaseTime("partition1");
   stats_.gpu_pipeline_seconds =
-      BoundedPipelineSeconds(gpu_bw, gpu_comp, depth);
+      BoundedPipelineSeconds(gpu_bw, gpu_comp, kStagingDepth);
   stats_.final_cpu_fraction =
       total_tuples > 0
           ? static_cast<double>(cpu_tuples_total) /

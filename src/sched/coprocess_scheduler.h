@@ -10,7 +10,7 @@
 //
 //   GPU pair   Triton's pair body (core::JoinPair), with the interconnect
 //              stage modeled as a *bounded staging queue*: at most
-//              `staging_depth` pairs may be resident in the GPU-side
+//              kStagingDepth pairs may be resident in the GPU-side
 //              staging buffer, so the copy-in of pair k+D stalls until the
 //              compute of pair k drains its slot — the paper's software
 //              pipeline with finite buffering.
@@ -50,27 +50,15 @@ namespace triton::sched {
 
 /// Configuration of the co-processing scheduler.
 struct CoProcessConfig {
-  join::HashScheme scheme = join::HashScheme::kBucketChaining;
   join::ResultMode result_mode = join::ResultMode::kMaterialize;
-  /// Radix bits (0 = derive via DeriveBits; pass-1 keeps at least
-  /// kMinPairBits so there is morsel granularity to split).
-  uint32_t bits1 = 0;
-  uint32_t bits2 = 0;
   /// CPU share of the pair tuples, in [0, 1]. Negative = pick the initial
   /// share from the cost-model predictions of both backends.
   double split_ratio = -1.0;
   /// Rebalance the share between morsel waves from observed per-morsel
   /// modeled seconds (seeded-deterministic feedback).
   bool adaptive = false;
-  /// Pairs per wave (0 = derive from the pair count).
-  uint32_t wave_pairs = 0;
-  /// Bounded staging-queue depth: GPU staging slots a pair's copy-in may
-  /// occupy ahead of its compute (>= 1).
-  uint32_t staging_depth = 2;
   /// Seed of the adaptive dither (keeps rebalancing reproducible).
   uint64_t seed = 0x5eedc0de;
-  /// SMs available to the GPU side (0 = all).
-  uint32_t sms = 0;
 };
 
 /// Per-wave adaptive trajectory entry.
@@ -122,6 +110,9 @@ class CoProcessScheduler {
  public:
   /// Minimum pass-1 bits: at least 32 pairs so the split has granularity.
   static constexpr uint32_t kMinPairBits = 5;
+  /// Bounded staging-queue depth: GPU staging slots a pair's copy-in may
+  /// occupy ahead of its compute.
+  static constexpr uint32_t kStagingDepth = 2;
 
   explicit CoProcessScheduler(CoProcessConfig config = {})
       : config_(config) {}

@@ -137,8 +137,7 @@ double PredictTritonSeconds(const sim::HwSpec& hw, uint64_t r_tuples,
 }
 
 CpuPairCost PredictCpuPairCost(const sim::HwSpec& hw, uint64_t pair_r_tuples,
-                               uint64_t pair_s_tuples, double cached_fraction,
-                               join::HashScheme scheme) {
+                               uint64_t pair_s_tuples, double cached_fraction) {
   CpuPairCost cost;
   const sim::CpuSpec& cpu = hw.cpu;
   const double pair_bytes =
@@ -157,8 +156,7 @@ CpuPairCost PredictCpuPairCost(const sim::HwSpec& hw, uint64_t pair_r_tuples,
   // paper scale like join::CpuRadixBits.
   const uint64_t paper_pair_r = static_cast<uint64_t>(
       static_cast<double>(pair_r_tuples) * hw.scale);
-  const uint64_t target_tuples = std::max<uint64_t>(
-      cpu.llc_per_core / (2 * sizeof(partition::Tuple)), 1024);
+  const uint64_t target_tuples = join::CpuLlcPartitionTuples(cpu);
   if (paper_pair_r > target_tuples) {
     const uint32_t extra_bits = util::CeilLog2(
         util::CeilDiv(paper_pair_r, target_tuples));
@@ -170,7 +168,7 @@ CpuPairCost PredictCpuPairCost(const sim::HwSpec& hw, uint64_t pair_r_tuples,
 
   cost.join_seconds =
       static_cast<double>(pair_r_tuples + pair_s_tuples) /
-      join::CpuJoinRate(cpu, scheme);
+      join::CpuJoinRate(cpu, join::HashScheme::kBucketChaining);
   return cost;
 }
 

@@ -60,7 +60,8 @@ double PredictTritonSeconds(const sim::HwSpec& hw, uint64_t r_tuples,
 /// pull the pair out of the interleaved pass-1 state (the GPU-cached
 /// fraction crosses the link, the spilled fraction is already CPU-resident),
 /// sub-partition it if the pair's hash table exceeds the per-core LLC share
-/// at paper scale, then build + probe at the cache-resident rate.
+/// at paper scale, then build + probe a bucket-chaining table at the
+/// cache-resident rate.
 struct CpuPairCost {
   double link_seconds = 0.0;     // GPU-resident fraction pulled over the link
   double read_seconds = 0.0;     // CPU-resident fraction scanned from DRAM
@@ -78,8 +79,7 @@ struct CpuPairCost {
 };
 
 CpuPairCost PredictCpuPairCost(const sim::HwSpec& hw, uint64_t pair_r_tuples,
-                               uint64_t pair_s_tuples, double cached_fraction,
-                               join::HashScheme scheme);
+                               uint64_t pair_s_tuples, double cached_fraction);
 
 }  // namespace triton::sched
 

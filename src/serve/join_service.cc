@@ -55,6 +55,10 @@ sim::PerfCounters ProportionalShare(const sim::PerfCounters& c, uint64_t num,
 /// at most 2^63 bytes, so no byte size derived from a request wraps.
 constexpr uint64_t kMaxRequestTuples = uint64_t{1} << 55;
 
+/// Modeled seconds charged per scheduler dispatch (kernel launch + driver
+/// bookkeeping); amortized by probe batching.
+constexpr double kDispatchOverheadSeconds = 20e-6;
+
 }  // namespace
 
 const char* RequestKindName(RequestKind kind) {
@@ -216,7 +220,7 @@ void JoinService::DispatchOne() {
     }
   } else {
     RequestOutcome out = ExecuteQuery(inflight_[pick]);
-    out.elapsed += config_.dispatch_overhead_seconds;
+    out.elapsed += kDispatchOverheadSeconds;
     busy_seconds_ += out.elapsed;
     ++dispatches_;
     outcomes_.push_back(std::move(out));
@@ -325,8 +329,7 @@ void JoinService::ExecuteProbeBatch(const std::vector<size_t>& indices) {
     return;
   }
 
-  const double batch_elapsed =
-      run->elapsed + config_.dispatch_overhead_seconds;
+  const double batch_elapsed = run->elapsed + kDispatchOverheadSeconds;
   busy_seconds_ += batch_elapsed;
   for (size_t j = 0; j < indices.size(); ++j) {
     const InFlight& q = inflight_[indices[j]];

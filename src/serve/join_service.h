@@ -88,9 +88,6 @@ struct ServiceConfig {
   uint64_t scheduler_seed = 1;
   /// Maximum probe requests coalesced into one shared-build launch.
   uint32_t probe_batch_limit = 8;
-  /// Modeled seconds charged per scheduler dispatch (kernel launch +
-  /// driver bookkeeping); amortized by probe batching.
-  double dispatch_overhead_seconds = 20e-6;
   /// Cardinality of the shared resident build side (0 = none; probe
   /// requests are then rejected at submit).
   uint64_t shared_build_tuples = 0;

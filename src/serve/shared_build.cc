@@ -39,7 +39,7 @@ util::StatusOr<std::unique_ptr<SharedBuild>> SharedBuild::Create(
   auto rel = data::Relation::AllocateCpu(dev.allocator(), config.tuples);
   if (!rel.ok()) return rel.status();
   sb->build_ = std::move(rel).value();
-  data::FillPrimaryKeys(sb->build_, config.seed, /*shuffle=*/true);
+  data::FillPrimaryKeys(sb->build_, config.seed);
   data::FillPayloads(sb->build_, config.seed ^ 0x9e3779b97f4a7c15ULL);
 
   // No result is materialized, so the whole free GPU carve may hold the

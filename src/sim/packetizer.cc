@@ -58,17 +58,4 @@ TxnStats Packetizer::Bulk(uint64_t addr, uint64_t size, bool is_write) const {
   return out;
 }
 
-TxnStats Packetizer::Dma(uint64_t size, bool is_write) const {
-  TxnStats out;
-  if (size == 0) return out;
-  const uint64_t unit = spec_.max_dma_payload;
-  uint64_t full = size / unit;
-  out.txns += full;
-  out.payload += full * unit;
-  out.physical += full * (unit + spec_.header_bytes);
-  uint64_t rest = size % unit;
-  if (rest > 0) AddTxn(rest, is_write, &out);
-  return out;
-}
-
 }  // namespace triton::sim

@@ -55,16 +55,6 @@ class Packetizer {
   /// at most two ragged edges.
   TxnStats Bulk(uint64_t addr, uint64_t size, bool is_write) const;
 
-  /// Packetizes a DMA copy-engine transfer (256-byte transactions).
-  TxnStats Dma(uint64_t size, bool is_write) const;
-
-  /// Payload efficiency (payload / physical) of a perfectly coalesced,
-  /// aligned SM transaction stream.
-  double PeakSmEfficiency() const {
-    return static_cast<double>(spec_.max_sm_payload) /
-           static_cast<double>(spec_.max_sm_payload + spec_.header_bytes);
-  }
-
  private:
   /// Access for an access that may span cachelines: one transaction per
   /// (partial) cacheline touched.

@@ -78,13 +78,6 @@ struct PerfCounters {
     return link_read_payload + link_write_payload;
   }
 
-  /// Average payload bytes per link write transaction (0 if none).
-  double AvgWritePayload() const {
-    return link_write_txns == 0 ? 0.0
-                                : static_cast<double>(link_write_payload) /
-                                      static_cast<double>(link_write_txns);
-  }
-
   /// IOMMU translation requests per processed tuple (Figure 14b / 18d).
   double IommuRequestsPerTuple() const {
     return tuples == 0 ? 0.0

@@ -42,11 +42,6 @@ constexpr uint64_t AlignDown(uint64_t x, uint64_t align) {
   return x & ~(align - 1);
 }
 
-/// Extracts `bits` bits of x starting at bit `shift` (LSB order).
-constexpr uint64_t ExtractBits(uint64_t x, uint32_t shift, uint32_t bits) {
-  return (x >> shift) & ((uint64_t{1} << bits) - 1);
-}
-
 /// Ceil division for unsigned integers.
 constexpr uint64_t CeilDiv(uint64_t a, uint64_t b) { return (a + b - 1) / b; }
 

@@ -94,11 +94,6 @@ void JsonWriter::Bool(bool value) {
   Raw(value ? "true" : "false");
 }
 
-void JsonWriter::Null() {
-  BeforeValue();
-  Raw("null");
-}
-
 const std::string& JsonWriter::str() {
   CHECK(done_ && stack_.empty()) << "JSON document not closed";
   if (out_.empty() || out_.back() != '\n') Raw("\n");

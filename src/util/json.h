@@ -46,7 +46,6 @@ class JsonWriter {
   void Uint(uint64_t value);
   void Double(double value);
   void Bool(bool value);
-  void Null();
 
   /// The finished document (all containers closed), ending in '\n'.
   const std::string& str();

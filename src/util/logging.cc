@@ -32,10 +32,6 @@ const char* LevelName(LogLevel level) {
 
 }  // namespace
 
-LogLevel MinLogLevel() { return g_min_level; }
-
-void SetMinLogLevel(LogLevel level) { g_min_level = level; }
-
 LogMessage::LogMessage(LogLevel level, const char* file, int line)
     : level_(level) {
   const char* base = file;

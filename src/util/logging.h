@@ -19,13 +19,6 @@ namespace triton::util {
 /// Severity levels for LOG().
 enum class LogLevel { kDebug = 0, kInfo = 1, kWarning = 2, kError = 3, kFatal = 4 };
 
-/// Returns the minimum level that is emitted (default kInfo; override with
-/// env TRITON_LOG_LEVEL=0..4).
-LogLevel MinLogLevel();
-
-/// Sets the minimum emitted level programmatically (tests use this).
-void SetMinLogLevel(LogLevel level);
-
 /// One in-flight log statement; flushes on destruction and aborts for kFatal.
 class LogMessage {
  public:

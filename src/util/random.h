@@ -10,7 +10,6 @@
 #define TRITON_UTIL_RANDOM_H_
 
 #include <cstdint>
-#include <vector>
 
 namespace triton::util {
 
@@ -71,15 +70,6 @@ class Rng {
  private:
   uint64_t state_;
 };
-
-/// Fisher-Yates shuffle of `data` in place.
-template <typename T>
-void Shuffle(std::vector<T>& data, Rng& rng) {
-  for (size_t i = data.size(); i > 1; --i) {
-    size_t j = rng.NextBounded(i);
-    std::swap(data[i - 1], data[j]);
-  }
-}
 
 }  // namespace triton::util
 

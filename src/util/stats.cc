@@ -9,11 +9,4 @@ double Mean(const std::vector<double>& xs) {
   return sum / static_cast<double>(xs.size());
 }
 
-double GeoMean(const std::vector<double>& xs) {
-  if (xs.empty()) return 0.0;
-  double log_sum = 0.0;
-  for (double x : xs) log_sum += std::log(x);
-  return std::exp(log_sum / static_cast<double>(xs.size()));
-}
-
 }  // namespace triton::util

@@ -54,9 +54,6 @@ class RunningStat {
 /// Mean of a vector (0 for empty input).
 double Mean(const std::vector<double>& xs);
 
-/// Geometric mean of a vector of positive values (0 for empty input).
-double GeoMean(const std::vector<double>& xs);
-
 }  // namespace triton::util
 
 #endif  // TRITON_UTIL_STATS_H_

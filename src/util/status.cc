@@ -10,12 +10,8 @@ const char* StatusCodeName(StatusCode code) {
       return "InvalidArgument";
     case StatusCode::kOutOfMemory:
       return "OutOfMemory";
-    case StatusCode::kOutOfRange:
-      return "OutOfRange";
     case StatusCode::kFailedPrecondition:
       return "FailedPrecondition";
-    case StatusCode::kUnimplemented:
-      return "Unimplemented";
     case StatusCode::kInternal:
       return "Internal";
     case StatusCode::kResourceExhausted:

@@ -20,9 +20,7 @@ enum class StatusCode {
   kOk = 0,
   kInvalidArgument,
   kOutOfMemory,
-  kOutOfRange,
   kFailedPrecondition,
-  kUnimplemented,
   kInternal,
   /// A bounded resource (admission queue, memory-arbiter budget) is
   /// temporarily full; retrying after capacity is released can succeed.
@@ -54,14 +52,8 @@ class Status {
   static Status OutOfMemory(std::string msg) {
     return Status(StatusCode::kOutOfMemory, std::move(msg));
   }
-  static Status OutOfRange(std::string msg) {
-    return Status(StatusCode::kOutOfRange, std::move(msg));
-  }
   static Status FailedPrecondition(std::string msg) {
     return Status(StatusCode::kFailedPrecondition, std::move(msg));
-  }
-  static Status Unimplemented(std::string msg) {
-    return Status(StatusCode::kUnimplemented, std::move(msg));
   }
   static Status Internal(std::string msg) {
     return Status(StatusCode::kInternal, std::move(msg));

@@ -46,7 +46,7 @@ TEST_F(AggregateTest, MatchesReferenceGroupsAndSums) {
 
 TEST_F(AggregateTest, DistinctCountingMatchesReference) {
   data::Relation rel = MakeGrouped(50000, 777, 9);
-  TritonAggregate agg({.distinct_only = true});
+  TritonAggregate agg;
   auto run = agg.Run(*dev_, rel);
   ASSERT_TRUE(run.ok());
   EXPECT_EQ(run->groups, 777u);
@@ -55,7 +55,7 @@ TEST_F(AggregateTest, DistinctCountingMatchesReference) {
 TEST_F(AggregateTest, AllKeysUniqueDegeneratesToDeduplication) {
   auto rel = data::Relation::AllocateCpu(dev_->allocator(), 40000);
   ASSERT_TRUE(rel.ok());
-  data::FillPrimaryKeys(*rel, 3, true);
+  data::FillPrimaryKeys(*rel, 3);
   data::FillPayloads(*rel, 4);
   auto [ref_groups, ref_checksum] = ReferenceAggregate(*rel);
   EXPECT_EQ(ref_groups, 40000u);
@@ -104,16 +104,6 @@ TEST_F(AggregateTest, PayloadsNearInt64MaxWrapLikeTheReference) {
   TritonAggregate agg;
   auto run = agg.Run(*dev_, rel);
   ASSERT_TRUE(run.ok()) << run.status().ToString();
-  EXPECT_EQ(run->groups, ref_groups);
-  EXPECT_EQ(run->checksum, ref_checksum);
-}
-
-TEST_F(AggregateTest, ExplicitBitsRespectedAndExact) {
-  data::Relation rel = MakeGrouped(30000, 500, 21);
-  auto [ref_groups, ref_checksum] = ReferenceAggregate(rel);
-  TritonAggregate agg({.bits1 = 3, .bits2 = 5});
-  auto run = agg.Run(*dev_, rel);
-  ASSERT_TRUE(run.ok());
   EXPECT_EQ(run->groups, ref_groups);
   EXPECT_EQ(run->checksum, ref_checksum);
 }

@@ -53,7 +53,7 @@ TEST_F(DataTest, RowCountWhoseByteSizeOverflowsRejected) {
 TEST_F(DataTest, PrimaryKeysAreDensePermutation) {
   auto rel = Relation::AllocateCpu(alloc_, 4096);
   ASSERT_TRUE(rel.ok());
-  FillPrimaryKeys(*rel, 7, /*shuffle=*/true);
+  FillPrimaryKeys(*rel, 7);
   std::vector<Key> keys(rel->keys(), rel->keys() + rel->rows());
   std::sort(keys.begin(), keys.end());
   for (uint64_t i = 0; i < rel->rows(); ++i) {
@@ -64,7 +64,7 @@ TEST_F(DataTest, PrimaryKeysAreDensePermutation) {
 TEST_F(DataTest, ShuffleActuallyShuffles) {
   auto rel = Relation::AllocateCpu(alloc_, 4096);
   ASSERT_TRUE(rel.ok());
-  FillPrimaryKeys(*rel, 7, /*shuffle=*/true);
+  FillPrimaryKeys(*rel, 7);
   uint64_t in_place = 0;
   for (uint64_t i = 0; i < rel->rows(); ++i) {
     if (rel->keys()[i] == static_cast<Key>(i + 1)) ++in_place;

@@ -114,8 +114,7 @@ class Figure18dRegression : public ::testing::Test {
     partition::RadixConfig radix{0, bits};
     uint32_t blocks = hierarchical_blocks
                           ? partition::HierarchicalRecommendedBlocks(
-                                {}, hw_, dev.allocator().gpu_free(),
-                                radix.fanout())
+                                hw_, dev.allocator().gpu_free(), radix.fanout())
                           : 8;
     partition::PartitionLayout layout =
         partition::CpuPrefixSum(dev, input, radix, blocks);

@@ -158,29 +158,6 @@ TEST(BucketChainTableTest, DuplicateKeysAllMatch) {
   EXPECT_EQ(matches.size(), 3u);
 }
 
-TEST(BucketChainTableTest, ClearResets) {
-  constexpr uint32_t kBuckets = 64;
-  std::vector<uint32_t> heads(kBuckets, 0);
-  std::vector<int64_t> keys(16), values(16);
-  std::vector<uint32_t> next(16);
-  BucketChainTable t(heads.data(), kBuckets, keys.data(), values.data(),
-                     next.data(), 16);
-  t.Insert(1, 10, 0);
-  t.Clear();
-  EXPECT_EQ(t.size(), 0u);
-  int64_t matched = -1;
-  t.Probe(1, 0, [&](int64_t v) { matched = v; });
-  EXPECT_EQ(matched, -1);
-}
-
-TEST(BucketChainTableTest, StorageFitsScratchpadWithPartition) {
-  // The paper's configuration: 2048-bucket table for a scratchpad-resident
-  // partition. With ~2048 tuples per partition the table plus tuple arrays
-  // must fit in 64 KiB.
-  uint64_t bytes = BucketChainTable::StorageBytes(2048, 2048);
-  EXPECT_LE(bytes, 64u * 1024u);
-}
-
 TEST(BucketChainTableTest, ChainWalkCountsCollisions) {
   constexpr uint32_t kBuckets = 2;  // force collisions
   std::vector<uint32_t> heads(kBuckets, 0);

@@ -399,38 +399,41 @@ TEST_F(JoinTest, CpuPartitionedJoinIsExact) {
 // The CPU-partitioned join refuses to materialize them on both of its
 // paths: joining the pass-1 pairs directly (`bits2` derives to 0) and
 // refining them in a second pass first.
-void ExpectCpuPartitionedRefusesResultPastProbeRows(
-    exec::Device& dev, const data::Workload& wl, uint32_t bits1,
-    uint32_t bits2) {
-  CpuPartitionedJoin mat({.bits1 = bits1, .bits2 = bits2});
+void ExpectCpuPartitionedRefusesResultPastProbeRows(exec::Device& dev,
+                                                    const data::Workload& wl,
+                                                    bool second_pass) {
+  CpuPartitionedJoin mat;
   auto m = mat.Run(dev, wl.r, wl.s);
   ASSERT_FALSE(m.ok());
   EXPECT_EQ(m.status().code(), util::StatusCode::kResourceExhausted)
       << m.status().ToString();
   // Aggregating the same input is exact, and takes the intended path.
-  CpuPartitionedJoin agg(
-      {.result_mode = ResultMode::kAggregate, .bits1 = bits1, .bits2 = bits2});
+  CpuPartitionedJoin agg({.result_mode = ResultMode::kAggregate});
   auto a = agg.Run(dev, wl.r, wl.s);
   ASSERT_TRUE(a.ok()) << a.status().ToString();
   EXPECT_EQ(a->matches, 2 * wl.s.rows());
   EXPECT_EQ(a->checksum, ReferenceChecksum(wl.r, wl.s));
-  bool second_pass = false;
-  for (const auto& ph : a->phases) second_pass |= ph.name == "partition2";
-  EXPECT_EQ(second_pass, bits2 != 0);
+  bool refined = false;
+  for (const auto& ph : a->phases) refined |= ph.name == "partition2";
+  EXPECT_EQ(refined, second_pass);
 }
 
 TEST_F(JoinTest, CpuPartitionedJoinDirectPathRefusesResultPastProbeRows) {
+  // With a 2 MiB scratchpad a pass-1 build partition fits the join's
+  // table, so `bits2` derives to 0.
+  hw_.gpu.scratchpad_bytes = 2 << 20;
+  dev_ = std::make_unique<exec::Device>(hw_);
   auto wl = MakeWorkload(40000, 40000);
   RepeatBuildKeys(wl);
-  ExpectCpuPartitionedRefusesResultPastProbeRows(*dev_, wl, /*bits1=*/8,
-                                                 /*bits2=*/0);
+  ExpectCpuPartitionedRefusesResultPastProbeRows(*dev_, wl,
+                                                 /*second_pass=*/false);
 }
 
 TEST_F(JoinTest, CpuPartitionedJoinRefinedPathRefusesResultPastProbeRows) {
   auto wl = MakeWorkload(40000, 40000);
   RepeatBuildKeys(wl);
-  ExpectCpuPartitionedRefusesResultPastProbeRows(*dev_, wl, /*bits1=*/2,
-                                                 /*bits2=*/4);
+  ExpectCpuPartitionedRefusesResultPastProbeRows(*dev_, wl,
+                                                 /*second_pass=*/true);
 }
 
 TEST_F(JoinTest, CpuPartitionedJoinHandlesOutOfCoreData) {

@@ -882,7 +882,7 @@ TEST_F(ParallelIdentityTest,
        HierarchicalPartitionerAtRecommendedBlocksIsThreadCountInvariant) {
   partition::HierarchicalPartitioner hier;
   const uint32_t blocks = partition::HierarchicalRecommendedBlocks(
-      {}, hw_, exec::Device(hw_).allocator().gpu_free(), /*fanout=*/128);
+      hw_, exec::Device(hw_).allocator().gpu_free(), /*fanout=*/128);
   ASSERT_GT(blocks, 8u);
   PartResult serial = RunPartition(hier, 1, 96 * 1024, 7, blocks);
   for (uint32_t threads : {2u, 8u}) {
@@ -994,12 +994,14 @@ TEST_F(ParallelIdentityTest, CoProcessingIsThreadCountInvariant) {
   }
 }
 
-// Scratchpad-sized pass-1 pairs (`bits2` derives to 0) are joined straight
-// from GPU staging, one `join` block per pair.
+// Scratchpad-sized pass-1 pairs (`bits2` derives to 0: a 2 MiB scratchpad
+// holds a whole pass-1 build partition) are joined straight from GPU
+// staging, one `join` block per pair.
 TEST_F(ParallelIdentityTest, DirectCpuPartitionedJoinIsThreadCountInvariant) {
+  hw_.gpu.scratchpad_bytes = 2 << 20;
   auto make = [] {
     return join::CpuPartitionedJoin(
-        {.result_mode = join::ResultMode::kMaterialize, .bits1 = 8});
+        {.result_mode = join::ResultMode::kMaterialize});
   };
   {
     exec::Device dev(hw_, /*sanitize=*/true);

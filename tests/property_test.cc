@@ -182,11 +182,17 @@ class JoinAgreementProperty
 
 TEST_P(JoinAgreementProperty, AllAlgorithmsProduceTheSameJoin) {
   auto [seed, size_class] = GetParam();
-  sim::HwSpec hw = sim::HwSpec::Ac922NvLink().Scaled(64);
+  sim::HwSpec hw = sim::HwSpec::Ac922NvLink().Scaled(256);
   exec::Device dev(hw);
   util::Rng rng(seed);
+  // R stays small; S fills R + S up to 9/8 of the largest size whose pairs
+  // fit an eighth of GPU memory at 2^(bits1 - 1) pairs, so
+  // TritonJoin::DeriveBits picks 2^bits1 pass-1 pairs (fanouts 2..32).
+  const uint32_t bits1 = 1 + seed % 5;
+  const uint64_t tuples =
+      (hw.gpu_mem.capacity << bits1) / 16 / sizeof(partition::Tuple) * 9 / 8;
   uint64_t r = 2000 + rng.NextBounded(30000) * (size_class + 1);
-  uint64_t s = r + rng.NextBounded(2 * r);
+  uint64_t s = tuples - r;
 
   data::WorkloadConfig cfg;
   cfg.r_tuples = r;
@@ -212,9 +218,10 @@ TEST_P(JoinAgreementProperty, AllAlgorithmsProduceTheSameJoin) {
   ASSERT_TRUE(b.ok());
   EXPECT_EQ(b->checksum, ref->checksum);
 
-  core::TritonJoin triton({.bits1 = static_cast<uint32_t>(1 + seed % 5)});
+  core::TritonJoin triton;
   auto c = triton.Run(dev, wl->r, wl->s);
-  ASSERT_TRUE(c.ok());
+  ASSERT_TRUE(c.ok()) << c.status().ToString();
+  EXPECT_EQ(triton.stats().bits1, bits1);
   EXPECT_EQ(c->checksum, ref->checksum);
 }
 

@@ -174,7 +174,6 @@ TEST_F(CoProcessTest, OutOfCorePairsStageThroughBoundedQueue) {
   CoProcessConfig cfg;
   cfg.result_mode = join::ResultMode::kAggregate;
   cfg.split_ratio = 0.3;
-  cfg.staging_depth = 3;
   CoProcessScheduler hybrid(cfg);
   auto run = hybrid.Run(dev, wl.r, wl.s);
   ASSERT_TRUE(run.ok()) << run.status().ToString();
@@ -193,15 +192,13 @@ TEST_F(CoProcessTest, BitIdenticalAcrossThreadCounts) {
     ThreadsGuard guard(threads);
     exec::Device dev(hw_);
     auto wl = MakeWorkload(dev, 250000, 250000);
-    CoProcessConfig cfg;
-    cfg.adaptive = true;
-    cfg.wave_pairs = 8;
-    CoProcessScheduler hybrid(cfg);
+    CoProcessScheduler hybrid({.adaptive = true});
     auto run = hybrid.Run(dev, wl.r, wl.s);
     CHECK_OK(run.status());
     return Observed{std::move(run).value(), hybrid.stats()};
   };
   Observed base = observe(1);
+  ASSERT_GT(base.stats.waves.size(), 1u);
   for (uint32_t threads : {2u, 8u}) {
     Observed got = observe(threads);
     EXPECT_EQ(got.run.matches, base.run.matches) << threads;
@@ -232,7 +229,6 @@ TEST_F(CoProcessTest, AdaptiveTrajectoryIsSeededDeterministic) {
     auto wl = MakeWorkload(dev, 250000, 250000);
     CoProcessConfig cfg;
     cfg.adaptive = true;
-    cfg.wave_pairs = 8;
     cfg.seed = seed;
     CoProcessScheduler hybrid(cfg);
     auto run = hybrid.Run(dev, wl.r, wl.s);

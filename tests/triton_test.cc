@@ -231,15 +231,5 @@ TEST_F(TritonJoinTest, PhaseBreakdownCoversAllKernels) {
   EXPECT_GT(run->PhaseTime("join"), 0.0);
 }
 
-TEST_F(TritonJoinTest, ExplicitBitsAreRespected) {
-  auto wl = MakeWorkload(30000, 30000);
-  TritonJoin join({.bits1 = 4, .bits2 = 6});
-  auto run = join.Run(*dev_, wl.r, wl.s);
-  ASSERT_TRUE(run.ok());
-  EXPECT_EQ(join.stats().bits1, 4u);
-  EXPECT_EQ(join.stats().bits2, 6u);
-  EXPECT_EQ(run->matches, 30000u);
-}
-
 }  // namespace
 }  // namespace triton::core

@@ -40,9 +40,9 @@ TEST(StatusOrTest, HoldsValue) {
 }
 
 TEST(StatusOrTest, HoldsError) {
-  StatusOr<int> v = Status::OutOfRange("x");
+  StatusOr<int> v = Status::InvalidArgument("x");
   EXPECT_FALSE(v.ok());
-  EXPECT_EQ(v.status().code(), StatusCode::kOutOfRange);
+  EXPECT_EQ(v.status().code(), StatusCode::kInvalidArgument);
 }
 
 TEST(BitsTest, PowerOfTwoPredicates) {
@@ -85,11 +85,6 @@ TEST(BitsDeathTest, AlignmentToNonPowerOfTwoFailsInDevBuilds) {
   EXPECT_EQ(CeilDiv(3, 21845) * 21845, 21845u);
 }
 
-TEST(BitsTest, ExtractBits) {
-  EXPECT_EQ(ExtractBits(0b110101, 0, 3), 0b101u);
-  EXPECT_EQ(ExtractBits(0b110101, 3, 3), 0b110u);
-}
-
 TEST(RandomTest, LcgBoundedStaysInRange) {
   Lcg64 lcg(7);
   for (int i = 0; i < 10000; ++i) {
@@ -108,20 +103,6 @@ TEST(RandomTest, LcgIsRoughlyUniform) {
   }
 }
 
-TEST(RandomTest, ShuffleIsPermutation) {
-  std::vector<int> v(1000);
-  for (int i = 0; i < 1000; ++i) v[i] = i;
-  Rng rng(99);
-  Shuffle(v, rng);
-  std::vector<int> sorted = v;
-  std::sort(sorted.begin(), sorted.end());
-  for (int i = 0; i < 1000; ++i) EXPECT_EQ(sorted[i], i);
-  // Not the identity permutation (overwhelmingly likely).
-  bool moved = false;
-  for (int i = 0; i < 1000; ++i) moved |= (v[i] != i);
-  EXPECT_TRUE(moved);
-}
-
 TEST(StatsTest, MeanAndStderr) {
   RunningStat st;
   for (double x : {2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0}) st.Add(x);
@@ -131,11 +112,6 @@ TEST(StatsTest, MeanAndStderr) {
   EXPECT_EQ(st.count(), 8u);
   EXPECT_DOUBLE_EQ(st.min(), 2.0);
   EXPECT_DOUBLE_EQ(st.max(), 9.0);
-}
-
-TEST(StatsTest, GeoMean) {
-  EXPECT_NEAR(GeoMean({1.0, 4.0}), 2.0, 1e-12);
-  EXPECT_EQ(GeoMean({}), 0.0);
 }
 
 TEST(UnitsTest, FormatBytes) {
