@@ -1,6 +1,7 @@
 #include "core/triton_join.h"
 
 #include <algorithm>
+#include <string>
 
 #include "core/triton_pipeline.h"
 #include "util/bits.h"
@@ -30,9 +31,14 @@ void TritonJoin::DeriveBits(const sim::HwSpec& hw, uint64_t r_tuples,
 util::StatusOr<join::JoinRun> TritonJoin::Run(exec::Device& dev,
                                               const data::Relation& r,
                                               const data::Relation& s) {
+  const sim::HwSpec& hw = dev.hw();
+  if (config_.sms > hw.gpu.num_sms) {
+    return util::Status::InvalidArgument(
+        "Triton join: " + std::to_string(config_.sms) +
+        " SMs requested, the GPU has " + std::to_string(hw.gpu.num_sms));
+  }
   join::JoinRun run;
   stats_ = TritonJoinStats();
-  const sim::HwSpec& hw = dev.hw();
   const uint32_t sms = config_.sms == 0 ? hw.gpu.num_sms : config_.sms;
 
   uint32_t bits1, bits2;

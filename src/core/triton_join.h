@@ -55,7 +55,8 @@ struct TritonJoinConfig {
   /// First-pass partitioning algorithm; null = Hierarchical (Figure 17
   /// swaps in Standard/Linear/Shared here).
   partition::GpuPartitioner* pass1 = nullptr;
-  /// SMs available to the join (Figure 24 scales this; 0 = all).
+  /// SMs available to the join (Figure 24 scales this; 0 = all). More
+  /// than the GPU has is refused with InvalidArgument.
   uint32_t sms = 0;
 };
 

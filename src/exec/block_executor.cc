@@ -23,6 +23,16 @@ uint32_t DefaultThreads() {
   return std::clamp(hw, 1u, BlockExecutor::kMaxThreads);
 }
 
+/// Runs f(); if it throws and `error` holds no exception yet, keeps it there.
+template <typename F>
+void KeepFirstError(std::exception_ptr& error, const F& f) {
+  try {
+    f();
+  } catch (...) {
+    if (error == nullptr) error = std::current_exception();
+  }
+}
+
 }  // namespace
 
 BlockExecutor& BlockExecutor::Global() {
@@ -68,11 +78,7 @@ void BlockExecutor::StopWorkers() {
 
 void BlockExecutor::RunBlock(const std::function<void(uint32_t)>& fn,
                              uint32_t b) {
-  try {
-    fn(b);
-  } catch (...) {
-    errors_[b] = std::current_exception();
-  }
+  KeepFirstError(errors_[b], [&] { fn(b); });
   done_[b].store(1, std::memory_order_release);
 }
 
@@ -95,11 +101,7 @@ bool BlockExecutor::TryLaneStep(const Batch& batch, uint32_t& cursor) {
       ++end;
     }
     if (end > begin) {
-      try {
-        (*batch.lane_step)(l, begin, end);
-      } catch (...) {
-        if (lane.error == nullptr) lane.error = std::current_exception();
-      }
+      KeepFirstError(lane.error, [&] { (*batch.lane_step)(l, begin, end); });
       lane.next.store(end, std::memory_order_release);
     }
     lane.busy.store(false, std::memory_order_release);
@@ -120,21 +122,24 @@ bool BlockExecutor::LanesDone(const Batch& batch) const {
   return true;
 }
 
+void BlockExecutor::TryTask(const Batch& batch) {
+  // acq_rel: a thread that loses the claim sees that the winner joined the
+  // batch, so Run's wait for the workers also waits for the task.
+  if (batch.task == nullptr ||
+      task_claimed_.exchange(true, std::memory_order_acq_rel)) {
+    return;
+  }
+  KeepFirstError(task_error_, *batch.task);
+}
+
 void BlockExecutor::DrainBatch(const Batch& batch) {
+  TryTask(batch);
   uint32_t cursor = 0;
-  if (batch.order == Order::kSequential) {
-    // The whole chain is one claim: whoever wins it runs every block, and
-    // takes no lane step until the chain ends (it is the critical path).
-    if (next_block_.fetch_add(1, std::memory_order_relaxed) == 0) {
-      for (uint32_t b = 0; b < batch.num_blocks; ++b) RunBlock(*batch.fn, b);
-    }
-  } else {
-    while (true) {
-      if (TryLaneStep(batch, cursor)) continue;
-      const uint32_t b = next_block_.fetch_add(1, std::memory_order_relaxed);
-      if (b >= batch.num_blocks) break;
-      RunBlock(*batch.fn, b);
-    }
+  while (true) {
+    if (TryLaneStep(batch, cursor)) continue;
+    const uint32_t b = next_block_.fetch_add(1, std::memory_order_relaxed);
+    if (b >= batch.num_blocks) break;
+    RunBlock(*batch.fn, b);
   }
   while (!LanesDone(batch)) {
     if (!TryLaneStep(batch, cursor)) std::this_thread::yield();
@@ -162,32 +167,34 @@ void BlockExecutor::WorkerLoop() {
 void BlockExecutor::Run(uint32_t num_blocks,
                         const std::function<void(uint32_t)>& fn,
                         const std::function<void(uint32_t)>& reduce,
-                        Order order, uint32_t lanes,
-                        const LaneStep& lane_step) {
+                        uint32_t lanes, const LaneStep& lane_step,
+                        const std::function<void()>& task) {
   CHECK_LE(lanes, kMaxLanes);
   if (!lane_step) lanes = 0;
-  if (num_blocks == 0) return;
-  if (threads_ == 1 || num_blocks == 1 || workers_.empty()) {
-    std::exception_ptr error, lane_error;
+  std::exception_ptr error;
+  if (threads_ == 1 || workers_.empty() || (num_blocks <= 1 && !task)) {
+    // Inline: touches no executor state, so several host threads may run
+    // one-thread batches at once (the benches' --jobs mode).
+    std::exception_ptr task_error;
+    std::exception_ptr lane_error;
+    if (task) KeepFirstError(task_error, task);
     for (uint32_t b = 0; b < num_blocks; ++b) {
-      try {
-        fn(b);
-      } catch (...) {
-        if (error == nullptr) error = std::current_exception();
-      }
+      KeepFirstError(error, [&] { fn(b); });
       for (uint32_t l = 0; l < lanes; ++l) {
-        try {
-          lane_step(l, b, b + 1);
-        } catch (...) {
-          if (lane_error == nullptr) lane_error = std::current_exception();
-        }
+        KeepFirstError(lane_error, [&] { lane_step(l, b, b + 1); });
       }
       if (reduce) reduce(b);
     }
+    if (error == nullptr) error = task_error;
     if (error == nullptr) error = lane_error;
     if (error != nullptr) std::rethrow_exception(error);
     return;
   }
+  const Batch batch = {.fn = &fn,
+                       .lane_step = &lane_step,
+                       .task = task ? &task : nullptr,
+                       .num_blocks = num_blocks,
+                       .lanes = lanes};
   {
     std::lock_guard<std::mutex> lock(mu_);
     CHECK(batch_.fn == nullptr) << "BlockExecutor::Run is not reentrant";
@@ -204,23 +211,19 @@ void BlockExecutor::Run(uint32_t num_blocks,
       lanes_[l].next.store(0, std::memory_order_relaxed);
       lanes_[l].error = nullptr;
     }
-    batch_ = {.fn = &fn,
-              .lane_step = &lane_step,
-              .num_blocks = num_blocks,
-              .lanes = lanes,
-              .order = order};
+    batch_ = batch;
     next_block_.store(0, std::memory_order_relaxed);
+    task_claimed_.store(false, std::memory_order_relaxed);
+    task_error_ = nullptr;
     ++batch_id_;
   }
   work_cv_.notify_all();
-  const Batch batch = batch_;
 
   // Reduce every block that finished and passed all lanes; otherwise take
-  // a ready lane step, else help run blocks (any-order batches only), and
-  // once none are left to claim, wait.
-  std::exception_ptr error;
+  // a ready lane step, else help run blocks, and once none are left to
+  // claim, wait. Then run the task if no worker took it.
   bool reducing = static_cast<bool>(reduce);
-  bool claiming = order == Order::kAny;
+  bool claiming = true;
   uint32_t cursor = 0;
   for (uint32_t next = 0; next < num_blocks;) {
     uint32_t passed = num_blocks;
@@ -252,11 +255,13 @@ void BlockExecutor::Run(uint32_t num_blocks,
     }
     std::this_thread::yield();
   }
+  TryTask(batch);
   {
     std::unique_lock<std::mutex> lock(mu_);
     done_cv_.wait(lock, [&] { return active_workers_ == 0; });
     batch_ = {};
   }
+  if (error == nullptr) error = task_error_;
   for (uint32_t l = 0; l < lanes && error == nullptr; ++l) {
     error = lanes_[l].error;
   }

@@ -11,11 +11,15 @@
 //     finished blocks (one TLB shard each). Lane l's step covers every
 //     block that finished after its previous step, up to the first
 //     unfinished block, in block order; at most one thread runs a lane at
-//     a time. Any thread but the one running an in-order chain takes a
-//     ready lane step before it claims another block.
+//     a time. A thread takes a ready lane step before it claims another
+//     block.
 //   - The reduction. reduce(b) runs on the launching thread once block b
 //     finished and every lane has passed it, in block order, while later
 //     blocks and lane steps still run.
+//
+// A batch may also carry one task outside the block order: the first
+// worker to join the batch runs it while the other threads run blocks,
+// lane steps and the reduction, so no lane step or reduction waits for it.
 //
 // Workers publish a finished block with one release store of its done
 // flag, and a lane's progress with one release store of its next block.
@@ -23,8 +27,10 @@
 // The pool size comes from, in decreasing precedence: SetThreads() (the
 // --threads bench flag), the TRITON_THREADS environment variable, and
 // std::thread::hardware_concurrency(), and never exceeds kMaxThreads. One
-// thread means inline execution with zero synchronization: each block's
-// lane steps and reduction run right after it.
+// thread means inline execution with zero synchronization: the task runs
+// first, and each block's lane steps and reduction run right after it.
+// Such a batch touches no executor state, so several host threads may each
+// run one at the same time (the benches' --jobs mode).
 
 #ifndef TRITON_EXEC_BLOCK_EXECUTOR_H_
 #define TRITON_EXEC_BLOCK_EXECUTOR_H_
@@ -75,44 +81,37 @@ class BlockExecutor {
   /// Current pool size (>= 1; includes the calling thread).
   uint32_t threads() const { return threads_; }
 
-  /// How Run assigns a batch's blocks to threads.
-  enum class Order {
-    /// Blocks are claimed from an atomic counter by any thread, the
-    /// calling one included.
-    kAny,
-    /// One pool thread runs the blocks one after another in ascending
-    /// order (each starts after the previous one returned and sees its
-    /// writes) and takes no lane step meanwhile; the other threads run the
-    /// lanes and the calling thread reduces.
-    kSequential,
-  };
-
   /// Runs fn(b) for every b in [0, num_blocks); for each of `lanes` lanes
   /// (at most kMaxLanes) runs lane_step over every block, in ordered steps
   /// after the blocks finished; and, if `reduce` is non-empty, runs
   /// reduce(b) on the calling thread for every b in ascending order, each
   /// as soon as blocks 0..b have finished and every lane has passed b.
-  /// Under Order::kAny block-to-thread assignment is nondeterministic, so
-  /// fn must only touch per-block state; a lane step may touch its lane's
-  /// state and its blocks' state for that lane; reduce(b) must not touch
-  /// state that blocks or lane steps after b use. Returns when every block
-  /// ran, passed every lane and was reduced. A block that throws still
-  /// passes the lanes and is reduced; the first exception in block order
-  /// (else the first a lane step threw) is rethrown here after all workers
-  /// have drained.
+  /// Any thread, the calling one included, claims blocks from an atomic
+  /// counter in ascending order, so block-to-thread assignment is
+  /// nondeterministic: fn must only touch per-block state; a lane step may
+  /// touch its lane's state and its blocks' state for that lane; reduce(b)
+  /// must not touch state that blocks or lane steps after b use. Returns
+  /// when every block ran, passed every lane and was reduced. A block that
+  /// throws still passes the lanes and is reduced. A non-empty `task` runs
+  /// once, alongside the blocks, on a worker (on the calling thread if no
+  /// worker took it by the last reduction, and first at one thread); it
+  /// must not touch state that blocks, lane steps or reductions use, and
+  /// Run returns after it ended. The first exception in block order, else
+  /// the task's, else the first a lane step threw, is rethrown here after
+  /// all workers have drained.
   void Run(uint32_t num_blocks, const std::function<void(uint32_t)>& fn,
            const std::function<void(uint32_t)>& reduce = {},
-           Order order = Order::kAny, uint32_t lanes = 0,
-           const LaneStep& lane_step = {});
+           uint32_t lanes = 0, const LaneStep& lane_step = {},
+           const std::function<void()>& task = {});
 
  private:
   /// What a worker needs of the current batch.
   struct Batch {
     const std::function<void(uint32_t)>* fn = nullptr;
     const LaneStep* lane_step = nullptr;
+    const std::function<void()>* task = nullptr;
     uint32_t num_blocks = 0;
     uint32_t lanes = 0;
-    Order order = Order::kAny;
   };
 
   /// One replay lane's progress, on a cache line of its own.
@@ -126,10 +125,14 @@ class BlockExecutor {
   };
 
   void WorkerLoop();
-  /// A worker's share of a batch: claims and runs blocks (taking ready
-  /// lane steps first) until none are left, then runs lane steps until
-  /// every lane has passed every block.
+  /// A worker's share of a batch: runs the task if no thread has claimed
+  /// it, then claims and runs blocks (taking ready lane steps first) until
+  /// none are left, then runs lane steps until every lane has passed every
+  /// block.
   void DrainBatch(const Batch& batch);
+  /// Runs the batch's task, keeping its exception, unless a thread has
+  /// claimed it.
+  void TryTask(const Batch& batch);
   /// Runs block b, keeps its exception, and publishes its done flag.
   void RunBlock(const std::function<void(uint32_t)>& fn, uint32_t b);
   /// Runs one ready lane step, trying lanes from `cursor` on (which it
@@ -149,7 +152,8 @@ class BlockExecutor {
   // runner before the flag's release store, read after its acquire load)
   // and the lanes (a lane's holder writes its state between the acquire
   // and the release of its busy flag, and publishes its progress with a
-  // release store of `next`).
+  // release store of `next`). The task's runner claims it with task_claimed_
+  // and writes task_error_ before it leaves the batch.
   std::mutex mu_;
   std::condition_variable work_cv_;
   std::condition_variable done_cv_;
@@ -159,6 +163,8 @@ class BlockExecutor {
   /// The current batch; batch_.fn is null between batches.
   Batch batch_;
   std::atomic<uint32_t> next_block_{0};
+  std::atomic<bool> task_claimed_{false};
+  std::exception_ptr task_error_;
   Lane lanes_[kMaxLanes];
   /// Per-block done flags and exceptions of the current batch; grown (never
   /// shrunk) and reset before each batch is published.

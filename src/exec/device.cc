@@ -111,21 +111,13 @@ void KernelContext::ReduceBlock(KernelContext& sub) {
 
 void KernelContext::ForEachBlock(
     uint32_t num_blocks,
-    const std::function<void(KernelContext&, uint32_t)>& body) {
-  RunBlocks(num_blocks, /*in_order=*/false, body);
-}
-
-void KernelContext::ForEachBlockInOrder(
-    uint32_t num_blocks,
-    const std::function<void(KernelContext&, uint32_t)>& body) {
-  RunBlocks(num_blocks, /*in_order=*/true, body);
-}
-
-void KernelContext::RunBlocks(
-    uint32_t num_blocks, bool in_order,
-    const std::function<void(KernelContext&, uint32_t)>& body) {
+    const std::function<void(KernelContext&, uint32_t)>& body,
+    const std::function<void()>& task) {
   CHECK(!defer_tlb_) << "ForEachBlock cannot nest inside a block";
-  if (num_blocks == 0) return;
+  if (num_blocks == 0) {
+    if (task) task();
+    return;
+  }
   // Lanes pay off only when replay is heavy: they cost the blocks a shard
   // lookup per access and a hand-off per lane and run of finished blocks,
   // while a lookup that hits the L2 TLB replays in a few nanoseconds. So a
@@ -190,10 +182,7 @@ void KernelContext::RunBlocks(
         body(sub, b);
         if (sub.san_ != nullptr) sub.san_->FinishBlock();
       },
-      [this, subs](uint32_t b) { ReduceBlock(*subs[b]); },
-      in_order ? BlockExecutor::Order::kSequential
-               : BlockExecutor::Order::kAny,
-      lanes,
+      [this, subs](uint32_t b) { ReduceBlock(*subs[b]); }, lanes,
       [subs, &tlb, &lane_counters](uint32_t shard, uint32_t first,
                                    uint32_t last) {
         for (uint32_t b = first; b < last; ++b) {
@@ -201,7 +190,8 @@ void KernelContext::RunBlocks(
           tlb.ReplayShard(shard, log.data(), log.size(),
                           &lane_counters[shard].counters);
         }
-      });
+      },
+      task);
   for (uint32_t l = 0; l < lanes; ++l) {
     counters_.Merge(lane_counters[l].counters);
   }

@@ -26,9 +26,10 @@
 // and merges its sanitizer state. Results,
 // counters, latency sums and violation provenance are therefore
 // bit-identical for any thread count (one thread replays and reduces each
-// block right after it runs). Kernels whose functional result depends on
-// block order use ForEachBlockInOrder instead. The allocator and the trace
-// must not be used inside a block.
+// block right after it runs). A kernel whose functional result depends on
+// order runs that part serially, as the batch's task alongside the blocks
+// (the no-partitioning join's insert), and accounts in order-free blocks.
+// The allocator and the trace must not be used inside a block or a task.
 
 #ifndef TRITON_EXEC_DEVICE_H_
 #define TRITON_EXEC_DEVICE_H_
@@ -100,19 +101,12 @@ class KernelContext : private sim::TlbEscalationSink {
   /// so counters, latency sums and sanitizer provenance are bit-identical
   /// to serial execution for any thread count. The body must route all
   /// accounting through its sub-context and must not touch the Device's
-  /// allocator, trace, shared TLB or sanitizer.
+  /// allocator, trace, shared TLB or sanitizer. A non-empty `task` runs
+  /// once alongside the blocks, outside the block order, usually on a pool
+  /// worker (see exec::BlockExecutor::Run); it accounts nothing.
   void ForEachBlock(uint32_t num_blocks,
-                    const std::function<void(KernelContext&, uint32_t)>& body);
-
-  /// ForEachBlock for kernels whose functional result depends on block
-  /// order (a hash-table build whose insertion order decides the layout):
-  /// the blocks run one after another in ascending order on one pool
-  /// thread — each sees the previous one's writes — while the other
-  /// threads replay and the calling thread reduces the finished ones. With
-  /// one thread each block is replayed and reduced right after it runs.
-  void ForEachBlockInOrder(
-      uint32_t num_blocks,
-      const std::function<void(KernelContext&, uint32_t)>& body);
+                    const std::function<void(KernelContext&, uint32_t)>& body,
+                    const std::function<void()>& task = {});
 
   /// Escalation target for block-local TLBs (sim::BlockTlb): inside a
   /// ForEachBlock sub-context this logs the miss for ordered replay; on a
@@ -299,10 +293,6 @@ class KernelContext : private sim::TlbEscalationSink {
   /// batch has no replay lanes, adds its random-access latencies in issue
   /// order, and merges its counters and sanitizer state.
   void ReduceBlock(KernelContext& sub);
-
-  /// Shared body of ForEachBlock / ForEachBlockInOrder.
-  void RunBlocks(uint32_t num_blocks, bool in_order,
-                 const std::function<void(KernelContext&, uint32_t)>& body);
 
   Device* device_;
   KernelConfig config_;

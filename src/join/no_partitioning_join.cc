@@ -2,15 +2,14 @@
 
 #include <algorithm>
 #include <cstring>
+#include <functional>
 #include <string>
 #include <vector>
 
-#include "exec/block_executor.h"
 #include "hash/entry.h"
 #include "hash/hash_fn.h"
 #include "hash/linear_table.h"
 #include "util/bits.h"
-#include "util/logging.h"
 
 namespace triton::join {
 
@@ -41,22 +40,23 @@ struct Node {
 /// ForEachBlock wave. Blocks are contiguous input chunks reduced in block
 /// order, so the TLB replay follows input order whatever the two sizes
 /// are: they trade host memory (the TLB logs and staged matches of one
-/// wave stay alive) against per-block and per-wave overhead, never a
-/// modeled value.
+/// wave, and the build's probe distances of two, stay alive) against
+/// per-block and per-wave overhead, never a modeled value.
 constexpr uint64_t kBlockTuples = 4096;
 constexpr uint32_t kWaveBlocks = 64;
+constexpr uint64_t kWaveTuples = kBlockTuples * kWaveBlocks;
 
 /// Runs body(sub, begin, end, b) over rows [0, segment_ends.back()) in
 /// blocks of at most kBlockTuples, cut at every segment end so that each
-/// block lies in one segment, one ForEachBlock (or ForEachBlockInOrder)
-/// wave of up to kWaveBlocks blocks at a time. After each wave,
-/// after_wave(blocks, segment_of) runs on the calling thread with the
-/// wave's block count and each block's segment index (slot b held block
-/// b's chunk); the loop stops early when it returns false.
+/// block lies in one segment, one ForEachBlock wave of up to kWaveBlocks
+/// blocks at a time. After each wave, after_wave(blocks, segment_of) runs
+/// on the calling thread with the wave's block count and each block's
+/// segment index (slot b held block b's chunk); the loop stops early when
+/// it returns false.
 template <typename Body, typename AfterWave>
 void ForEachWave(exec::KernelContext& ctx,
-                 const std::vector<uint64_t>& segment_ends, bool in_order,
-                 const Body& body, const AfterWave& after_wave) {
+                 const std::vector<uint64_t>& segment_ends, const Body& body,
+                 const AfterWave& after_wave) {
   const uint64_t n = segment_ends.empty() ? 0 : segment_ends.back();
   uint64_t bounds[kWaveBlocks + 1] = {};
   size_t segment_of[kWaveBlocks] = {};
@@ -70,14 +70,9 @@ void ForEachWave(exec::KernelContext& ctx,
       pos = std::min(segment_ends[segment], pos + kBlockTuples);
     }
     bounds[blocks] = pos;
-    auto block = [&](exec::KernelContext& sub, uint32_t b) {
+    ctx.ForEachBlock(blocks, [&](exec::KernelContext& sub, uint32_t b) {
       body(sub, bounds[b], bounds[b + 1], b);
-    };
-    if (in_order) {
-      ctx.ForEachBlockInOrder(blocks, block);
-    } else {
-      ctx.ForEachBlock(blocks, block);
-    }
+    });
     if (!after_wave(blocks, segment_of)) return;
   }
 }
@@ -150,7 +145,14 @@ util::StatusOr<NpjTable> NpjTable::Build(
     const NoPartitioningJoinConfig& config) {
   TRITON_RETURN_IF_ERROR(NeedsPayload(r));
   const HashScheme scheme = config.scheme;
-  const uint64_t table_bytes = NpjTableBytes(scheme, r.rows());
+  const uint64_t n = r.rows();
+  // A linear-probing row's probe distance is below the number of rows
+  // inserted before it, and the build records it in 32 bits.
+  if (scheme == HashScheme::kLinearProbing && n > (uint64_t{1} << 32)) {
+    return util::Status::InvalidArgument(
+        JoinName(scheme) + ": more than 2^32 build rows");
+  }
+  const uint64_t table_bytes = NpjTableBytes(scheme, n);
   // Result materialization stages matches in GPU memory before streaming
   // them out; reserve an eighth of the GPU for it.
   uint64_t gpu_avail = dev.allocator().gpu_free();
@@ -165,99 +167,179 @@ util::StatusOr<NpjTable> NpjTable::Build(
   auto buffer = dev.allocator().AllocateInterleaved(table_bytes, cache);
   if (!buffer.ok()) return buffer.status();
   std::memset(buffer->data(), 0, buffer->size());
-  NpjTable npj(scheme, r.rows(), std::move(buffer).value());
+  NpjTable npj(scheme, n, std::move(buffer).value());
   mem::Buffer& table = npj.table_;
-  const TableView view(table, r.rows());
+  const TableView view(table, n);
   const data::Key* r_keys = r.keys();
   const data::Value* r_vals = r.payload(0);
 
-  // Insertion order decides the linear-probing layout and the chain order,
-  // so the blocks run in input order. The first contract violation in
-  // input order stops the build; later blocks skip.
   util::Status status;
   auto refuse = [&](uint64_t row, data::Key key, const char* why) {
     status = util::Status::InvalidArgument(
         JoinName(scheme) + ": build row " + std::to_string(row) +
         " has key " + std::to_string(key) + ", " + why);
   };
+
+  // The number of slots linear-probing row i read, at i % (2 *
+  // kWaveTuples): the occupied ones before its own slot, or for a refused
+  // duplicate up to and including the duplicate's (none for key 0). One
+  // wave is accounted from these while the next, at most kWaveTuples rows
+  // on, is inserted.
+  std::vector<uint32_t> probe_reads(
+      scheme == HashScheme::kLinearProbing ? 2 * kWaveTuples : 0);
+  auto reads_of = [&](uint64_t row) -> uint32_t& {
+    return probe_reads[row % (2 * kWaveTuples)];
+  };
+
+  // The insert: rows [begin, end) in input order, accounting nothing. It
+  // returns the first row not inserted: `end`, or the first row that
+  // breaks the key contract, which it refuses.
+  hash::Entry* slots = view.slots;
+  auto insert = [&](uint64_t begin, uint64_t end) {
+    switch (scheme) {
+      case HashScheme::kPerfect:
+        for (uint64_t i = begin; i < end; ++i) {
+          if (i + kPrefetchDist < end &&
+              view.InDomain(r_keys[i + kPrefetchDist])) {
+            __builtin_prefetch(
+                &slots[static_cast<uint64_t>(r_keys[i + kPrefetchDist] - 1)],
+                1);
+          }
+          if (!view.InDomain(r_keys[i])) {
+            refuse(i, r_keys[i], "outside the dense domain 1..|R|");
+            return i;
+          }
+          const uint64_t slot = static_cast<uint64_t>(r_keys[i] - 1);
+          if (slots[slot].key != 0) {
+            refuse(i, r_keys[i], "which an earlier row holds");
+            return i;
+          }
+          slots[slot] = {r_keys[i], r_vals[i]};
+        }
+        return end;
+      case HashScheme::kLinearProbing: {
+        const hash::LinearTable linear(table.size() / sizeof(hash::Entry));
+        for (uint64_t i = begin; i < end; ++i) {
+          if (i + kPrefetchDist < end) {
+            __builtin_prefetch(
+                &slots[linear.SlotOf(r_keys[i + kPrefetchDist])], 1);
+          }
+          if (r_keys[i] == 0) {
+            reads_of(i) = 0;
+            refuse(i, 0, "which marks an empty slot");
+            return i;
+          }
+          uint64_t slot = linear.SlotOf(r_keys[i]);
+          uint32_t reads = 0;
+          while (slots[slot].key != 0) {
+            ++reads;
+            if (slots[slot].key == r_keys[i]) break;
+            slot = linear.NextSlot(slot);
+          }
+          reads_of(i) = reads;
+          if (slots[slot].key != 0) {
+            refuse(i, r_keys[i], "which an earlier row holds");
+            return i;
+          }
+          slots[slot] = {r_keys[i], r_vals[i]};
+        }
+        return end;
+      }
+      case HashScheme::kBucketChaining:
+        for (uint64_t i = begin; i < end; ++i) {
+          if (i + kPrefetchDist < end) {
+            __builtin_prefetch(
+                &view.heads[view.HeadOf(r_keys[i + kPrefetchDist])], 1);
+          }
+          const uint64_t b = view.HeadOf(r_keys[i]);
+          view.nodes[i] = {r_keys[i], r_vals[i], view.heads[b]};
+          view.heads[b] = i + 1;
+        }
+        return end;
+    }
+    return begin;
+  };
+
+  // Accounts rows [begin, end), of which the insert stopped at `stop`:
+  // each earlier row's accesses follow from its key and, under linear
+  // probing, its read count, and row `stop` accounts only its reads (file
+  // comment).
+  auto account = [&](exec::KernelContext& sub, uint64_t begin, uint64_t end,
+                     uint64_t stop) {
+    switch (scheme) {
+      case HashScheme::kPerfect:
+        for (uint64_t i = begin; i < std::min(end, stop); ++i) {
+          sub.WriteRand(table,
+                        static_cast<uint64_t>(r_keys[i] - 1) *
+                            sizeof(hash::Entry),
+                        sizeof(hash::Entry));
+        }
+        return;
+      case HashScheme::kLinearProbing: {
+        const hash::LinearTable linear(table.size() / sizeof(hash::Entry));
+        for (uint64_t i = begin; i < end; ++i) {
+          uint64_t slot = linear.SlotOf(r_keys[i]);
+          for (uint32_t k = reads_of(i); k > 0;
+               --k, slot = linear.NextSlot(slot)) {
+            sub.ReadRand(table, slot * sizeof(hash::Entry),
+                         sizeof(hash::Entry));
+          }
+          if (i < stop) {
+            sub.WriteRand(table, slot * sizeof(hash::Entry),
+                          sizeof(hash::Entry));
+          }
+        }
+        return;
+      }
+      case HashScheme::kBucketChaining:
+        for (uint64_t i = begin; i < end; ++i) {
+          const uint64_t b = view.HeadOf(r_keys[i]);
+          sub.WriteRand(table,
+                        view.num_heads * sizeof(uint64_t) + i * sizeof(Node),
+                        sizeof(Node));
+          sub.ReadRand(table, b * sizeof(uint64_t), sizeof(uint64_t));
+          sub.WriteRand(table, b * sizeof(uint64_t), sizeof(uint64_t));
+        }
+        return;
+    }
+  };
+
   exec::KernelConfig build_cfg;
   build_cfg.name = std::string("npj_build_") + HashSchemeName(scheme);
   dev.Launch(build_cfg, [&](exec::KernelContext& ctx) {
-    ctx.ReadSeq(r.key_buffer(), 0, r.rows() * sizeof(data::Key));
-    ctx.ReadSeq(r.payload_buffer(0), 0, r.rows() * sizeof(data::Value));
-    ctx.AddTuples(r.rows());
-    ctx.Charge(static_cast<uint64_t>(r.rows() * kBuildCyclesPerTuple));
+    ctx.ReadSeq(r.key_buffer(), 0, n * sizeof(data::Key));
+    ctx.ReadSeq(r.payload_buffer(0), 0, n * sizeof(data::Value));
+    ctx.AddTuples(n);
+    ctx.Charge(static_cast<uint64_t>(n * kBuildCyclesPerTuple));
 
-    hash::Entry* slots = view.slots;
-    auto build_block = [&](exec::KernelContext& sub, uint64_t begin,
-                           uint64_t end, uint32_t) {
-      if (!status.ok()) return;
-      switch (scheme) {
-        case HashScheme::kPerfect:
-          for (uint64_t i = begin; i < end; ++i) {
-            if (i + kPrefetchDist < end &&
-                view.InDomain(r_keys[i + kPrefetchDist])) {
-              __builtin_prefetch(
-                  &slots[static_cast<uint64_t>(r_keys[i + kPrefetchDist] - 1)],
-                  1);
-            }
-            if (!view.InDomain(r_keys[i])) {
-              return refuse(i, r_keys[i], "outside the dense domain 1..|R|");
-            }
-            const uint64_t slot = static_cast<uint64_t>(r_keys[i] - 1);
-            if (slots[slot].key != 0) {
-              return refuse(i, r_keys[i], "which an earlier row holds");
-            }
-            slots[slot] = {r_keys[i], r_vals[i]};
-            sub.WriteRand(table, slot * sizeof(hash::Entry),
-                          sizeof(hash::Entry));
-          }
-          return;
-        case HashScheme::kLinearProbing: {
-          const hash::LinearTable linear(table.size() / sizeof(hash::Entry));
-          for (uint64_t i = begin; i < end; ++i) {
-            if (i + kPrefetchDist < end) {
-              __builtin_prefetch(
-                  &slots[linear.SlotOf(r_keys[i + kPrefetchDist])], 1);
-            }
-            if (r_keys[i] == 0) {
-              return refuse(i, 0, "which marks an empty slot");
-            }
-            uint64_t slot = linear.SlotOf(r_keys[i]);
-            while (slots[slot].key != 0) {
-              sub.ReadRand(table, slot * sizeof(hash::Entry),
-                           sizeof(hash::Entry));
-              if (slots[slot].key == r_keys[i]) {
-                return refuse(i, r_keys[i], "which an earlier row holds");
-              }
-              slot = linear.NextSlot(slot);
-            }
-            slots[slot] = {r_keys[i], r_vals[i]};
-            sub.WriteRand(table, slot * sizeof(hash::Entry),
-                          sizeof(hash::Entry));
-          }
-          return;
-        }
-        case HashScheme::kBucketChaining:
-          for (uint64_t i = begin; i < end; ++i) {
-            if (i + kPrefetchDist < end) {
-              __builtin_prefetch(
-                  &view.heads[view.HeadOf(r_keys[i + kPrefetchDist])], 1);
-            }
-            const uint64_t b = view.HeadOf(r_keys[i]);
-            view.nodes[i] = {r_keys[i], r_vals[i], view.heads[b]};
-            sub.WriteRand(table,
-                          view.num_heads * sizeof(uint64_t) + i * sizeof(Node),
-                          sizeof(Node));
-            sub.ReadRand(table, b * sizeof(uint64_t), sizeof(uint64_t));
-            sub.WriteRand(table, b * sizeof(uint64_t), sizeof(uint64_t));
-            view.heads[b] = i + 1;
-          }
-          return;
+    // Each wave's rows are accounted in one batch of blocks, whose task
+    // inserts the next wave's rows meanwhile; the blocks account only rows
+    // inserted before the batch. Waves start at one block and double up to
+    // kWaveBlocks, so that little is inserted before the first batch and a
+    // task never inserts more than twice the rows its batch accounts.
+    uint64_t inserted = insert(0, std::min(n, kBlockTuples));
+    for (uint64_t begin = 0, rows = kBlockTuples; begin < n;
+         begin += rows, rows = std::min(2 * rows, kWaveTuples)) {
+      const uint64_t end = std::min(n, begin + rows);
+      const uint64_t stop = inserted;
+      const uint64_t account_end = std::min(end, stop + 1);
+      std::function<void()> insert_next;
+      if (stop == end && end < n) {
+        insert_next = [&] {
+          inserted = insert(end, std::min(n, end + std::min(2 * rows,
+                                                            kWaveTuples)));
+        };
       }
-    };
-    ForEachWave(ctx, {r.rows()}, /*in_order=*/true, build_block,
-                [&](uint32_t, const size_t*) { return status.ok(); });
+      ctx.ForEachBlock(
+          static_cast<uint32_t>(
+              util::CeilDiv(account_end - begin, kBlockTuples)),
+          [&](exec::KernelContext& sub, uint32_t b) {
+            const uint64_t lo = begin + b * kBlockTuples;
+            account(sub, lo, std::min(account_end, lo + kBlockTuples), stop);
+          },
+          insert_next);
+      if (stop < end) break;
+    }
   });
   if (!status.ok()) {
     npj.Free(dev);
@@ -270,9 +352,12 @@ util::StatusOr<std::vector<NpjTable::SegmentTotals>> NpjTable::Probe(
     exec::Device& dev, const data::Relation& s,
     const std::vector<uint64_t>& segment_ends, mem::Buffer* result) {
   TRITON_RETURN_IF_ERROR(NeedsPayload(s));
-  CHECK(!segment_ends.empty() && segment_ends.back() == s.rows() &&
-        std::is_sorted(segment_ends.begin(), segment_ends.end()))
-      << "probe segments must be ascending and end at s.rows()";
+  if (segment_ends.empty() || segment_ends.back() != s.rows() ||
+      !std::is_sorted(segment_ends.begin(), segment_ends.end())) {
+    return util::Status::InvalidArgument(
+        JoinName(scheme_) +
+        ": probe segment ends must be ascending and end at the probe rows");
+  }
   const TableView view(table_, build_rows_);
   const hash::Entry* slots = view.slots;
   const data::Key* s_keys = s.keys();
@@ -380,7 +465,7 @@ util::StatusOr<std::vector<NpjTable::SegmentTotals>> NpjTable::Probe(
     const uint64_t capacity =
         result != nullptr ? result->size() / sizeof(hash::Entry) : 0;
     uint64_t cursor = 0;  // result rows stored so far
-    ForEachWave(ctx, segment_ends, /*in_order=*/false, probe_block,
+    ForEachWave(ctx, segment_ends, probe_block,
                 [&](uint32_t blocks, const size_t* segment_of) {
                   for (uint32_t b = 0; b < blocks; ++b) {
                     SegmentTotals& seg = totals[segment_of[b]];

@@ -17,12 +17,23 @@
 // segment of the probe rows.
 //
 // Execution: both phases run as thread blocks over contiguous input
-// chunks, in waves. The probe uses KernelContext::ForEachBlock: blocks run
-// in any order, stage their matches, and are appended in block order. The
-// build uses ForEachBlockInOrder, because insertion order decides the
-// linear-probing layout and the chain order. Either way the launching
-// thread replays each finished block's TLB accesses in input order while
-// later blocks run, so every counter equals a serial run's.
+// chunks, in waves, through KernelContext::ForEachBlock: blocks run in any
+// order, and each finished block's TLB accesses are replayed in input
+// order while later blocks run, so every counter equals a serial run's.
+// Probe blocks stage their matches, which are appended in block order. The
+// build is split in two steps. Insertion order decides the linear-probing
+// layout and the chain order, so one plain loop inserts the rows in input
+// order and accounts nothing; the blocks then account each row's accesses,
+// which are fixed once the insert has run:
+//   - perfect: one write at slot key - 1;
+//   - linear probing: reads of slots home .. home + d - 1, then a write of
+//     slot home + d, where d is the row's probe distance, which the insert
+//     records (every slot in between held an earlier row);
+//   - bucket chaining: the node write, then the read and the write of the
+//     key's bucket head (its address, not its value).
+// The insert of each wave runs alongside the accounting of the previous
+// one, as its batch's task. A refused row accounts only its reads: up to
+// and including the duplicate's slot under linear probing, none otherwise.
 //
 // Input contract: probe keys may take any value. Build keys must be
 // unique and lie in 1..|R| for kPerfect, and be unique and nonzero for
@@ -81,7 +92,8 @@ class NpjTable {
 
   /// Probes with the rows of s in the kernel "npj_probe_<scheme>". The rows
   /// are cut into consecutive segments ending at `segment_ends` (ascending,
-  /// the last one s.rows()), and the totals come back per segment. With a
+  /// the last one s.rows(); other ends are refused with InvalidArgument
+  /// before the launch), and the totals come back per segment. With a
   /// non-null `result`, matched <build, probe> payload pairs are stored
   /// from row 0 in probe order; more matches than `result` holds are
   /// refused with ResourceExhausted.

@@ -280,6 +280,35 @@ TEST_F(JoinTest, NpjPerfectProbesOutsideOneToRMiss) {
   }
 }
 
+// Probe segment ends must be ascending and end at |S|. Malformed ones are
+// refused before the probe launches (no trace record), and the table
+// still answers a valid probe afterwards.
+TEST_F(JoinTest, NpjProbeRefusesMalformedSegmentEnds) {
+  auto wl = MakeWorkload(5000, 12000);
+  auto table = NpjTable::Build(*dev_, wl.r,
+                               {.scheme = HashScheme::kLinearProbing,
+                                .result_mode = ResultMode::kAggregate});
+  ASSERT_TRUE(table.ok()) << table.status().ToString();
+  const uint64_t n = wl.s.rows();
+  const std::vector<std::vector<uint64_t>> malformed = {
+      {}, {6000, 3000, n}, {3000, n - 1}, {3000, n + 1}};
+  for (const std::vector<uint64_t>& ends : malformed) {
+    const size_t launches = dev_->trace().size();
+    auto totals = table->Probe(*dev_, wl.s, ends, /*result=*/nullptr);
+    ASSERT_FALSE(totals.ok()) << ends.size() << " segment ends";
+    EXPECT_EQ(totals.status().code(), util::StatusCode::kInvalidArgument)
+        << totals.status().ToString();
+    EXPECT_EQ(dev_->trace().size(), launches);
+  }
+  auto totals = table->Probe(*dev_, wl.s, {3000, n}, /*result=*/nullptr);
+  ASSERT_TRUE(totals.ok()) << totals.status().ToString();
+  ASSERT_EQ(totals->size(), 2u);
+  EXPECT_EQ((*totals)[0].matches + (*totals)[1].matches, n);
+  EXPECT_EQ((*totals)[0].checksum + (*totals)[1].checksum,
+            ReferenceChecksum(wl.r, wl.s));
+  table->Free(*dev_);
+}
+
 // --- Scratch joiner ---
 
 /// Row-format copy of `rel` (key, first payload) placed at tuple offset

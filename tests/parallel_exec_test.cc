@@ -11,6 +11,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstring>
+#include <functional>
 #include <memory>
 #include <sstream>
 #include <stdexcept>
@@ -25,6 +26,8 @@
 #include "exec/block_executor.h"
 #include "exec/device.h"
 #include "hash/entry.h"
+#include "hash/hash_fn.h"
+#include "hash/linear_table.h"
 #include "join/common.h"
 #include "join/cpu_partitioned_join.h"
 #include "join/no_partitioning_join.h"
@@ -43,6 +46,7 @@
 #include "util/bits.h"
 #include "tests/tlb_reference.h"
 #include "util/random.h"
+#include "util/status.h"
 
 namespace triton {
 namespace {
@@ -170,70 +174,47 @@ TEST(BlockExecutorTest, ExceptionPropagatesAndPoolStaysUsable) {
 
 // Replay lanes: every lane handles every block exactly once, in block
 // order, after the block ran; reduce(b) runs in block order and sees every
-// lane past b; with more than one thread, the thread running an in-order
-// chain takes no lane step while the chain runs. TSan checks that a lane's state and a block's
-// per-lane slots are never written by two threads at once.
+// lane past b. TSan checks that a lane's state and a block's per-lane
+// slots are never written by two threads at once.
 TEST(BlockExecutorTest, LanesStepInBlockOrderBeforeReduce) {
   constexpr uint32_t kBlocks = 300;
   constexpr uint32_t kLanes = exec::BlockExecutor::kMaxLanes;
-  using Order = exec::BlockExecutor::Order;
   for (uint32_t threads : {1u, 2u, 3u, 8u}) {
-    for (Order order : {Order::kAny, Order::kSequential}) {
-      SCOPED_TRACE(testing::Message()
-                   << "threads " << threads << ", "
-                   << (order == Order::kAny ? "any order" : "in order"));
-      ThreadsGuard guard(threads);
-      std::vector<uint32_t> ran(kBlocks, 0);
-      std::vector<uint32_t> lane_next(kLanes, 0);
-      std::vector<std::vector<uint32_t>> passed(
-          kLanes, std::vector<uint32_t>(kBlocks, 0));
-      std::atomic<bool> chain_running{false};
-      std::atomic<std::thread::id> chain_thread{};
-      std::atomic<uint32_t> chain_lane_steps{0};
-      uint32_t reduced = 0;
-      exec::BlockExecutor::Global().Run(
-          kBlocks,
-          [&](uint32_t b) {
-            if (order == Order::kSequential && b == 0) {
-              chain_thread = std::this_thread::get_id();
-              chain_running = true;
-            }
-            ran[b] = 1;
-            if (b % 7 == 0) std::this_thread::sleep_for(
-                std::chrono::microseconds(20));
-            if (order == Order::kSequential && b == kBlocks - 1) {
-              chain_running = false;
-            }
-          },
-          [&](uint32_t b) {
-            EXPECT_EQ(b, reduced++);
+    SCOPED_TRACE(testing::Message() << "threads " << threads);
+    ThreadsGuard guard(threads);
+    std::vector<uint32_t> ran(kBlocks, 0);
+    std::vector<uint32_t> lane_next(kLanes, 0);
+    std::vector<std::vector<uint32_t>> passed(
+        kLanes, std::vector<uint32_t>(kBlocks, 0));
+    uint32_t reduced = 0;
+    exec::BlockExecutor::Global().Run(
+        kBlocks,
+        [&](uint32_t b) {
+          ran[b] = 1;
+          if (b % 7 == 0) {
+            std::this_thread::sleep_for(std::chrono::microseconds(20));
+          }
+        },
+        [&](uint32_t b) {
+          EXPECT_EQ(b, reduced++);
+          EXPECT_EQ(ran[b], 1u);
+          for (uint32_t l = 0; l < kLanes; ++l) {
+            EXPECT_EQ(passed[l][b], 1u) << "lane " << l << " block " << b;
+          }
+        },
+        kLanes,
+        [&](uint32_t l, uint32_t first, uint32_t last) {
+          EXPECT_EQ(first, lane_next[l]);
+          EXPECT_LT(first, last);
+          for (uint32_t b = first; b < last; ++b) {
             EXPECT_EQ(ran[b], 1u);
-            for (uint32_t l = 0; l < kLanes; ++l) {
-              EXPECT_EQ(passed[l][b], 1u) << "lane " << l << " block " << b;
-            }
-          },
-          order, kLanes,
-          [&](uint32_t l, uint32_t first, uint32_t last) {
-            if (chain_running &&
-                chain_thread.load() == std::this_thread::get_id()) {
-              ++chain_lane_steps;
-            }
-            EXPECT_EQ(first, lane_next[l]);
-            EXPECT_LT(first, last);
-            for (uint32_t b = first; b < last; ++b) {
-              EXPECT_EQ(ran[b], 1u);
-              ++passed[l][b];
-            }
-            lane_next[l] = last;
-          });
-      EXPECT_EQ(reduced, kBlocks);
-      // (One thread runs each block's lane steps inline, right after it.)
-      if (threads > 1) {
-        EXPECT_EQ(chain_lane_steps.load(), 0u);
-      }
-      for (uint32_t l = 0; l < kLanes; ++l) {
-        EXPECT_EQ(lane_next[l], kBlocks);
-      }
+            ++passed[l][b];
+          }
+          lane_next[l] = last;
+        });
+    EXPECT_EQ(reduced, kBlocks);
+    for (uint32_t l = 0; l < kLanes; ++l) {
+      EXPECT_EQ(lane_next[l], kBlocks);
     }
   }
 }
@@ -246,8 +227,8 @@ TEST(BlockExecutorTest, LanesStepInBlockOrderBeforeReduce) {
 // 16 blocks of random accesses over a 16 MiB CPU buffer on a GPU whose L2
 // TLB holds 256 ranges of 8 KiB: hits and misses depend on replay order,
 // and the launch's counters must equal the unsharded reference TLB
-// (tests/tlb_reference.h) fed the same addresses in block order, in either
-// mode and at any thread count.
+// (tests/tlb_reference.h) fed the same addresses in block order at any
+// thread count.
 TEST(BlockReductionContractTest, ReplayMatchesStandaloneTlbInBlockOrder) {
   constexpr uint32_t kBlocks = 16;
   constexpr uint32_t kAccessesPerBlock = 500;
@@ -273,45 +254,36 @@ TEST(BlockReductionContractTest, ReplayMatchesStandaloneTlbInBlockOrder) {
     return c;
   };
 
-  for (bool in_order : {false, true}) {
-    for (uint32_t threads : {1u, 2u, 8u}) {
-      SCOPED_TRACE(testing::Message()
-                   << (in_order ? "in order" : "any order") << ", threads "
-                   << threads);
-      ThreadsGuard guard(threads);
-      exec::Device dev(hw, /*sanitize=*/true);
-      auto buf = dev.allocator().AllocateCpu(buf_bytes);
-      ASSERT_TRUE(buf.ok());
-      auto body = [&](exec::KernelContext& sub, uint32_t b) {
-        for (uint32_t i = 0; i < kAccessesPerBlock; ++i) {
-          sub.ReadRand(*buf, offset_of(b, i), 16);
-        }
-      };
-      exec::KernelRecord rec =
-          dev.Launch({.name = "replay"}, [&](exec::KernelContext& ctx) {
-            if (in_order) {
-              ctx.ForEachBlockInOrder(kBlocks, body);
-            } else {
-              ctx.ForEachBlock(kBlocks, body);
+  for (uint32_t threads : {1u, 2u, 8u}) {
+    SCOPED_TRACE(testing::Message() << "threads " << threads);
+    ThreadsGuard guard(threads);
+    exec::Device dev(hw, /*sanitize=*/true);
+    auto buf = dev.allocator().AllocateCpu(buf_bytes);
+    ASSERT_TRUE(buf.ok());
+    exec::KernelRecord rec =
+        dev.Launch({.name = "replay"}, [&](exec::KernelContext& ctx) {
+          ctx.ForEachBlock(kBlocks, [&](exec::KernelContext& sub,
+                                        uint32_t b) {
+            for (uint32_t i = 0; i < kAccessesPerBlock; ++i) {
+              sub.ReadRand(*buf, offset_of(b, i), 16);
             }
           });
-      std::vector<uint32_t> order(kBlocks);
-      for (uint32_t b = 0; b < kBlocks; ++b) order[b] = b;
-      const sim::PerfCounters want = expected_in(order, buf->base_addr());
-      EXPECT_EQ(rec.counters.gpu_tlb_lookups, want.gpu_tlb_lookups);
-      EXPECT_EQ(rec.counters.gpu_tlb_misses, want.gpu_tlb_misses);
-      EXPECT_EQ(rec.counters.l3_hits, want.l3_hits);
-      EXPECT_EQ(rec.counters.iommu_requests, want.iommu_requests);
-      EXPECT_EQ(rec.counters.iommu_walks, want.iommu_walks);
-      // The order matters: the same accesses replayed in reverse block
-      // order give different counters.
-      std::reverse(order.begin(), order.end());
-      const sim::PerfCounters reversed =
-          expected_in(order, buf->base_addr());
-      EXPECT_NE(reversed.gpu_tlb_misses + reversed.l3_hits,
-                want.gpu_tlb_misses + want.l3_hits);
-      EXPECT_TRUE(dev.sanitizer()->CheckOk().ok());
-    }
+        });
+    std::vector<uint32_t> order(kBlocks);
+    for (uint32_t b = 0; b < kBlocks; ++b) order[b] = b;
+    const sim::PerfCounters want = expected_in(order, buf->base_addr());
+    EXPECT_EQ(rec.counters.gpu_tlb_lookups, want.gpu_tlb_lookups);
+    EXPECT_EQ(rec.counters.gpu_tlb_misses, want.gpu_tlb_misses);
+    EXPECT_EQ(rec.counters.l3_hits, want.l3_hits);
+    EXPECT_EQ(rec.counters.iommu_requests, want.iommu_requests);
+    EXPECT_EQ(rec.counters.iommu_walks, want.iommu_walks);
+    // The order matters: the same accesses replayed in reverse block
+    // order give different counters.
+    std::reverse(order.begin(), order.end());
+    const sim::PerfCounters reversed = expected_in(order, buf->base_addr());
+    EXPECT_NE(reversed.gpu_tlb_misses + reversed.l3_hits,
+              want.gpu_tlb_misses + want.l3_hits);
+    EXPECT_TRUE(dev.sanitizer()->CheckOk().ok());
   }
 }
 
@@ -419,14 +391,14 @@ uint64_t Bits(double x) {
 // again. The batches' blocks issue 2000, 2000, 3 and 2000 operations, so
 // batches run with replay lanes (the second and third, each after a batch
 // with many TLB misses) and with the reduction replaying (the first, and
-// the fourth after a batch with few; see KernelContext::RunBlocks). Every
+// the fourth after a batch with few; see KernelContext::ForEachBlock). Every
 // launch's TLB counters and the bytes of its random-access latency sum
 // must equal the unsharded reference fed the same accesses in block
 // order; afterwards a serial stream must see the reference's outcomes
 // (the TLB states are equal). Specs give the shared TLB 1, 2, 4 and 8
 // shards (the smallest level's sets: 1, 2 and 4 L2 sets, of which the last
-// also cuts the L3*/IOTLB levels to 4 sets, then the 32/64-set default);
-// both block orders run at 1, 2, 3 and 8 threads.
+// also cuts the L3*/IOTLB levels to 4 sets, then the 32/64-set default),
+// each at 1, 2, 3 and 8 threads.
 class ShardedReplayTest
     : public ::testing::TestWithParam<std::tuple<uint64_t, uint64_t>> {};
 
@@ -437,116 +409,108 @@ TEST_P(ShardedReplayTest, MatchesUnshardedReference) {
   sim::HwSpec hw = sim::HwSpec::Ac922NvLink().Scaled(4096);
   hw.tlb = testing_ref::WithSets(hw.tlb, l2_sets, iotlb_sets);
   const uint64_t range = hw.tlb.l2_entry_range;
-  for (bool in_order : {false, true}) {
-    for (uint32_t threads : {1u, 2u, 3u, 8u}) {
-      SCOPED_TRACE(testing::Message()
-                   << (in_order ? "in order" : "any order") << ", threads "
-                   << threads);
-      ThreadsGuard guard(threads);
-      exec::Device dev(hw, /*sanitize=*/false);
-      ASSERT_EQ(dev.tlb().num_shards(), l2_sets != 0 ? l2_sets : 8);
-      auto gpu = dev.allocator().AllocateGpu(1 << 20);
-      auto cpu = dev.allocator().AllocateCpu(12 << 20);
-      auto mixed = dev.allocator().AllocateInterleaved(6 << 20, 2 << 20);
-      ASSERT_TRUE(gpu.ok() && cpu.ok() && mixed.ok());
-      const std::vector<const mem::Buffer*> bufs = {&*gpu, &*cpu, &*mixed};
-      testing_ref::TlbReference ref(hw.tlb);
-      for (uint64_t launch = 0; launch < 2; ++launch) {
-        SCOPED_TRACE(testing::Message() << "launch " << launch);
-        const auto before = SeededOps(launch * 1000 + 100, kSerialOps, bufs,
-                                      range);
-        const auto after = SeededOps(launch * 1000 + 200, kSerialOps, bufs,
-                                     range);
-        constexpr uint32_t kOpsPerBlock[] = {2000, 2000, 3, 2000};
-        std::vector<std::vector<std::vector<TlbOp>>> batches;
-        for (uint32_t ops : kOpsPerBlock) {
-          std::vector<std::vector<TlbOp>>& blocks = batches.emplace_back();
-          for (uint32_t b = 0; b < kBlocks; ++b) {
-            blocks.push_back(SeededOps(launch * 1000 + batches.size() * 100 +
-                                           b,
-                                       ops, bufs, range));
-          }
+  for (uint32_t threads : {1u, 2u, 3u, 8u}) {
+    SCOPED_TRACE(testing::Message() << "threads " << threads);
+    ThreadsGuard guard(threads);
+    exec::Device dev(hw, /*sanitize=*/false);
+    ASSERT_EQ(dev.tlb().num_shards(), l2_sets != 0 ? l2_sets : 8);
+    auto gpu = dev.allocator().AllocateGpu(1 << 20);
+    auto cpu = dev.allocator().AllocateCpu(12 << 20);
+    auto mixed = dev.allocator().AllocateInterleaved(6 << 20, 2 << 20);
+    ASSERT_TRUE(gpu.ok() && cpu.ok() && mixed.ok());
+    const std::vector<const mem::Buffer*> bufs = {&*gpu, &*cpu, &*mixed};
+    testing_ref::TlbReference ref(hw.tlb);
+    for (uint64_t launch = 0; launch < 2; ++launch) {
+      SCOPED_TRACE(testing::Message() << "launch " << launch);
+      const auto before = SeededOps(launch * 1000 + 100, kSerialOps, bufs,
+                                    range);
+      const auto after = SeededOps(launch * 1000 + 200, kSerialOps, bufs,
+                                   range);
+      constexpr uint32_t kOpsPerBlock[] = {2000, 2000, 3, 2000};
+      std::vector<std::vector<std::vector<TlbOp>>> batches;
+      for (uint32_t ops : kOpsPerBlock) {
+        std::vector<std::vector<TlbOp>>& blocks = batches.emplace_back();
+        for (uint32_t b = 0; b < kBlocks; ++b) {
+          blocks.push_back(SeededOps(launch * 1000 + batches.size() * 100 +
+                                         b,
+                                     ops, bufs, range));
         }
-        double got_sum = 0.0;
-        uint64_t got_accesses = 0;
-        const exec::KernelRecord rec =
-            dev.Launch({.name = "replay"}, [&](exec::KernelContext& ctx) {
-              for (const TlbOp& op : before) IssueOp(ctx, op, *bufs[op.buf]);
-              for (const auto& blocks : batches) {
-                auto body = [&](exec::KernelContext& sub, uint32_t b) {
-                  for (const TlbOp& op : blocks[b]) {
-                    IssueOp(sub, op, *bufs[op.buf]);
-                  }
-                };
-                if (in_order) {
-                  ctx.ForEachBlockInOrder(kBlocks, body);
-                } else {
-                  ctx.ForEachBlock(kBlocks, body);
+      }
+      double got_sum = 0.0;
+      uint64_t got_accesses = 0;
+      const exec::KernelRecord rec =
+          dev.Launch({.name = "replay"}, [&](exec::KernelContext& ctx) {
+            for (const TlbOp& op : before) IssueOp(ctx, op, *bufs[op.buf]);
+            for (const auto& blocks : batches) {
+              ctx.ForEachBlock(kBlocks, [&](exec::KernelContext& sub,
+                                            uint32_t b) {
+                for (const TlbOp& op : blocks[b]) {
+                  IssueOp(sub, op, *bufs[op.buf]);
                 }
-              }
-              for (const TlbOp& op : after) IssueOp(ctx, op, *bufs[op.buf]);
-              got_sum = ctx.random_latency_sum();
-              got_accesses = ctx.random_accesses();
-            });
-
-        // The reference adds latencies the way the launch context does: a
-        // serial random read adds its own, a serial flush its run's sum,
-        // and each block the sum of its accesses' latencies.
-        ref.FlushGpuTlb();
-        sim::PerfCounters want;
-        double want_sum = 0.0;
-        uint64_t want_accesses = 0;
-        auto serial = [&](const std::vector<TlbOp>& ops) {
-          for (const TlbOp& op : ops) {
-            std::vector<double> lat;
-            ReferenceOp(ref, op, *bufs[op.buf], &want, &lat);
-            double run = 0.0;
-            for (double l : lat) run += l;
-            if (!lat.empty()) want_sum += run;
-            want_accesses += lat.size();
-          }
-        };
-        serial(before);
-        for (const auto& blocks : batches) {
-          for (const std::vector<TlbOp>& block : blocks) {
-            std::vector<double> lat;
-            for (const TlbOp& op : block) {
-              ReferenceOp(ref, op, *bufs[op.buf], &want, &lat);
+              });
             }
-            double block_sum = 0.0;
-            for (double l : lat) block_sum += l;
-            if (!lat.empty()) want_sum += block_sum;
-            want_accesses += lat.size();
-          }
+            for (const TlbOp& op : after) IssueOp(ctx, op, *bufs[op.buf]);
+            got_sum = ctx.random_latency_sum();
+            got_accesses = ctx.random_accesses();
+          });
+
+      // The reference adds latencies the way the launch context does: a
+      // serial random read adds its own, a serial flush its run's sum,
+      // and each block the sum of its accesses' latencies.
+      ref.FlushGpuTlb();
+      sim::PerfCounters want;
+      double want_sum = 0.0;
+      uint64_t want_accesses = 0;
+      auto serial = [&](const std::vector<TlbOp>& ops) {
+        for (const TlbOp& op : ops) {
+          std::vector<double> lat;
+          ReferenceOp(ref, op, *bufs[op.buf], &want, &lat);
+          double run = 0.0;
+          for (double l : lat) run += l;
+          if (!lat.empty()) want_sum += run;
+          want_accesses += lat.size();
         }
-        serial(after);
-        EXPECT_EQ(rec.counters.gpu_tlb_lookups, want.gpu_tlb_lookups);
-        EXPECT_EQ(rec.counters.gpu_tlb_misses, want.gpu_tlb_misses);
-        EXPECT_EQ(rec.counters.l3_hits, want.l3_hits);
-        EXPECT_EQ(rec.counters.iommu_requests, want.iommu_requests);
-        EXPECT_EQ(rec.counters.iommu_walks, want.iommu_walks);
-        EXPECT_EQ(Bits(got_sum), Bits(want_sum))
-            << got_sum << " vs " << want_sum;
-        EXPECT_EQ(got_accesses, want_accesses);
-        EXPECT_GT(want.l3_hits, 0u);
-        EXPECT_GT(want.iommu_walks, 0u);
+      };
+      serial(before);
+      for (const auto& blocks : batches) {
+        for (const std::vector<TlbOp>& block : blocks) {
+          std::vector<double> lat;
+          for (const TlbOp& op : block) {
+            ReferenceOp(ref, op, *bufs[op.buf], &want, &lat);
+          }
+          double block_sum = 0.0;
+          for (double l : lat) block_sum += l;
+          if (!lat.empty()) want_sum += block_sum;
+          want_accesses += lat.size();
+        }
       }
-      // The TLB states are equal: a serial stream sees the same outcomes.
-      sim::PerfCounters got_c, want_c;
-      for (const TlbOp& op : SeededOps(7, 2000, bufs, range)) {
-        const mem::Buffer& buf = *bufs[op.buf];
-        const uint64_t addr = buf.base_addr() + op.offset;
-        const sim::PageLocation loc = buf.LocationOf(op.offset);
-        const sim::TranslationResult r = dev.tlb().Access(addr, loc, &got_c);
-        const sim::TranslationResult w = ref.Access(addr, loc, &want_c);
-        ASSERT_EQ(r.l2_hit, w.l2_hit) << "at " << addr;
-        ASSERT_EQ(r.iotlb_hit, w.iotlb_hit) << "at " << addr;
-        ASSERT_EQ(Bits(r.latency), Bits(w.latency)) << "at " << addr;
-      }
-      dev.allocator().Free(*mixed);
-      dev.allocator().Free(*cpu);
-      dev.allocator().Free(*gpu);
+      serial(after);
+      EXPECT_EQ(rec.counters.gpu_tlb_lookups, want.gpu_tlb_lookups);
+      EXPECT_EQ(rec.counters.gpu_tlb_misses, want.gpu_tlb_misses);
+      EXPECT_EQ(rec.counters.l3_hits, want.l3_hits);
+      EXPECT_EQ(rec.counters.iommu_requests, want.iommu_requests);
+      EXPECT_EQ(rec.counters.iommu_walks, want.iommu_walks);
+      EXPECT_EQ(Bits(got_sum), Bits(want_sum))
+          << got_sum << " vs " << want_sum;
+      EXPECT_EQ(got_accesses, want_accesses);
+      EXPECT_GT(want.l3_hits, 0u);
+      EXPECT_GT(want.iommu_walks, 0u);
     }
+    // The TLB states are equal: a serial stream sees the same outcomes.
+    sim::PerfCounters got_c, want_c;
+    for (const TlbOp& op : SeededOps(7, 2000, bufs, range)) {
+      const mem::Buffer& buf = *bufs[op.buf];
+      const uint64_t addr = buf.base_addr() + op.offset;
+      const sim::PageLocation loc = buf.LocationOf(op.offset);
+      const sim::TranslationResult r = dev.tlb().Access(addr, loc, &got_c);
+      const sim::TranslationResult w = ref.Access(addr, loc, &want_c);
+      ASSERT_EQ(r.l2_hit, w.l2_hit) << "at " << addr;
+      ASSERT_EQ(r.iotlb_hit, w.iotlb_hit) << "at " << addr;
+      ASSERT_EQ(Bits(r.latency), Bits(w.latency)) << "at " << addr;
+    }
+    dev.allocator().Free(*mixed);
+    dev.allocator().Free(*cpu);
+    dev.allocator().Free(*gpu);
   }
 }
 
@@ -563,83 +527,155 @@ INSTANTIATE_TEST_SUITE_P(
              std::to_string(iotlb != 0 ? iotlb : 64);
     });
 
-// In-order blocks run strictly one after another: each one checks and
-// bumps a plain counter, which TSan would report if two blocks overlapped
-// or a block missed the previous one's write. Each block sleeps, so idle
-// workers would claim blocks if the order were not enforced.
-TEST(BlockReductionContractTest, InOrderBlocksRunOneAfterAnother) {
-  ThreadsGuard guard(8);
-  exec::Device dev(sim::HwSpec::Ac922NvLink().Scaled(64));
-  constexpr uint32_t kBlocks = 200;
-  uint32_t next = 0;
-  std::vector<uint32_t> seen(kBlocks, kBlocks);
-  dev.Launch({.name = "in_order"}, [&](exec::KernelContext& ctx) {
-    ctx.ForEachBlockInOrder(kBlocks, [&](exec::KernelContext&, uint32_t b) {
-      seen[b] = next;
-      std::this_thread::sleep_for(std::chrono::microseconds(20));
-      ++next;
-    });
-  });
-  EXPECT_EQ(next, kBlocks);
-  for (uint32_t b = 0; b < kBlocks; ++b) EXPECT_EQ(seen[b], b);
+// A batch's task runs exactly once while the other threads run the
+// blocks, every lane passes them and every block is reduced: with more
+// than one thread the task waits (up to 10 s) until that happened. At one
+// thread it runs before the first block. Run returns after it.
+TEST(BlockReductionContractTest, TaskRunsOnceAlongsideTheBlocks) {
+  constexpr uint32_t kBlocks = 64;
+  constexpr uint32_t kLanes = 3;
+  for (uint32_t threads : {1u, 2u, 3u, 8u}) {
+    SCOPED_TRACE(testing::Message() << "threads " << threads);
+    ThreadsGuard guard(threads);
+    std::atomic<uint32_t> ran{0};
+    std::vector<std::atomic<uint32_t>> lane_next(kLanes);
+    uint32_t tasks = 0;
+    std::atomic<uint32_t> reduced{0};
+    uint32_t ran_before_task = kBlocks + 1;
+    bool passed_during_task = false;
+    exec::BlockExecutor::Global().Run(
+        kBlocks, [&](uint32_t) { ++ran; },
+        [&](uint32_t b) { EXPECT_EQ(b, reduced++); }, kLanes,
+        [&](uint32_t l, uint32_t first, uint32_t last) {
+          EXPECT_EQ(first, lane_next[l].load());
+          lane_next[l] = last;
+        },
+        [&] {
+          ++tasks;
+          ran_before_task = ran.load();
+          const auto deadline =
+              std::chrono::steady_clock::now() + std::chrono::seconds(10);
+          while (threads > 1 && !passed_during_task &&
+                 std::chrono::steady_clock::now() < deadline) {
+            passed_during_task = ran == kBlocks && reduced == kBlocks;
+            for (const auto& next : lane_next) {
+              passed_during_task = passed_during_task && next == kBlocks;
+            }
+            std::this_thread::yield();
+          }
+        });
+    EXPECT_EQ(tasks, 1u);
+    EXPECT_EQ(reduced.load(), kBlocks);
+    if (threads == 1) {
+      EXPECT_EQ(ran_before_task, 0u);
+    } else {
+      EXPECT_TRUE(passed_during_task);
+    }
+  }
 }
 
-// A throwing block, in either mode, is rethrown only after every block ran
-// and was reduced; with two throwing blocks the lower block's exception
-// wins; the pool then runs the next batch.
+// At one thread Run touches no executor state, so several host threads may
+// run batches at once (the benches' --jobs mode pins the pool to one thread
+// and runs cells in parallel): each batch runs its own task exactly once
+// and every one of its blocks.
+TEST(BlockReductionContractTest, OneThreadBatchesOnTwoHostThreadsShareNothing) {
+  ThreadsGuard guard(1);
+  constexpr uint32_t kBatches = 20000;
+  constexpr uint32_t kBlocks = 4;
+  uint32_t wrong[2] = {0, 0};
+  std::atomic<uint32_t> ready{0};
+  auto run_batches = [&](uint32_t& batches_wrong) {
+    // Start together, so that the two threads' batches overlap.
+    ++ready;
+    while (ready < 2) std::this_thread::yield();
+    for (uint32_t i = 0; i < kBatches; ++i) {
+      uint32_t ran = 0;
+      uint32_t tasks = 0;
+      exec::BlockExecutor::Global().Run(
+          kBlocks, [&](uint32_t) { ++ran; }, {}, 0, {}, [&] { ++tasks; });
+      batches_wrong += ran != kBlocks || tasks != 1;
+    }
+  };
+  std::thread other(run_batches, std::ref(wrong[1]));
+  run_batches(wrong[0]);
+  other.join();
+  EXPECT_EQ(wrong[0], 0u);
+  EXPECT_EQ(wrong[1], 0u);
+}
+
+// A throwing block or task is rethrown only after every block ran and was
+// reduced; with two throwing blocks the lower block's exception wins, and
+// a block's wins over the task's; the pool then runs the next batch.
 void ExpectRethrowAfterDrain(uint32_t threads) {
   SCOPED_TRACE(testing::Message() << "threads " << threads);
   ThreadsGuard guard(threads);
   constexpr uint32_t kBlocks = 50;
-  for (auto order : {exec::BlockExecutor::Order::kAny,
-                     exec::BlockExecutor::Order::kSequential}) {
-    std::atomic<uint32_t> ran{0};
-    std::vector<uint32_t> reduced;
+  std::atomic<uint32_t> ran{0};
+  std::vector<uint32_t> reduced;
+  try {
+    exec::BlockExecutor::Global().Run(
+        kBlocks,
+        [&](uint32_t b) {
+          ++ran;
+          if (b == 12 || b == 37) {
+            throw std::runtime_error("block " + std::to_string(b));
+          }
+        },
+        [&](uint32_t b) { reduced.push_back(b); });
+    ADD_FAILURE() << "no exception";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "block 12");
+  }
+  EXPECT_EQ(ran.load(), kBlocks);
+  ASSERT_EQ(reduced.size(), kBlocks);
+  for (uint32_t b = 0; b < kBlocks; ++b) EXPECT_EQ(reduced[b], b);
+  for (bool block_throws : {false, true}) {
+    ran = 0;
+    reduced.clear();
     try {
       exec::BlockExecutor::Global().Run(
           kBlocks,
           [&](uint32_t b) {
             ++ran;
-            if (b == 12 || b == 37) {
-              throw std::runtime_error("block " + std::to_string(b));
+            if (block_throws && b == 30) {
+              throw std::runtime_error("block 30");
             }
           },
-          [&](uint32_t b) { reduced.push_back(b); }, order);
+          [&](uint32_t b) { reduced.push_back(b); }, 0, {},
+          [] { throw std::runtime_error("task"); });
       ADD_FAILURE() << "no exception";
     } catch (const std::runtime_error& e) {
-      EXPECT_STREQ(e.what(), "block 12");
+      EXPECT_STREQ(e.what(), block_throws ? "block 30" : "task");
     }
     EXPECT_EQ(ran.load(), kBlocks);
-    ASSERT_EQ(reduced.size(), kBlocks);
-    for (uint32_t b = 0; b < kBlocks; ++b) EXPECT_EQ(reduced[b], b);
-    std::atomic<uint32_t> total{0};
-    exec::BlockExecutor::Global().Run(
-        20, [&](uint32_t) { ++total; }, {}, order);
-    EXPECT_EQ(total.load(), 20u);
+    EXPECT_EQ(reduced.size(), kBlocks);
   }
-  // The same through a kernel's block loops.
+  std::atomic<uint32_t> total{0};
+  exec::BlockExecutor::Global().Run(20, [&](uint32_t) { ++total; });
+  EXPECT_EQ(total.load(), 20u);
+  // The same through a kernel's block loop.
   exec::Device dev(sim::HwSpec::Ac922NvLink().Scaled(64), /*sanitize=*/false);
-  auto throws_at_5 = [](exec::KernelContext&, uint32_t b) {
-    if (b == 5) throw std::runtime_error("block 5");
-  };
-  for (bool in_order : {false, true}) {
-    EXPECT_THROW(dev.Launch({.name = "throws"},
-                            [&](exec::KernelContext& ctx) {
-                              if (in_order) {
-                                ctx.ForEachBlockInOrder(kBlocks, throws_at_5);
-                              } else {
-                                ctx.ForEachBlock(kBlocks, throws_at_5);
-                              }
-                            }),
-                 std::runtime_error);
-    uint32_t blocks_run = 0;
-    dev.Launch({.name = "next"}, [&](exec::KernelContext& ctx) {
-      ctx.ForEachBlockInOrder(kBlocks, [&](exec::KernelContext&, uint32_t) {
-        ++blocks_run;
-      });
-    });
-    EXPECT_EQ(blocks_run, kBlocks);
-  }
+  EXPECT_THROW(dev.Launch({.name = "throws"},
+                          [&](exec::KernelContext& ctx) {
+                            ctx.ForEachBlock(kBlocks, [](exec::KernelContext&,
+                                                         uint32_t b) {
+                              if (b == 5) throw std::runtime_error("block 5");
+                            });
+                          }),
+               std::runtime_error);
+  EXPECT_THROW(dev.Launch({.name = "task_throws"},
+                          [&](exec::KernelContext& ctx) {
+                            ctx.ForEachBlock(
+                                kBlocks, [](exec::KernelContext&, uint32_t) {},
+                                [] { throw std::runtime_error("task"); });
+                          }),
+               std::runtime_error);
+  std::atomic<uint32_t> blocks_run{0};
+  dev.Launch({.name = "next"}, [&](exec::KernelContext& ctx) {
+    ctx.ForEachBlock(kBlocks,
+                     [&](exec::KernelContext&, uint32_t) { ++blocks_run; });
+  });
+  EXPECT_EQ(blocks_run.load(), kBlocks);
 }
 
 TEST(BlockReductionContractTest, ThrowingBlockRethrowsAfterPoolDrains) {
@@ -1149,6 +1185,20 @@ NpjResult RunNpj(const sim::HwSpec& hw,
   return res;
 }
 
+/// Expects launch record `a` to equal `b` in name, counters and times.
+void ExpectSameRecord(const exec::KernelRecord& a,
+                      const exec::KernelRecord& b) {
+  EXPECT_EQ(a.name, b.name);
+  EXPECT_EQ(a.sms, b.sms);
+  ExpectCountersEq(a.counters, b.counters);
+  EXPECT_EQ(a.time.compute, b.time.compute) << a.name;
+  EXPECT_EQ(a.time.gpu_mem, b.time.gpu_mem) << a.name;
+  EXPECT_EQ(a.time.cpu_mem, b.time.cpu_mem) << a.name;
+  EXPECT_EQ(a.time.link, b.time.link) << a.name;
+  EXPECT_EQ(a.time.tlb, b.time.tlb) << a.name;
+  EXPECT_EQ(a.time.latency, b.time.latency) << a.name;
+}
+
 /// Expects `par` to equal `serial` in rows, counters and modeled time.
 void ExpectSameNpjRun(const NpjResult& par, const NpjResult& serial) {
   EXPECT_EQ(par.matches, serial.matches);
@@ -1161,17 +1211,7 @@ void ExpectSameNpjRun(const NpjResult& par, const NpjResult& serial) {
   ExpectCountersEq(par.totals, serial.totals);
   ASSERT_EQ(par.phases.size(), serial.phases.size());
   for (size_t p = 0; p < serial.phases.size(); ++p) {
-    const exec::KernelRecord& a = par.phases[p];
-    const exec::KernelRecord& b = serial.phases[p];
-    EXPECT_EQ(a.name, b.name);
-    EXPECT_EQ(a.sms, b.sms);
-    ExpectCountersEq(a.counters, b.counters);
-    EXPECT_EQ(a.time.compute, b.time.compute) << a.name;
-    EXPECT_EQ(a.time.gpu_mem, b.time.gpu_mem) << a.name;
-    EXPECT_EQ(a.time.cpu_mem, b.time.cpu_mem) << a.name;
-    EXPECT_EQ(a.time.link, b.time.link) << a.name;
-    EXPECT_EQ(a.time.tlb, b.time.tlb) << a.name;
-    EXPECT_EQ(a.time.latency, b.time.latency) << a.name;
+    ExpectSameRecord(par.phases[p], serial.phases[p]);
   }
   EXPECT_EQ(par.elapsed, serial.elapsed);
 }
@@ -1193,7 +1233,7 @@ class NpjIdentityTest : public ::testing::TestWithParam<NpjCase> {
 
 TEST_P(NpjIdentityTest, IsThreadCountInvariant) {
   const NpjResult serial = Run(1);
-  for (uint32_t threads : {2u, 8u}) {
+  for (uint32_t threads : {2u, 3u, 8u}) {
     SCOPED_TRACE(testing::Message() << "threads " << threads);
     ExpectSameNpjRun(Run(threads), serial);
   }
@@ -1219,6 +1259,44 @@ TEST(NpjFallbackTest, OutOfCoreAtNonPowerOfTwoScaleIsThreadCountInvariant) {
   }
 }
 
+// Two no-partitioning joins at once on two host threads at one pool thread
+// (the --jobs mode): each build inserts every row through its own batch
+// tasks, so each join matches every probe row and equals a join run alone.
+TEST(NpjConcurrencyTest, OneThreadJoinsOnTwoHostThreadsMatchARunAlone) {
+  ThreadsGuard guard(1);
+  const sim::HwSpec hw = sim::HwSpec::Ac922NvLink().Scaled(64);
+  auto run_join = [&](join::HashScheme scheme, join::JoinRun& run) {
+    exec::Device dev(hw, /*sanitize=*/true);
+    data::WorkloadConfig cfg;
+    cfg.r_tuples = kNpjR;
+    cfg.s_tuples = kNpjS;
+    auto wl = data::GenerateWorkload(dev.allocator(), cfg);
+    CHECK_OK(wl.status());
+    auto got = join::NoPartitioningJoin(
+                   {.scheme = scheme,
+                    .result_mode = join::ResultMode::kAggregate})
+                   .Run(dev, wl->r, wl->s);
+    CHECK_OK(got.status());
+    run = *got;
+  };
+  for (join::HashScheme scheme :
+       {join::HashScheme::kLinearProbing, join::HashScheme::kPerfect}) {
+    SCOPED_TRACE(join::HashSchemeName(scheme));
+    join::JoinRun alone;
+    run_join(scheme, alone);
+    ASSERT_EQ(alone.matches, kNpjS);
+    join::JoinRun runs[2];
+    std::thread other(run_join, scheme, std::ref(runs[1]));
+    run_join(scheme, runs[0]);
+    other.join();
+    for (const join::JoinRun& run : runs) {
+      EXPECT_EQ(run.matches, kNpjS);
+      EXPECT_EQ(run.checksum, alone.checksum);
+      ExpectCountersEq(run.totals, alone.totals);
+    }
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(
     SchemesModesPlacements, NpjIdentityTest,
     ::testing::Combine(::testing::Values(join::HashScheme::kPerfect,
@@ -1235,6 +1313,239 @@ INSTANTIATE_TEST_SUITE_P(
       name += std::get<2>(info.param) ? "Spilled" : "InCore";
       return name;
     });
+
+// --- The NPJ build against the fused build it was split from ---
+
+/// A build's refusal (OK if none) and its launch record.
+struct NpjBuildOutcome {
+  util::Status status;
+  exec::KernelRecord record;
+};
+
+/// The no-partitioning join's build as one fused loop, the form the split
+/// build replaced: each block of 4,096 rows inserts its rows and accounts
+/// every slot it touches as it goes, and the first row that breaks the
+/// key contract stops the build. At one thread ForEachBlock runs the
+/// blocks in order, each seeing the previous one's writes. The table is
+/// placed as NpjTable::Build places it.
+NpjBuildOutcome FusedNpjBuild(exec::Device& dev, const data::Relation& r,
+                              join::HashScheme scheme, join::ResultMode mode) {
+  ThreadsGuard guard(1);
+  struct Node {
+    int64_t key;
+    int64_t value;
+    uint64_t next;
+  };
+  const uint64_t n = r.rows();
+  const uint64_t table_bytes = join::NpjTableBytes(scheme, n);
+  uint64_t gpu_avail = dev.allocator().gpu_free();
+  if (mode == join::ResultMode::kMaterialize) {
+    const uint64_t reserve = dev.hw().gpu_mem.capacity / 8;
+    gpu_avail = gpu_avail > reserve ? gpu_avail - reserve : 0;
+  }
+  gpu_avail -= gpu_avail / 64;
+  auto table = dev.allocator().AllocateInterleaved(
+      table_bytes, std::min(table_bytes, gpu_avail));
+  CHECK_OK(table.status());
+  std::memset(table->data(), 0, table->size());
+  hash::Entry* slots = table->as<hash::Entry>();
+  uint64_t* heads = table->as<uint64_t>();
+  const uint64_t num_heads = util::NextPowerOfTwo(n);
+  Node* nodes = reinterpret_cast<Node*>(table->data() +
+                                        num_heads * sizeof(uint64_t));
+  const hash::LinearTable linear(hash::LinearTable::CapacityFor(n));
+  const data::Key* keys = r.keys();
+  const data::Value* vals = r.payload(0);
+  NpjBuildOutcome out;
+  auto refuse = [&](uint64_t row, data::Key key, const char* why) {
+    out.status = util::Status::InvalidArgument(
+        std::string("no-partitioning join (") + join::HashSchemeName(scheme) +
+        "): build row " + std::to_string(row) + " has key " +
+        std::to_string(key) + ", " + why);
+  };
+  constexpr uint64_t kBlockRows = 4096;
+  out.record = dev.Launch(
+      {.name = std::string("npj_build_") + join::HashSchemeName(scheme)},
+      [&](exec::KernelContext& ctx) {
+        ctx.ReadSeq(r.key_buffer(), 0, n * sizeof(data::Key));
+        ctx.ReadSeq(r.payload_buffer(0), 0, n * sizeof(data::Value));
+        ctx.AddTuples(n);
+        ctx.Charge(static_cast<uint64_t>(n * 68.0));
+        const auto blocks =
+            static_cast<uint32_t>(util::CeilDiv(n, kBlockRows));
+        ctx.ForEachBlock(blocks, [&](exec::KernelContext& sub, uint32_t b) {
+          const uint64_t end = std::min(n, (b + 1) * kBlockRows);
+          for (uint64_t i = b * kBlockRows; i < end && out.status.ok(); ++i) {
+            const data::Key key = keys[i];
+            if (scheme == join::HashScheme::kPerfect) {
+              if (key < 1 || static_cast<uint64_t>(key) > n) {
+                refuse(i, key, "outside the dense domain 1..|R|");
+              } else if (slots[key - 1].key != 0) {
+                refuse(i, key, "which an earlier row holds");
+              } else {
+                slots[key - 1] = {key, vals[i]};
+                sub.WriteRand(*table, (key - 1) * sizeof(hash::Entry),
+                              sizeof(hash::Entry));
+              }
+            } else if (scheme == join::HashScheme::kLinearProbing) {
+              if (key == 0) {
+                refuse(i, 0, "which marks an empty slot");
+                continue;
+              }
+              uint64_t slot = linear.SlotOf(key);
+              while (slots[slot].key != 0 && out.status.ok()) {
+                sub.ReadRand(*table, slot * sizeof(hash::Entry),
+                             sizeof(hash::Entry));
+                if (slots[slot].key == key) {
+                  refuse(i, key, "which an earlier row holds");
+                }
+                slot = linear.NextSlot(slot);
+              }
+              if (!out.status.ok()) continue;
+              slots[slot] = {key, vals[i]};
+              sub.WriteRand(*table, slot * sizeof(hash::Entry),
+                            sizeof(hash::Entry));
+            } else {
+              const uint64_t h = hash::HashBits(
+                  hash::MultiplyShift(static_cast<uint64_t>(key)), 0,
+                  util::FloorLog2(num_heads));
+              nodes[i] = {key, vals[i], heads[h]};
+              sub.WriteRand(*table,
+                            num_heads * sizeof(uint64_t) + i * sizeof(Node),
+                            sizeof(Node));
+              sub.ReadRand(*table, h * sizeof(uint64_t), sizeof(uint64_t));
+              sub.WriteRand(*table, h * sizeof(uint64_t), sizeof(uint64_t));
+              heads[h] = i + 1;
+            }
+          }
+        });
+      });
+  dev.allocator().Free(*table);
+  return out;
+}
+
+/// Rows in two waves of 64 blocks of 4,096 rows. The build's waves grow
+/// from one block to 64, so kSplitRows rows make eight waves, the last
+/// partial, and the insert wraps around its read counts.
+constexpr uint64_t kWaveRows = 64 * 4096;
+constexpr uint64_t kSplitRows = 2 * kWaveRows + 4999;
+
+/// Builds the table of the scheme under test (the parameter) over
+/// kSplitRows rows, with NpjTable::Build and with FusedNpjBuild.
+class NpjSplitBuildTest : public ::testing::TestWithParam<join::HashScheme> {
+ protected:
+  /// Builds on a fresh device: with FusedNpjBuild when `fused`, else with
+  /// NpjTable::Build at `threads`. The keys are a shuffled 1..|R| for
+  /// kPerfect and distinct pseudo-random keys otherwise (so that linear
+  /// probes collide), then `edit` changes them.
+  NpjBuildOutcome Build(const sim::HwSpec& hw, bool fused, uint32_t threads,
+                        const std::function<void(data::Key*)>& edit = {}) {
+    const join::HashScheme scheme = GetParam();
+    exec::Device dev(hw, /*sanitize=*/true);
+    auto r = data::Relation::AllocateCpu(dev.allocator(), kSplitRows);
+    CHECK_OK(r.status());
+    data::Key* keys = r->keys();
+    util::Rng rng(7);
+    for (uint64_t i = 0; i < kSplitRows; ++i) {
+      keys[i] = scheme == join::HashScheme::kPerfect
+                    ? static_cast<data::Key>(i + 1)
+                    : static_cast<data::Key>(rng.Next() >> 24 << 20 | (i + 1));
+      r->payload(0)[i] = static_cast<data::Value>(3 * i + 1);
+    }
+    if (scheme == join::HashScheme::kPerfect) {
+      for (uint64_t i = kSplitRows - 1; i > 0; --i) {
+        std::swap(keys[i], keys[rng.NextBounded(i + 1)]);
+      }
+    }
+    if (edit) edit(keys);
+    const join::ResultMode mode = join::ResultMode::kMaterialize;
+    if (fused) return FusedNpjBuild(dev, *r, scheme, mode);
+    ThreadsGuard guard(threads);
+    auto table =
+        join::NpjTable::Build(dev, *r, {.scheme = scheme, .result_mode = mode});
+    NpjBuildOutcome out{table.status(), dev.trace().back()};
+    if (table.ok()) table->Free(dev);
+    return out;
+  }
+
+  /// Expects NpjTable::Build to equal the fused build at 1, 2, 3 and 8
+  /// threads: the same refusal and the same launch record.
+  void ExpectMatchesFused(const sim::HwSpec& hw,
+                          const std::function<void(data::Key*)>& edit = {}) {
+    const NpjBuildOutcome want = Build(hw, /*fused=*/true, 1, edit);
+    for (uint32_t threads : {1u, 2u, 3u, 8u}) {
+      SCOPED_TRACE(testing::Message() << "threads " << threads);
+      const NpjBuildOutcome got = Build(hw, /*fused=*/false, threads, edit);
+      EXPECT_EQ(got.status.ToString(), want.status.ToString());
+      ExpectSameRecord(got.record, want.record);
+    }
+  }
+};
+
+// The table in GPU memory and spilled past it. The in-core linear-probing
+// build must have read occupied slots, or the read counts would go
+// untested.
+TEST_P(NpjSplitBuildTest, MatchesFusedBuild) {
+  for (bool spilled : {false, true}) {
+    SCOPED_TRACE(spilled ? "spilled" : "in core");
+    const sim::HwSpec hw =
+        sim::HwSpec::Ac922NvLink().Scaled(spilled ? 4096 : 64);
+    ExpectMatchesFused(hw);
+    if (GetParam() == join::HashScheme::kLinearProbing && !spilled) {
+      EXPECT_GT(Build(hw, /*fused=*/true, 1).record.counters.gpu_mem_read,
+                0u);
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Schemes, NpjSplitBuildTest,
+                         ::testing::Values(join::HashScheme::kPerfect,
+                                           join::HashScheme::kLinearProbing,
+                                           join::HashScheme::kBucketChaining),
+                         [](const auto& info) {
+                           return join::HashSchemeName(info.param);
+                         });
+
+class NpjSplitRefusalTest : public NpjSplitBuildTest {};
+
+// The first violation in block 0 (inserted before the first batch), at the
+// first row a batch's task inserts (4,096), at row 262,144 and at the last
+// row: a perfect key outside 1..|R| or repeated, a repeated linear-probing
+// key (which reads up to the earlier row's slot) and a linear-probing
+// key 0. Each refusal names its row.
+TEST_P(NpjSplitRefusalTest, MatchesFusedBuild) {
+  const sim::HwSpec hw = sim::HwSpec::Ac922NvLink().Scaled(4096);
+  const bool perfect = GetParam() == join::HashScheme::kPerfect;
+  const std::vector<std::pair<const char*, data::Key>> faults = {
+      {"repeated key", data::Key{-1}},
+      perfect ? std::make_pair("key outside 1..|R|",
+                               static_cast<data::Key>(kSplitRows + 1))
+              : std::make_pair("key 0", data::Key{0})};
+  for (const auto& [what, bad] : faults) {
+    for (uint64_t row :
+         {uint64_t{100}, uint64_t{4096}, kWaveRows, kSplitRows - 1}) {
+      SCOPED_TRACE(testing::Message() << what << " at row " << row);
+      // -1 stands for the key of an earlier row.
+      auto edit = [&](data::Key* keys) {
+        keys[row] = bad == -1 ? keys[row / 2] : bad;
+      };
+      const NpjBuildOutcome got = Build(hw, /*fused=*/false, 1, edit);
+      EXPECT_EQ(got.status.code(), util::StatusCode::kInvalidArgument);
+      EXPECT_NE(got.status.ToString().find("build row " +
+                                           std::to_string(row) + " "),
+                std::string::npos)
+          << got.status.ToString();
+      ExpectMatchesFused(hw, edit);
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Schemes, NpjSplitRefusalTest,
+                         ::testing::Values(join::HashScheme::kPerfect,
+                                           join::HashScheme::kLinearProbing),
+                         [](const auto& info) {
+                           return join::HashSchemeName(info.param);
+                         });
 
 // NpjTable::Probe cuts its blocks at every segment end, so each segment's
 // totals are its own rows' join. Segments of 0, 1, 4095, 4096 and 4097 rows

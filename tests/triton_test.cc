@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 
 #include "core/triton_join.h"
 #include "data/generator.h"
@@ -87,6 +88,38 @@ TEST_F(TritonJoinTest, RefusesResultPastProbeRows) {
   ASSERT_TRUE(a.ok()) << a.status().ToString();
   EXPECT_EQ(a->matches, 2 * wl.s.rows());
   EXPECT_EQ(a->checksum, join::ReferenceChecksum(wl.r, wl.s));
+}
+
+// The SM count is an operator knob: more SMs than the GPU has are refused
+// before anything is allocated, and the GPU's own count still joins.
+TEST(TritonJoinSmsTest, RefusesMoreSmsThanTheGpuHas) {
+  const sim::HwSpec hw = sim::HwSpec::Ac922NvLink().Scaled(256);
+  exec::Device dev(hw);
+  data::WorkloadConfig cfg;
+  cfg.r_tuples = 20000;
+  cfg.s_tuples = 60000;
+  auto wl = data::GenerateWorkload(dev.allocator(), cfg);
+  ASSERT_TRUE(wl.ok());
+  const uint32_t num_sms = hw.gpu.num_sms;
+  for (uint32_t sms : {num_sms + 1, 200u}) {
+    const uint64_t gpu_used = dev.allocator().gpu_used();
+    const uint64_t cpu_used = dev.allocator().cpu_used();
+    auto run = TritonJoin({.sms = sms}).Run(dev, wl->r, wl->s);
+    ASSERT_FALSE(run.ok()) << "sms " << sms;
+    EXPECT_EQ(run.status().code(), util::StatusCode::kInvalidArgument);
+    EXPECT_NE(run.status().ToString().find(std::to_string(sms)),
+              std::string::npos)
+        << run.status().ToString();
+    EXPECT_NE(run.status().ToString().find(std::to_string(num_sms)),
+              std::string::npos)
+        << run.status().ToString();
+    EXPECT_EQ(dev.allocator().gpu_used(), gpu_used);
+    EXPECT_EQ(dev.allocator().cpu_used(), cpu_used);
+  }
+  auto run = TritonJoin({.sms = num_sms}).Run(dev, wl->r, wl->s);
+  ASSERT_TRUE(run.ok()) << run.status().ToString();
+  EXPECT_EQ(run->matches, 60000u);
+  EXPECT_EQ(run->checksum, join::ReferenceChecksum(wl->r, wl->s));
 }
 
 TEST_F(TritonJoinTest, InCoreWorkloadIsFullyCached) {

@@ -19,7 +19,7 @@
 # can be told from a busier machine. The script ends with
 # bench/host/compare.py <dir>/A <dir>/B and, per workload, the number of
 # pairs in which B's host_mtuples_per_s beat A's and each side's median
-# steal seconds per run.
+# child CPU seconds and steal seconds per run.
 #
 # Defaults: --seconds 10, --seed 42, all four workloads, --trace 0, <dir> a
 # new directory under ${TMPDIR:-/tmp}. The exit status is compare.py's.
@@ -27,7 +27,7 @@
 set -euo pipefail
 
 usage() {
-  sed -n '2,25p' "${BASH_SOURCE[0]}" | sed 's/^# \{0,1\}//' >&2
+  sed -n '2,26p' "${BASH_SOURCE[0]}" | sed 's/^# \{0,1\}//' >&2
   exit 2
 }
 
@@ -115,10 +115,12 @@ python3 - "$out/runs.tsv" <<'EOF'
 import collections, csv, statistics, sys
 
 runs = collections.defaultdict(dict)
+cpu = collections.defaultdict(list)
 steal = collections.defaultdict(list)
 with open(sys.argv[1]) as f:
     for row in csv.DictReader(f, delimiter="\t"):
         runs[(row["workload"], row["pair"])][row["side"]] = row
+        cpu[(row["workload"], row["side"])].append(float(row["cpu_s"]))
         steal[(row["workload"], row["side"])].append(float(row["steal_s"]))
 won = collections.Counter()
 total = collections.Counter()
@@ -131,9 +133,11 @@ for (workload, _), sides in runs.items():
     won[workload] += b > a
 print()
 for workload in total:
-    a, b = (statistics.median(steal[(workload, side)]) for side in "AB")
+    ca, cb = (statistics.median(cpu[(workload, side)]) for side in "AB")
+    sa, sb = (statistics.median(steal[(workload, side)]) for side in "AB")
     print(f"{workload}: B won {won[workload]}/{total[workload]} pairs "
-          f"on host_mtuples_per_s; median steal_s A {a:.2f}, B {b:.2f}")
+          f"on host_mtuples_per_s; median cpu_s A {ca:.2f}, B {cb:.2f}; "
+          f"median steal_s A {sa:.2f}, B {sb:.2f}")
 EOF
 echo "results in $out"
 exit $status
