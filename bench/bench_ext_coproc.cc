@@ -5,20 +5,21 @@
 // scheduler splits every join across both processors at partition-pair
 // granularity, so the CPU share sweeps 0 (the Triton join) through 1
 // (every pair joined on the CPU, the GPU still running the shared pass-1
-// front). The adaptive point picks its split from the sim::CostModel
-// predictions of both backends and rebalances between morsel waves.
+// front). The adaptive point starts from the split that equalizes the GPU
+// rate observed on pair 0 and the CPU pair cost, and rebalances between
+// morsel waves.
 //
 // Series (per swept size):
 //  - cpu-only:        join::CpuRadixJoin, the paper's CPU baseline.
 //  - gpu-only:        core::TritonJoin, the paper's GPU join.
-//  - hybrid-adaptive: the co-processing scheduler, cost-model split plus
+//  - hybrid-adaptive: the co-processing scheduler, derived split plus
 //                     adaptive rebalancing.
 //  - sweep@<size>M:   the hybrid at fixed split ratios 0..1 (axis is the
 //                     CPU share), one series per size.
 //
 // Expected shape (locked by the committed baseline): hybrid-adaptive is at
 // least as fast as the best single backend at every size, and each sweep
-// curve is unimodal — it descends from ratio 1 to the cost-model optimum
+// curve is unimodal — it descends from ratio 1 to the optimum
 // and ascends again toward pure-GPU only if the GPU was the slower side.
 
 #include <cstdio>

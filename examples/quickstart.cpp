@@ -9,8 +9,9 @@
 //
 // --backend selects the execution engine: the GPU Triton join (default),
 // the CPU-only radix join, or the heterogeneous co-processing scheduler
-// that splits the join across both processors from its cost-model
-// predictions and rebalances adaptively between morsel waves.
+// that splits the join across both processors from the GPU rate of its
+// first pair and the CPU pair cost, and rebalances adaptively between
+// morsel waves.
 
 #include <cstdio>
 #include <string>

@@ -17,15 +17,8 @@ void TritonJoin::DeriveBits(const sim::HwSpec& hw, uint64_t r_tuples,
   uint32_t total =
       util::CeilLog2(util::CeilDiv(r_tuples, 1024));
   *bits2 = std::min(total, 9u);
-  *bits1 = std::max(total - *bits2, 1u);
-  // A pass-1 partition pair (R_i + S_i + the refined copy) must fit in
-  // half the GPU memory alongside its double-buffered sibling.
-  uint64_t pair_bytes =
-      ((r_tuples + s_tuples) * sizeof(partition::Tuple)) >> *bits1;
-  while (pair_bytes * 4 > hw.gpu_mem.capacity / 2) {
-    ++*bits1;
-    pair_bytes /= 2;
-  }
+  *bits1 = PairBudgetBits(hw, r_tuples + s_tuples,
+                          std::max(total - *bits2, 1u));
 }
 
 util::StatusOr<join::JoinRun> TritonJoin::Run(exec::Device& dev,

@@ -11,6 +11,24 @@
 
 namespace triton::core {
 
+namespace {
+
+/// SM-cycles per refined partition pair for the join task scheduler kernel
+/// (calibrated against the ~9% share in the paper's Figure 15).
+constexpr double kSchedCyclesPerPair = 13000.0;
+
+}  // namespace
+
+uint32_t PairBudgetBits(const sim::HwSpec& hw, uint64_t tuples,
+                        uint32_t bits1) {
+  uint64_t pair_bytes = (tuples * sizeof(partition::Tuple)) >> bits1;
+  while (pair_bytes * 4 > hw.gpu_mem.capacity / 2) {
+    ++bits1;
+    pair_bytes /= 2;
+  }
+  return bits1;
+}
+
 util::StatusOr<Front> RunFront(exec::Device& dev, partition::RadixConfig radix1,
                                const std::vector<const data::Relation*>& rels,
                                const FrontOptions& opts) {

@@ -33,13 +33,16 @@
 #include "partition/partitioner.h"
 #include "partition/radix.h"
 #include "sim/cost_model.h"
+#include "sim/hw_spec.h"
 #include "util/status.h"
 
 namespace triton::core {
 
-/// SM-cycles per refined partition pair for the join task scheduler kernel
-/// (calibrated against the ~9% share in the paper's Figure 15).
-inline constexpr double kSchedCyclesPerPair = 13000.0;
+/// Pass-1 bits, at least `bits1`, at which a pass-1 pair of `tuples`
+/// input tuples (R_i + S_i) and its refined copy fit half the GPU memory
+/// alongside a double-buffered sibling: the pair body's GPU budget.
+uint32_t PairBudgetBits(const sim::HwSpec& hw, uint64_t tuples,
+                        uint32_t bits1);
 
 /// Parameters of the front.
 struct FrontOptions {

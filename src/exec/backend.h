@@ -20,7 +20,7 @@ enum class Backend {
   kCpu,
   /// GPU Triton join only (core::TritonJoin) — the default.
   kGpu,
-  /// Cost-model-split co-processing across both (sched::CoProcessScheduler).
+  /// Co-processing split across both (sched::CoProcessScheduler).
   kHybrid,
 };
 

@@ -29,6 +29,24 @@ double CpuJoinRate(const sim::CpuSpec& cpu, HashScheme scheme) {
          scheme_factor;
 }
 
+double PredictCpuRadixSeconds(const sim::HwSpec& hw, uint64_t r_tuples,
+                              uint64_t s_tuples, HashScheme scheme) {
+  const sim::CpuSpec& cpu = hw.cpu;
+  const uint64_t paper_r = static_cast<uint64_t>(
+      static_cast<double>(r_tuples) * hw.scale);
+  const uint32_t bits = CpuRadixBits(cpu, paper_r);
+  const uint32_t passes = partition::CpuPartitionPasses(cpu, bits);
+  const double rate = partition::CpuPartitionRate(cpu, bits, passes);
+
+  // Both relations stream through the partitioner `passes` times.
+  const double in_bytes = static_cast<double>(r_tuples + s_tuples) *
+                          sizeof(partition::Tuple);
+  const double t_partition = in_bytes * passes / rate;
+  const double t_join =
+      static_cast<double>(r_tuples + s_tuples) / CpuJoinRate(cpu, scheme);
+  return t_partition + t_join;
+}
+
 util::StatusOr<JoinRun> CpuRadixJoin::Run(exec::Device& dev,
                                           const data::Relation& r,
                                           const data::Relation& s) {

@@ -46,6 +46,14 @@ uint32_t CpuRadixBits(const sim::CpuSpec& cpu, uint64_t r_tuples);
 /// core at its calibrated rate; perfect hashing is 12% faster.
 double CpuJoinRate(const sim::CpuSpec& cpu, HashScheme scheme);
 
+/// Modeled seconds of a CpuRadixJoin of `r_tuples` x `s_tuples` on
+/// `hw.cpu`, without running it: both relations partitioned at
+/// partition::CpuPartitionRate, then joined at CpuJoinRate. Equals the
+/// engine's modeled time (up to floating-point summation order).
+double PredictCpuRadixSeconds(const sim::HwSpec& hw, uint64_t r_tuples,
+                              uint64_t s_tuples,
+                              HashScheme scheme = HashScheme::kBucketChaining);
+
 /// CPU radix-partitioned hash join; see file comment.
 class CpuRadixJoin {
  public:

@@ -62,7 +62,6 @@ class ScratchJoiner {
   uint32_t MaxBuildTuples() const { return max_build_tuples_; }
 
   HashScheme scheme() const { return scheme_; }
-  const ScratchJoinCosts& costs() const { return costs_; }
 
  private:
   static constexpr uint32_t kBuckets =

@@ -8,7 +8,8 @@
 #include "core/triton_pipeline.h"
 #include "exec/block_executor.h"
 #include "hash/bucket_chain_table.h"
-#include "sched/predict.h"
+#include "join/cpu_radix_join.h"
+#include "partition/cpu_swwc.h"
 #include "util/bits.h"
 #include "util/logging.h"
 #include "util/random.h"
@@ -49,6 +50,64 @@ struct alignas(util::kCacheLineBytes) ProbeOutcome {
   std::vector<partition::Tuple> rows;
 };
 
+/// Modeled cost of joining one pass-1 partition pair on the CPU, in place:
+/// pull the pair out of the interleaved pass-1 state (the GPU-cached
+/// fraction crosses the link, the spilled fraction is already CPU-resident),
+/// sub-partition it if the pair's hash table exceeds the per-core LLC share
+/// at paper scale, then build + probe a bucket-chaining table at the
+/// cache-resident rate.
+struct CpuPairCost {
+  double link_seconds = 0.0;     // GPU-resident fraction pulled over the link
+  double read_seconds = 0.0;     // CPU-resident fraction scanned from DRAM
+  double partition_seconds = 0.0;  // LLC-fitting sub-partition passes, if any
+  double join_seconds = 0.0;     // build + probe
+  /// Extra radix passes needed to make the pair's table LLC-resident.
+  uint32_t extra_passes = 0;
+
+  /// Serial pair time; the two input sources stream concurrently (DMA over
+  /// the link overlaps the DRAM scan), the rest is sequential.
+  double Seconds() const {
+    return std::max(link_seconds, read_seconds) + partition_seconds +
+           join_seconds;
+  }
+};
+
+CpuPairCost PredictCpuPairCost(const sim::HwSpec& hw, uint64_t pair_r_tuples,
+                               uint64_t pair_s_tuples, double cached_fraction) {
+  CpuPairCost cost;
+  const sim::CpuSpec& cpu = hw.cpu;
+  const double pair_bytes =
+      static_cast<double>(pair_r_tuples + pair_s_tuples) *
+      sizeof(partition::Tuple);
+
+  // The pass-1 state is interleaved: the GPU-cached fraction streams to the
+  // CPU over the link (DMA plateau, as for CPU-to-GPU transfers), the
+  // spilled fraction is already CPU-resident and scans at memory bandwidth.
+  const double gpu_resident = pair_bytes * cached_fraction;
+  const double cpu_resident = pair_bytes - gpu_resident;
+  cost.link_seconds = gpu_resident / partition::CpuDmaBandwidth(hw);
+  cost.read_seconds = cpu_resident / cpu.scan_bw;
+
+  // Sub-partition the pair until its hash table is LLC-resident, judged at
+  // paper scale like join::CpuRadixBits.
+  const uint64_t paper_pair_r = static_cast<uint64_t>(
+      static_cast<double>(pair_r_tuples) * hw.scale);
+  const uint64_t target_tuples = join::CpuLlcPartitionTuples(cpu);
+  if (paper_pair_r > target_tuples) {
+    const uint32_t extra_bits = util::CeilLog2(
+        util::CeilDiv(paper_pair_r, target_tuples));
+    cost.extra_passes = partition::CpuPartitionPasses(cpu, extra_bits);
+    cost.partition_seconds =
+        pair_bytes * cost.extra_passes /
+        partition::CpuPartitionRate(cpu, extra_bits, cost.extra_passes);
+  }
+
+  cost.join_seconds =
+      static_cast<double>(pair_r_tuples + pair_s_tuples) /
+      join::CpuJoinRate(cpu, join::HashScheme::kBucketChaining);
+  return cost;
+}
+
 }  // namespace
 
 double BoundedPipelineSeconds(const std::vector<double>& bw_stage,
@@ -85,21 +144,13 @@ void CoProcessScheduler::DeriveBits(const sim::HwSpec& hw, uint64_t r_tuples,
   // of it so the split always has >= 32 morsels to work with; the task
   // scheduler's per-refined-pair cost depends only on the total, so
   // shifting bits between the passes keeps the pipeline cost comparable.
+  // Pass 1 then grows to the pair budget, as in TritonJoin.
   uint32_t total = util::CeilLog2(util::CeilDiv(r_tuples, 1024));
   total = std::max(total, 2u);
   uint32_t b1 = std::max(total > 9 ? total - 9 : 1u, kMinPairBits);
   if (b1 >= total) b1 = total - 1;
-  uint32_t b2 = total - b1;
-  // A pair (R_i + S_i) must fit the GPU-memory pipeline budget (same rule
-  // as TritonJoin).
-  uint64_t pair_bytes =
-      ((r_tuples + s_tuples) * sizeof(partition::Tuple)) >> b1;
-  while (pair_bytes * 4 > hw.gpu_mem.capacity / 2) {
-    ++b1;
-    pair_bytes /= 2;
-  }
-  *bits1 = b1;
-  *bits2 = b2;
+  *bits2 = total - b1;
+  *bits1 = core::PairBudgetBits(hw, r_tuples + s_tuples, b1);
 }
 
 util::StatusOr<join::JoinRun> CoProcessScheduler::Run(
@@ -143,34 +194,6 @@ util::StatusOr<join::JoinRun> CoProcessScheduler::Run(
   }
   stats_.pairs_total = static_cast<uint32_t>(pairs.size());
 
-  // --- Initial split from the cost model: equalize the predicted
-  // finishing times of the two sides, i.e. f = rho_cpu / (rho_cpu +
-  // rho_gpu) over the backends' predicted tuple rates ---
-  stats_.predicted_cpu_seconds = PredictCpuRadixSeconds(hw, r.rows(), s.rows());
-  stats_.predicted_gpu_seconds = PredictTritonSeconds(hw, r.rows(), s.rows());
-  double cpu_rate = 0.0, gpu_rate = 0.0;
-  {
-    const uint64_t avg_r = std::max<uint64_t>(r.rows() >> bits1, 1);
-    const uint64_t avg_s = std::max<uint64_t>(s.rows() >> bits1, 1);
-    CpuPairCost pc =
-        PredictCpuPairCost(hw, avg_r, avg_s, stats_.cached_fraction);
-    if (pc.Seconds() > 0.0) {
-      cpu_rate = static_cast<double>(avg_r + avg_s) / pc.Seconds();
-    }
-    TritonPrediction tp = PredictTritonPhases(hw, r.rows(), s.rows());
-    if (tp.pipeline_seconds > 0.0) {
-      gpu_rate = static_cast<double>(total_tuples) / tp.pipeline_seconds;
-    }
-  }
-  double f = config_.split_ratio;
-  if (f < 0.0) {
-    f = cpu_rate + gpu_rate > 0.0 ? cpu_rate / (cpu_rate + gpu_rate) : 0.0;
-    f = std::clamp(f, 0.0, 0.9);
-  }
-  f = std::clamp(f, 0.0, 1.0);
-  stats_.initial_cpu_fraction = f;
-  util::Lcg64 rng(config_.seed);
-
   // --- Bounded staging queue through the interconnect: kStagingDepth
   // slots, reused round-robin; slot lifetime is enforced by the pipeline
   // time model (BoundedPipelineSeconds) ---
@@ -181,8 +204,46 @@ util::StatusOr<join::JoinRun> CoProcessScheduler::Run(
       .sms = hw.gpu.num_sms,
       .staging = staging->valid() ? &*staging : nullptr,
       .result = result->valid() ? &*result : nullptr};
-
   core::JoinTotals totals;
+
+  // --- Initial split: equalize the two sides' finishing times, i.e.
+  // f = rho_cpu / (rho_cpu + rho_gpu) over their tuple rates. The CPU rate
+  // is the average pair's cost, the rule each CPU pair is charged by. The
+  // GPU rate is observed on pair 0, joined here ahead of wave 0: the greedy
+  // assignment below sends pair 0 to the CPU only if n_0 <= f * n_0, which
+  // no derived f <= 0.9 allows, and its kernels follow the front either
+  // way ---
+  stats_.predicted_cpu_seconds =
+      join::PredictCpuRadixSeconds(hw, r.rows(), s.rows());
+  double cpu_rate = 0.0, gpu_rate = 0.0;
+  {
+    const uint64_t avg_r = std::max<uint64_t>(r.rows() >> bits1, 1);
+    const uint64_t avg_s = std::max<uint64_t>(s.rows() >> bits1, 1);
+    CpuPairCost pc =
+        PredictCpuPairCost(hw, avg_r, avg_s, stats_.cached_fraction);
+    if (pc.Seconds() > 0.0) {
+      cpu_rate = static_cast<double>(avg_r + avg_s) / pc.Seconds();
+    }
+  }
+  double f = config_.split_ratio;
+  std::optional<core::Lanes> pair0_lanes;
+  if (f < 0.0) {
+    if (!pairs.empty()) {
+      core::Lanes& lanes = pair0_lanes.emplace();
+      util::Status st = core::JoinPair(dev, *front, pairs[0].p, gpu_body, 0,
+                                       &totals, &lanes);
+      if (!st.ok()) return st;
+      gpu_rate = static_cast<double>(pairs[0].tuples()) /
+                 std::max(lanes.bw, lanes.comp);
+    }
+    f = cpu_rate + gpu_rate > 0.0 ? cpu_rate / (cpu_rate + gpu_rate) : 0.0;
+    f = std::clamp(f, 0.0, 0.9);
+  }
+  const double pair0_gpu_rate = gpu_rate;
+  f = std::clamp(f, 0.0, 1.0);
+  stats_.initial_cpu_fraction = f;
+  util::Lcg64 rng(config_.seed);
+
   std::vector<double> gpu_bw, gpu_comp;  // per-GPU-pair pipeline lanes
   uint64_t cpu_tuples_total = 0, assigned_tuples = 0;
 
@@ -338,13 +399,18 @@ util::StatusOr<join::JoinRun> CoProcessScheduler::Run(
         ++stats_.cpu_pairs;
       } else {
         // GPU side: Triton's pair body, staging the pair into its
-        // bounded-queue slot when pass-1 state spilled.
-        const uint64_t slot_base =
-            (stats_.gpu_pairs % kStagingDepth) * front->max_pair;
+        // bounded-queue slot when pass-1 state spilled. Pair 0 was joined
+        // ahead of wave 0, in slot 0.
         core::Lanes lanes;
-        util::Status st = core::JoinPair(dev, *front, pd.p, gpu_body,
-                                         slot_base, &totals, &lanes);
-        if (!st.ok()) return st;
+        if (i == 0 && pair0_lanes) {
+          lanes = *pair0_lanes;
+        } else {
+          const uint64_t slot_base =
+              (stats_.gpu_pairs % kStagingDepth) * front->max_pair;
+          util::Status st = core::JoinPair(dev, *front, pd.p, gpu_body,
+                                           slot_base, &totals, &lanes);
+          if (!st.ok()) return st;
+        }
         gpu_bw.push_back(lanes.bw);
         gpu_comp.push_back(lanes.comp);
         wave.gpu_seconds += std::max(lanes.bw, lanes.comp);
@@ -383,6 +449,11 @@ util::StatusOr<join::JoinRun> CoProcessScheduler::Run(
       run.PhaseTime("prefix_sum1") + run.PhaseTime("partition1");
   stats_.gpu_pipeline_seconds =
       BoundedPipelineSeconds(gpu_bw, gpu_comp, kStagingDepth);
+  if (pair0_gpu_rate > 0.0) {
+    stats_.predicted_gpu_seconds =
+        stats_.front_seconds +
+        static_cast<double>(total_tuples) / pair0_gpu_rate;
+  }
   stats_.final_cpu_fraction =
       total_tuples > 0
           ? static_cast<double>(cpu_tuples_total) /

@@ -21,9 +21,12 @@
 //              LLC-resident chunks if needed and joined with a
 //              bucket-chaining table at the calibrated per-core rate.
 //
-// The initial CPU share comes from sim::CostModel-backed predictions of
-// both backends' rates (src/sched/predict.h); the adaptive mode rebalances
-// it between morsel waves from the observed per-morsel modeled seconds.
+// The initial CPU share equalizes the two backends' tuple rates. The GPU
+// rate is observed, not modeled twice: pair 0, which every derived split
+// runs on the GPU, is joined right after the front, and its lanes are its
+// exact modeled cost. The CPU rate is the average pair's cost under the
+// rule each CPU pair is charged by. The adaptive mode rebalances the share
+// between morsel waves from the observed per-morsel modeled seconds.
 // Everything — results, PerfCounters, the adaptive trajectory — is
 // bit-identical at any --threads: pairs are assigned in pair-index order,
 // all block-parallel work reduces in block/pair order, and the adaptive
@@ -51,8 +54,8 @@ namespace triton::sched {
 /// Configuration of the co-processing scheduler.
 struct CoProcessConfig {
   join::ResultMode result_mode = join::ResultMode::kMaterialize;
-  /// CPU share of the pair tuples, in [0, 1]. Negative = pick the initial
-  /// share from the cost-model predictions of both backends.
+  /// CPU share of the pair tuples, in [0, 1]. Negative = derive the initial
+  /// share from pair 0's GPU rate and the average pair's CPU cost.
   double split_ratio = -1.0;
   /// Rebalance the share between morsel waves from observed per-morsel
   /// modeled seconds (seeded-deterministic feedback).
@@ -81,7 +84,10 @@ struct CoProcessStats {
   uint32_t pairs_total = 0;
   uint32_t cpu_pairs = 0;
   uint32_t gpu_pairs = 0;
-  /// CPU share the scheduler started from (flag or cost-model pick).
+  /// CPU share the scheduler started from: split_ratio, or when derived
+  /// cpu_rate / (cpu_rate + gpu_rate) clamped to [0, 0.9], with gpu_rate
+  /// pair 0's tuples over max(bw, comp) of its lanes and cpu_rate the
+  /// average pair's tuples over its CPU cost.
   double initial_cpu_fraction = 0.0;
   /// Realized CPU share of the pair tuples.
   double final_cpu_fraction = 0.0;
@@ -89,7 +95,10 @@ struct CoProcessStats {
   double front_seconds = 0.0;
   double cpu_seconds = 0.0;
   double gpu_pipeline_seconds = 0.0;
-  /// Full-join predictor anchors used for the initial split.
+  /// Full-join estimates of each backend alone. CPU: the CPU radix join's
+  /// closed form (join::PredictCpuRadixSeconds). GPU: the front's seconds
+  /// plus the pair tuples at pair 0's rate; a derived split only, 0 when
+  /// split_ratio is set.
   double predicted_cpu_seconds = 0.0;
   double predicted_gpu_seconds = 0.0;
   /// Adaptive trajectory (one entry per wave; single entry when static).
@@ -128,7 +137,7 @@ class CoProcessScheduler {
   /// Derives the radix bits: same total depth as the Triton join (refined
   /// partitions of ~1024 tuples) but with pass-1 taking at least
   /// kMinPairBits of it, so a join always decomposes into enough morsels
-  /// to split. The pair-fits-GPU-budget rule matches TritonJoin.
+  /// to split. Pass 1 then grows to core::PairBudgetBits, as in TritonJoin.
   static void DeriveBits(const sim::HwSpec& hw, uint64_t r_tuples,
                          uint64_t s_tuples, uint32_t* bits1, uint32_t* bits2);
 

@@ -1,16 +1,19 @@
 // Co-processing scheduler tests: backend-oracle equality at the split
 // extremes, bit-identical results and counters at any thread count, the
 // seeded-deterministic adaptive trajectory, the bounded staging-queue
-// pipeline model, and the cost-model calibration that pins the split
-// predictors to the engines they predict.
+// pipeline model, the derived split read off pair 0's own GPU kernels, and
+// the CPU radix join's closed-form prediction against the engine.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "core/triton_join.h"
+#include "core/triton_pipeline.h"
 #include "data/generator.h"
 #include "exec/backend.h"
 #include "exec/block_executor.h"
@@ -18,7 +21,6 @@
 #include "join/common.h"
 #include "join/cpu_radix_join.h"
 #include "sched/coprocess_scheduler.h"
-#include "sched/predict.h"
 #include "sim/hw_spec.h"
 
 namespace triton::sched {
@@ -291,7 +293,86 @@ TEST(BoundedPipelineTest, DeepQueueConvergesToLaneMax) {
   EXPECT_LE(t, 128.0 + 1.0 + 1e-9);
 }
 
-// --- Cost-model calibration: predictions vs counters-derived runs ---
+// --- The derived split: pair 0's GPU rate against the CPU pair cost ---
+
+/// Kernels of the front: the CPU prefix sums, then pass 1 of R and of S.
+constexpr size_t kFrontKernels = 4;
+/// Kernels of one GPU pair, in launch order (core::JoinPair).
+const std::vector<std::string> kPairKernels = {
+    "prefix_sum2", "prefix_sum2", "partition2", "partition2", "sched", "join"};
+
+TEST_F(CoProcessTest, DerivedSplitReadsTheGpuRateOffPairZero) {
+  exec::Device dev(hw_);
+  auto wl = MakeWorkload(dev, 400000, 400000);
+  CoProcessScheduler hybrid({.result_mode = join::ResultMode::kAggregate});
+  auto run = hybrid.Run(dev, wl.r, wl.s);
+  ASSERT_TRUE(run.ok()) << run.status().ToString();
+  EXPECT_EQ(run->matches, 400000u);
+  const CoProcessStats& st = hybrid.stats();
+  ASSERT_GT(st.cpu_pairs, 0u);
+  ASSERT_GT(st.gpu_pairs, 0u);
+
+  // Pair 0 runs on the GPU right after the front, and only once: each GPU
+  // pair launches two prefix_sum2.
+  ASSERT_GT(run->phases.size(), kFrontKernels + kPairKernels.size());
+  const auto prefix_sums = std::count_if(
+      run->phases.begin(), run->phases.end(),
+      [](const exec::KernelRecord& rec) { return rec.name == "prefix_sum2"; });
+  EXPECT_EQ(prefix_sums, 2 * static_cast<int64_t>(st.gpu_pairs));
+
+  // GPU rate: pair 0's tuples over the slower lane of its six kernels.
+  core::Lanes lanes;
+  uint64_t pair0_tuples = 0;
+  for (size_t k = 0; k < kPairKernels.size(); ++k) {
+    const exec::KernelRecord& rec = run->phases[kFrontKernels + k];
+    ASSERT_EQ(rec.name, kPairKernels[k]);
+    lanes.Add(rec.time);
+    if (rec.name == "prefix_sum2") pair0_tuples += rec.counters.tuples;
+  }
+  const double gpu_rate =
+      static_cast<double>(pair0_tuples) / std::max(lanes.bw, lanes.comp);
+
+  // CPU rate: a CPU pair's tuples over its charged seconds. The state is
+  // all GPU-cached, so the pair reads nothing from CPU memory and its cost
+  // is link + sub-partition + join, linear in the pair's size.
+  ASSERT_EQ(st.cached_fraction, 1.0);
+  auto cpu_pair = std::find_if(
+      run->phases.begin(), run->phases.end(),
+      [](const exec::KernelRecord& rec) {
+        return rec.name == "coproc_cpu_pair";
+      });
+  ASSERT_NE(cpu_pair, run->phases.end());
+  const double cpu_rate =
+      static_cast<double>(cpu_pair->counters.tuples) /
+      (cpu_pair->time.link + cpu_pair->time.cpu_mem + cpu_pair->time.compute);
+
+  EXPECT_NEAR(st.initial_cpu_fraction,
+              std::clamp(cpu_rate / (cpu_rate + gpu_rate), 0.0, 0.9), 1e-12);
+}
+
+TEST_F(CoProcessTest, PredictedGpuSecondsTracksAllGpuSplit) {
+  // Inputs of 1/20, 1/2 and 2x GPU memory: the last spills pass-1 state.
+  for (uint64_t n : {uint64_t{400000}, uint64_t{4194304}, uint64_t{16777216}}) {
+    auto seconds = [&](double split_ratio, double* predicted_gpu) {
+      exec::Device dev(hw_);
+      auto wl = MakeWorkload(dev, n, n);
+      CoProcessScheduler hybrid({.result_mode = join::ResultMode::kAggregate,
+                                 .split_ratio = split_ratio});
+      auto run = hybrid.Run(dev, wl.r, wl.s);
+      CHECK_OK(run.status());
+      if (predicted_gpu != nullptr) {
+        *predicted_gpu = hybrid.stats().predicted_gpu_seconds;
+      }
+      return run->elapsed;
+    };
+    double predicted = 0.0;
+    seconds(-1.0, &predicted);
+    const double all_gpu = seconds(0.0, nullptr);
+    EXPECT_NEAR(predicted, all_gpu, 0.02 * all_gpu) << n;
+  }
+}
+
+// --- The CPU radix join's closed form against the engine ---
 
 TEST_F(CoProcessTest, CpuPredictorTracksCpuRadixJoin) {
   // The predictor calls the engine's own rate functions, so it equals the
@@ -308,25 +389,12 @@ TEST_F(CoProcessTest, CpuPredictorTracksCpuRadixJoin) {
           {.scheme = scheme, .result_mode = join::ResultMode::kAggregate});
       auto run = cpu.Run(dev, wl.r, wl.s);
       ASSERT_TRUE(run.ok());
-      EXPECT_DOUBLE_EQ(PredictCpuRadixSeconds(hw_, shape.r, shape.s, scheme),
-                       run->elapsed)
+      EXPECT_DOUBLE_EQ(
+          join::PredictCpuRadixSeconds(hw_, shape.r, shape.s, scheme),
+          run->elapsed)
           << shape.r << " x " << shape.s << " scheme "
           << static_cast<int>(scheme);
     }
-  }
-}
-
-TEST_F(CoProcessTest, TritonPredictorTracksTritonJoin) {
-  // In-core and out-of-core anchor points.
-  for (uint64_t n : {uint64_t{400000},
-                     hw_.gpu_mem.capacity / sizeof(partition::Tuple)}) {
-    exec::Device dev(hw_);
-    auto wl = MakeWorkload(dev, n, n);
-    core::TritonJoin gpu({.result_mode = join::ResultMode::kAggregate});
-    auto run = gpu.Run(dev, wl.r, wl.s);
-    ASSERT_TRUE(run.ok());
-    double pred = PredictTritonSeconds(hw_, n, n);
-    EXPECT_NEAR(pred, run->elapsed, 0.10 * run->elapsed) << n;
   }
 }
 

@@ -10,9 +10,12 @@ settings, so the primary gate is a *byte* comparison against the committed
 baselines — any counter or modeled-time drift shows up as a unified diff.
 
 On top of that, shape checks assert the paper's headline effects on the
-fresh reports (mirroring tests/figures_test.cc): the NPJ collapse once its
-hash table leaves GPU memory, the TLB latency plateaus, the Shared
-partitioner's IOMMU cliff, and the Triton join's cliff-free cache scaling.
+fresh reports (mirroring tests/figures_test.cc and the orderings of
+tests/integration_test.cc): the NPJ collapse once its hash table leaves
+GPU memory, Figure 1's in-core and out-of-core orderings, the TLB latency
+plateaus, the Shared partitioner's IOMMU cliff, the Triton join's rising
+link utilization and cliff-free cache scaling, and NVLink's lead over
+PCI-e.
 They catch a semantically broken report even when somebody refreshes the
 baselines wholesale.
 
@@ -106,22 +109,37 @@ def check_generic(figure, report):
                              f"not finite: {v!r}")
 
 
-# --- per-figure shape checks (mirroring tests/figures_test.cc) -------------
+# --- per-figure shape checks (mirroring figures_test, integration_test) ----
 
 
 def check_fig01(figure, report):
-    # The Triton join must beat the collapsed NPJ on the out-of-core
-    # workloads (the paper's motivating comparison).
+    # Figure 1's regions (integration_test Figure1Orderings): in core the
+    # NPJ wins, Triton beats the CPU and stays within 70% of the NPJ; out of
+    # core Triton beats both, and the collapsed NPJ by more than 2x (the
+    # paper's motivating comparison).
     npj = series(report, "GPU NPJ")
     tri = series(report, "GPU Triton Join")
-    if not npj or not tri:
+    cpu = series(report, "CPU Radix Join")
+    if not npj or not tri or not cpu:
         fail(figure, f"missing series; have {series_names(report)}")
         return
-    x = max(p["x"] for p in tri)
-    npj_out, tri_out = at_x(npj, x), at_x(tri, x)
-    if npj_out and tri_out and value(tri_out) <= 2.0 * value(npj_out):
-        fail(figure, f"Triton ({value(tri_out):.3g}) should be >2x NPJ "
-                     f"({value(npj_out):.3g}) at {x} MTuples")
+    lo, hi = min(p["x"] for p in tri), max(p["x"] for p in tri)
+    n, t, c = at_x(npj, lo), at_x(tri, lo), at_x(cpu, lo)
+    if n and t and c:
+        if not value(n) > value(t) > value(c):
+            fail(figure, f"in core ({lo} MTuples) want NPJ ({value(n):.3g}) "
+                         f"> Triton ({value(t):.3g}) > CPU ({value(c):.3g})")
+        if value(t) <= 0.7 * value(n):
+            fail(figure, f"in core Triton ({value(t):.3g}) should be >70% "
+                         f"of NPJ ({value(n):.3g})")
+    n, t, c = at_x(npj, hi), at_x(tri, hi), at_x(cpu, hi)
+    if n and t and c:
+        if value(t) <= 2.0 * value(n):
+            fail(figure, f"Triton ({value(t):.3g}) should be >2x NPJ "
+                         f"({value(n):.3g}) at {hi} MTuples")
+        if value(t) <= value(c):
+            fail(figure, f"out of core Triton ({value(t):.3g}) should beat "
+                         f"CPU ({value(c):.3g}) at {hi} MTuples")
 
 
 def check_fig07(figure, report):
@@ -154,10 +172,66 @@ def check_fig13(figure, report):
     if in_core <= 3.0 * out_core:
         fail(figure, f"NPJ-perfect in-core ({in_core:.3g}) should be >3x "
                      f"out-of-core ({out_core:.3g})")
-    # And the Triton join must not collapse with it.
+    # And the Triton join must not collapse with it: no step down the
+    # size sweep loses more than 30%.
     if value(tri[-1]) <= 2.0 * out_core:
         fail(figure, f"Triton-chain ({value(tri[-1]):.3g}) should be >2x the "
                      f"collapsed NPJ ({out_core:.3g})")
+    for a, b in zip(tri, tri[1:]):
+        if value(b) < 0.7 * value(a):
+            fail(figure, f"Triton-chain lost >30% from x={a['x']} "
+                         f"({value(a):.3g}) to x={b['x']} ({value(b):.3g})")
+    # Linear probing collapses harder than perfect hashing out of core
+    # (join_test NpjOutOfCoreLinearProbingCollapses).
+    linear = series(report, "NPJ-linear")
+    if not linear:
+        fail(figure, f"missing NPJ-linear; have {series_names(report)}")
+    elif value(linear[-1]) * 5.0 >= out_core:
+        fail(figure, f"NPJ-linear out of core ({value(linear[-1]):.3g}) "
+                     f"should be >5x below NPJ-perfect ({out_core:.3g})")
+
+
+def check_fig14(figure, report):
+    # The Triton join's link utilization rises with the data size and is
+    # above 50% at the largest (integration_test
+    # TritonUtilizationRisesWithDataSize); out of core, linear probing
+    # sends the IOMMU >4x the requests per tuple of perfect hashing.
+    tri = series(report, "Triton (bucket chaining)")
+    perfect = series(report, "NPJ (perfect)")
+    linear = series(report, "NPJ (linear probing)")
+    if not tri or not perfect or not linear:
+        fail(figure, f"missing series; have {series_names(report)}")
+        return
+    for a, b in zip(tri, tri[1:]):
+        if value(b) < 0.95 * value(a):
+            fail(figure, f"Triton utilization fell from {value(a):.3g}% "
+                         f"(x={a['x']}) to {value(b):.3g}% (x={b['x']})")
+    if value(tri[-1]) <= 50.0:
+        fail(figure, f"Triton utilization at x={tri[-1]['x']} is "
+                     f"{value(tri[-1]):.3g}%, want >50%")
+
+    def iommu(p):
+        return p["extra"]["iommu_req_per_tuple"]
+
+    if iommu(linear[-1]) <= 4.0 * iommu(perfect[-1]):
+        fail(figure, f"NPJ-linear IOMMU requests/tuple "
+                     f"({iommu(linear[-1]):.3g}) should be >4x NPJ-perfect's "
+                     f"({iommu(perfect[-1]):.3g}) at x={linear[-1]['x']}")
+
+
+def check_fig16(figure, report):
+    # GPU partitioning beats CPU partitioning, but by less than 2x (paper:
+    # 1.2-1.3x; integration_test GpuPartitionedBeatsCpuPartitioned).
+    tri = series(report, "Triton")
+    cpu = series(report, "CPU-partitioned")
+    if not tri or not cpu:
+        fail(figure, f"missing series; have {series_names(report)}")
+        return
+    for t, c in zip(tri, cpu):
+        ratio = value(t) / value(c)
+        if not 1.0 < ratio < 2.0:
+            fail(figure, f"Triton / CPU-partitioned is {ratio:.3g} at "
+                         f"x={t['x']}, want in (1, 2)")
 
 
 def check_fig17(figure, report):
@@ -206,13 +280,21 @@ def check_fig19(figure, report):
 
 def check_ext_pcie(figure, report):
     # Fast interconnects are the point: Triton@NVLink must beat
-    # Triton@PCIe on every workload.
+    # Triton@PCIe by more than 2x on every workload, and on PCI-e the CPU
+    # radix join wins (integration_test PcieMakesTheCpuWin).
     nvlink = series(report, "Triton@NVLink")
     pcie = series(report, "Triton@PCIe")
-    for a, b in zip(nvlink, pcie):
-        if value(a) <= value(b):
+    cpu = series(report, "CPU radix")
+    if not nvlink or not pcie or not cpu:
+        fail(figure, f"missing series; have {series_names(report)}")
+        return
+    for a, b, c in zip(nvlink, pcie, cpu):
+        if value(a) <= 2.0 * value(b):
             fail(figure, f"NVLink ({value(a):.3g}) should beat PCIe "
-                         f"({value(b):.3g}) at x={a['x']}")
+                         f"({value(b):.3g}) by >2x at x={a['x']}")
+        if value(c) <= value(b):
+            fail(figure, f"CPU radix ({value(c):.3g}) should beat "
+                         f"Triton@PCIe ({value(b):.3g}) at x={a['x']}")
 
 
 def check_ext_serve(figure, report):
@@ -282,6 +364,20 @@ def check_ext_coproc(figure, report):
                              f"{secs[i]:.4g})")
 
 
+def check_ablation(figure, report):
+    # Overlapping the second pass with the join is one of the design
+    # choices that pays: the serial join phase must be slower.
+    full = series(report, "full Triton join")
+    serial = series(report, "- kernel overlap (serial join phase)")
+    if not full or not serial:
+        fail(figure, f"missing series; have {series_names(report)}")
+        return
+    if value(serial[0]) >= value(full[0]):
+        fail(figure, f"removing kernel overlap ({value(serial[0]):.3g}) "
+                     f"should be slower than the full join "
+                     f"({value(full[0]):.3g})")
+
+
 def check_micro(figure, report):
     # The microbench suite embeds its own invariants: the sanitizer shadow
     # round-trips must be violation-free, and the per-tuple and bulk
@@ -304,9 +400,12 @@ SHAPE_CHECKS = {
     "fig01": check_fig01,
     "fig07": check_fig07,
     "fig13": check_fig13,
+    "fig14": check_fig14,
+    "fig16": check_fig16,
     "fig17": check_fig17,
     "fig18": check_fig18,
     "fig19": check_fig19,
+    "ablation": check_ablation,
     "ext_pcie": check_ext_pcie,
     "ext_serve": check_ext_serve,
     "ext_coproc": check_ext_coproc,
